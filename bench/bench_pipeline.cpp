@@ -2,10 +2,10 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// Measures the pipeline's multi-detector fan-out: the wall-clock of running
-// WCP + HB + Eraser one after another (three sequential full-trace
-// analyses, the pre-pipeline workflow) against one parallel pipeline run
-// with the same three lanes sharing a single trace residency.
+// Measures the multi-detector fan-out: the wall-clock of running WCP + HB
+// + Eraser one after another (three sequential full-trace analyses)
+// against one analyzeTrace run with the same three lanes sharing a single
+// trace residency (a Sequential session: one consumer thread per lane).
 //
 // Results are emitted as JSON to stdout and to BENCH_pipeline.json (or
 // --out PATH) so the perf trajectory is machine-readable across PRs. The
@@ -31,10 +31,9 @@
 // each streamed session's telemetry (obs/Metrics.h) with *_ns stages as
 // seconds; "metrics_overhead" re-runs the streamed sequential session
 // with metrics enabled vs disabled (min-of-3) and fails the bench when
-// the enabled wall exceeds the disabled one by more than 5% (and 20ms);
-// "scaling" sweeps the parallel fan-out across 1/2/4/8 workers.
+// the enabled wall exceeds the disabled one by more than 5% (and 20ms).
 //
-// The "late_declaration" section is the restart-heavy workload: a
+// The "late_declaration" section is the growth-heavy workload: a
 // declaration-dense trace (--late-workload, default "eclipse": thousands
 // of lock/thread names first mentioned deep into the stream) scaled to
 // the same event target, round-tripped as *text* — every name declares
@@ -42,8 +41,7 @@
 // declared-up-front *binary* path on the same trace. It reports the
 // text/binary wall ratio (growable detector state keeps the two in the
 // same overlap envelope; on multi-core hosts both walls sit on the
-// slowest lane) and the total restart count, which is structurally 0 —
-// a nonzero count fails the bench.
+// slowest lane); text/binary report divergence fails the bench.
 //
 // The "syncp" section benchmarks the sync-preserving lane on its own
 // random-program trace (reduced event count: the SP-closure re-decides
@@ -82,7 +80,6 @@
 #include "lockset/EraserDetector.h"
 #include "obs/Metrics.h"
 #include "pipeline/ChunkedReader.h"
-#include "pipeline/Pipeline.h"
 #include "serve/RaceServer.h"
 #include "serve/WireClient.h"
 #include "support/Json.h"
@@ -264,65 +261,56 @@ int main(int Argc, char **Argv) {
                std::to_string(R.Report.numDistinctPairs()) + "}";
   }
 
-  // Pipeline: same three detectors, one fan-out, Threads workers.
-  PipelineOptions Opts;
-  Opts.NumThreads = Threads;
-  AnalysisPipeline Pipeline(Opts);
-  for (LaneSpec &L : Lanes)
-    Pipeline.addDetector(L.Make, L.Name);
-  PipelineResult P = Pipeline.run(T);
+  // Parallel: same three detectors, one analyzeTrace fan-out.
+  auto laneConfig = [&](RunMode Mode) {
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    Cfg.Threads = Threads;
+    for (LaneSpec &L : Lanes)
+      Cfg.addDetector(L.Make, L.Name);
+    return Cfg;
+  };
+  AnalysisResult P = analyzeTrace(laneConfig(RunMode::Sequential), T);
   bool LaneFailed = false;
   // A failed lane's report is partial/empty; recording it as a measurement
   // would silently corrupt the cross-PR perf trajectory — fail the bench.
-  auto laneJson = [&LaneFailed](const LaneResult &L, const char *Mode) {
-    if (!L.Error.empty()) {
-      std::fprintf(stderr, "error: %s lane %s failed: %s\n", Mode,
-                   L.DetectorName.c_str(), L.Error.c_str());
-      LaneFailed = true;
-      return std::string();
-    }
-    std::fprintf(stderr, "%-10s %-9s %6.2fs  %llu race pair(s)\n", Mode,
-                 L.DetectorName.c_str(), L.Seconds,
-                 (unsigned long long)L.Report.numDistinctPairs());
-    return "{\"detector\": \"" + L.DetectorName +
+  auto lanesJson = [&LaneFailed](const AnalysisResult &R, const char *Mode) {
+    std::string J;
+    for (const LaneReport &L : R.Lanes) {
+      Status St = R.Overall.ok() ? L.LaneStatus : R.Overall;
+      if (!St.ok()) {
+        std::fprintf(stderr, "error: %s lane %s failed: %s\n", Mode,
+                     L.DetectorName.c_str(), St.str().c_str());
+        LaneFailed = true;
+        continue;
+      }
+      std::fprintf(stderr, "%-10s %-9s %6.2fs  %llu race pair(s)\n", Mode,
+                   L.DetectorName.c_str(), L.Seconds,
+                   (unsigned long long)L.Report.numDistinctPairs());
+      if (!J.empty())
+        J += ", ";
+      J += "{\"detector\": \"" + L.DetectorName +
            "\", \"seconds\": " + jsonNum(L.Seconds) + ", \"races\": " +
            std::to_string(L.Report.numDistinctPairs()) + "}";
+    }
+    return J;
   };
-  std::string ParJson;
-  for (const LaneResult &L : P.Lanes) {
-    std::string One = laneJson(L, "parallel");
-    if (One.empty())
-      continue;
-    if (!ParJson.empty())
-      ParJson += ", ";
-    ParJson += One;
-  }
+  std::string ParJson = lanesJson(P, "parallel");
 
-  // Var-sharded pipeline: same lanes, each split into a clock pass plus
+  // Var-sharded: same lanes, each split into a clock pass plus
   // per-variable check shards (bit-identical reports; see
   // detect/ShardedAccessHistory.h). This is the knob that attacks the
   // slowest-lane bound of the plain fan-out.
   std::string VarJson;
   double VarSeconds = 0;
   if (Shards > 0) {
-    PipelineOptions VOpts;
-    VOpts.NumThreads = Threads;
-    VOpts.VarShards = Shards;
-    AnalysisPipeline VarPipeline(VOpts);
-    for (LaneSpec &L : Lanes)
-      VarPipeline.addDetector(L.Make, L.Name);
-    PipelineResult V = VarPipeline.run(T);
-    VarSeconds = V.Seconds;
-    for (const LaneResult &L : V.Lanes) {
-      std::string One = laneJson(L, "varshard");
-      if (One.empty())
-        continue;
-      if (!VarJson.empty())
-        VarJson += ", ";
-      VarJson += One;
-    }
+    AnalysisConfig VCfg = laneConfig(RunMode::VarSharded);
+    VCfg.VarShards = Shards;
+    AnalysisResult V = analyzeTrace(VCfg, T);
+    VarSeconds = V.WallSeconds;
+    VarJson = lanesJson(V, "varshard");
     std::fprintf(stderr, "var-sharded wall %.2fs (%u shard(s)/lane)\n",
-                 V.Seconds, Shards);
+                 V.WallSeconds, Shards);
   }
 
   // Streamed sessions vs batch: write the trace to a binary file once,
@@ -346,15 +334,11 @@ int main(int Argc, char **Argv) {
                              const std::string &TracePath,
                              const char *Extra) -> StreamSection {
     StreamSection Out;
-    AnalysisConfig SCfg;
-    SCfg.Mode = Mode;
-    SCfg.Threads = Threads;
+    AnalysisConfig SCfg = laneConfig(Mode);
     if (Mode == RunMode::Windowed)
       SCfg.WindowEvents = WindowEvents;
     if (Mode == RunMode::VarSharded)
       SCfg.VarShards = Shards;
-    for (LaneSpec &L : Lanes)
-      SCfg.addDetector(L.Make, L.Name);
 
     Timer AnalyzeClock;
     AnalysisResult Batch = analyzeTrace(SCfg, BatchLoaded);
@@ -493,11 +477,7 @@ int main(int Argc, char **Argv) {
     // budget only binds when the absolute delta is above timer jitter
     // (20ms).
     {
-      AnalysisConfig OCfg;
-      OCfg.Mode = RunMode::Sequential;
-      OCfg.Threads = Threads;
-      for (LaneSpec &L : Lanes)
-        OCfg.addDetector(L.Make, L.Name);
+      const AnalysisConfig OCfg = laneConfig(RunMode::Sequential);
       auto oneWall = [&](bool Metrics) {
         AnalysisConfig C = OCfg;
         C.Metrics = Metrics;
@@ -548,15 +528,14 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    // Late-declaration section: the restart-heavy workload. A
+    // Late-declaration section: the growth-heavy workload. A
     // declaration-dense trace's text form declares every thread/lock/
     // variable/location lazily, at its first mention mid-stream — the
     // case that used to force text inputs to buffer to EOF (and push
     // sessions to rebuild-and-replay). Growable detector state streams
     // it chunk by chunk like a binary file, so the section compares
     // streamed *text* ingestion (thousands of mid-stream declarations)
-    // against the declared-up-front *binary* path on the same trace, and
-    // counts restarts (structurally 0).
+    // against the declared-up-front *binary* path on the same trace.
     {
       WorkloadSpec LateSpec = workloadSpec(LateWorkload);
       Trace LateTrace = makeWorkload(
@@ -582,11 +561,7 @@ int main(int Argc, char **Argv) {
                      SaveErr.c_str());
         return 1;
       }
-      AnalysisConfig LCfg;
-      LCfg.Mode = RunMode::Sequential;
-      LCfg.Threads = Threads;
-      for (LaneSpec &L : Lanes)
-        LCfg.addDetector(L.Make, L.Name);
+      const AnalysisConfig LCfg = laneConfig(RunMode::Sequential);
       auto runSession = [&](const std::string &Path, double &Wall) {
         Timer Clock;
         AnalysisSession Session(LCfg);
@@ -600,7 +575,6 @@ int main(int Argc, char **Argv) {
       double BinWall = 0, TextWall = 0;
       AnalysisResult BinRun = runSession(LateBinPath, BinWall);
       AnalysisResult TextRun = runSession(TextPath, TextWall);
-      uint64_t Restarts = 0;
       bool LateOk = BinRun.ok() && TextRun.ok();
       if (!LateOk)
         std::fprintf(stderr, "error: late_declaration section failed: %s\n",
@@ -610,7 +584,6 @@ int main(int Argc, char **Argv) {
       for (size_t L = 0; LateOk && L != TextRun.Lanes.size(); ++L) {
         const LaneReport &TL = TextRun.Lanes[L];
         const LaneReport &BL = BinRun.Lanes[L];
-        Restarts += TL.Restarts + BL.Restarts;
         if (TL.Report.numDistinctPairs() != BL.Report.numDistinctPairs() ||
             TL.Report.numInstances() != BL.Report.numInstances()) {
           std::fprintf(stderr,
@@ -630,21 +603,13 @@ int main(int Argc, char **Argv) {
                      "\", \"races\": " +
                      std::to_string(TL.Report.numDistinctPairs()) + "}";
       }
-      if (LateOk && Restarts != 0) {
-        // Zero restarts is a structural invariant now; a nonzero count
-        // means the growable-state machinery regressed — fail the bench.
-        std::fprintf(stderr,
-                     "error: late_declaration counted %llu restart(s)\n",
-                     (unsigned long long)Restarts);
-        LateOk = false;
-      }
       if (!LateOk) {
         LaneFailed = true;
       } else {
         double Ratio = BinWall > 0 ? TextWall / BinWall : 0;
         std::fprintf(stderr,
                      "late_declaration text wall %.2fs vs binary wall "
-                     "%.2fs (ratio %.3f), 0 restarts\n",
+                     "%.2fs (ratio %.3f)\n",
                      TextWall, BinWall, Ratio);
         if (Ratio > 1.1)
           // The tracked target is <= 1.10. A single-core host cannot hide
@@ -661,47 +626,12 @@ int main(int Argc, char **Argv) {
                    ", \"text_wall_seconds\": " + jsonNum(TextWall) +
                    ", \"binary_wall_seconds\": " + jsonNum(BinWall) +
                    ", \"text_over_binary_ratio\": " + jsonNum(Ratio) +
-                   ", \"restarts\": " + std::to_string(Restarts) +
                    ", \"lanes\": [" + LanesJson + "]}";
       }
       std::remove(TextPath.c_str());
       std::remove(LateBinPath.c_str());
     }
     std::remove(TracePath.c_str());
-  }
-
-  // Thread-scaling sweep: the same three-lane parallel fan-out at 1, 2,
-  // 4 and 8 workers. With three lanes the plain fan-out plateaus at
-  // three-way concurrency (the slowest-lane bound); the curve makes that
-  // plateau — and any regression in it — visible across PRs.
-  std::string ScalingJson;
-  {
-    double Base = 0;
-    for (unsigned N : {1u, 2u, 4u, 8u}) {
-      PipelineOptions SOpts;
-      SOpts.NumThreads = N;
-      AnalysisPipeline ScalePipeline(SOpts);
-      for (LaneSpec &L : Lanes)
-        ScalePipeline.addDetector(L.Make, L.Name);
-      PipelineResult SR = ScalePipeline.run(T);
-      for (const LaneResult &L : SR.Lanes)
-        if (!L.Error.empty()) {
-          std::fprintf(stderr, "error: scaling lane %s failed at %u "
-                       "thread(s): %s\n",
-                       L.DetectorName.c_str(), N, L.Error.c_str());
-          LaneFailed = true;
-        }
-      if (N == 1)
-        Base = SR.Seconds;
-      double ScaleSpeedup = SR.Seconds > 0 ? Base / SR.Seconds : 0;
-      std::fprintf(stderr, "scaling %u thread(s): %.2fs wall (%.2fx)\n", N,
-                   SR.Seconds, ScaleSpeedup);
-      if (!ScalingJson.empty())
-        ScalingJson += ", ";
-      ScalingJson += "{\"threads\": " + std::to_string(N) +
-                     ", \"wall_seconds\": " + jsonNum(SR.Seconds) +
-                     ", \"speedup\": " + jsonNum(ScaleSpeedup) + "}";
-    }
   }
 
   // Sync-preserving lane: its own reduced-size random trace (the
@@ -913,12 +843,11 @@ int main(int Argc, char **Argv) {
     std::remove(SCfg.SocketPath.c_str());
   }
 
-  double Speedup = P.Seconds > 0 ? SeqTotal / P.Seconds : 0;
+  double Speedup = P.WallSeconds > 0 ? SeqTotal / P.WallSeconds : 0;
   std::fprintf(stderr,
-               "sequential total %.2fs, pipeline wall %.2fs -> %.2fx "
-               "speedup (%llu task(s) stolen)\n",
-               SeqTotal, P.Seconds, Speedup,
-               (unsigned long long)P.TasksStolen);
+               "sequential total %.2fs, parallel wall %.2fs -> %.2fx "
+               "speedup\n",
+               SeqTotal, P.WallSeconds, Speedup);
 
   std::string Json;
   Json += "{\n";
@@ -932,7 +861,7 @@ int main(int Argc, char **Argv) {
           ",\n";
   Json += "  \"sequential\": {\"total_seconds\": " + jsonNum(SeqTotal) +
           ", \"runs\": [" + SeqJson + "]},\n";
-  Json += "  \"parallel\": {\"wall_seconds\": " + jsonNum(P.Seconds) +
+  Json += "  \"parallel\": {\"wall_seconds\": " + jsonNum(P.WallSeconds) +
           ", \"lane_seconds_total\": " + jsonNum(P.laneSecondsTotal()) +
           ", \"tasks_stolen\": " + std::to_string(P.TasksStolen) +
           ", \"shards\": " + std::to_string(P.NumShards) + ", \"lanes\": [" +
@@ -974,7 +903,6 @@ int main(int Argc, char **Argv) {
     Json += "  \"syncp\": " + SyncPJson + ",\n";
   if (!ServeJson.empty())
     Json += "  \"serve_resilience\": " + ServeJson + ",\n";
-  Json += "  \"scaling\": [" + ScalingJson + "],\n";
   Json += "  \"speedup\": " + jsonNum(Speedup) + "\n";
   Json += "}\n";
 

@@ -14,9 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "detect/DetectorRunner.h"
+#include "api/AnalysisSession.h"
 #include "gen/Workloads.h"
-#include "hb/HbDetector.h"
 #include "support/TablePrinter.h"
 #include "wcp/WcpDetector.h"
 
@@ -65,20 +64,22 @@ int main() {
     for (uint64_t W : {1000u, 5000u, 20000u}) {
       if (W >= T.size())
         continue;
-      DetectorFactory MakeWcp = [](const Trace &F) {
-        return std::make_unique<WcpDetector>(F);
-      };
-      DetectorFactory MakeHb = [](const Trace &F) {
-        return std::make_unique<HbDetector>(F);
-      };
-      RunResult WWcp = runDetectorWindowed(MakeWcp, T, W);
-      RunResult WHb = runDetectorWindowed(MakeHb, T, W);
+      AnalysisConfig Cfg;
+      Cfg.addDetector(DetectorKind::Wcp).addDetector(DetectorKind::Hb);
+      Cfg.Mode = RunMode::Windowed;
+      Cfg.WindowEvents = W;
+      Cfg.Threads = 1; // The windowed baseline stays single-threaded.
+      AnalysisResult R = analyzeTrace(Cfg, T);
+      if (!R.ok()) {
+        std::fprintf(stderr, "error: window %llu: %s\n",
+                     (unsigned long long)W, R.firstError().str().c_str());
+        return 1;
+      }
+      const RaceReport &WWcp = R.Lanes[0].Report;
       Table.addRow(
-          {std::to_string(W),
-           std::to_string(WWcp.Report.numDistinctPairs()),
-           std::to_string(WHb.Report.numDistinctPairs()),
-           std::to_string(
-               WWcp.Report.numPairsWithDistanceAtLeast(T.size() / 3))});
+          {std::to_string(W), std::to_string(WWcp.numDistinctPairs()),
+           std::to_string(R.Lanes[1].Report.numDistinctPairs()),
+           std::to_string(WWcp.numPairsWithDistanceAtLeast(T.size() / 3))});
     }
     Table.addRow({"full",
                   std::to_string(Full.Report.numDistinctPairs()), "-",

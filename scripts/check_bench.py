@@ -20,10 +20,9 @@ Two tiers, mirroring what the numbers can actually support:
   * Only on a trustworthy parallel run (``degraded`` false and
     ``hardware_threads >= 4``): the perf claims — fan-out ``speedup``
     above 1.0, positive ``overlap_saved_seconds`` for the streamed and
-    streamed_windowed sections, a monotonically non-increasing
-    ``wall_seconds`` across the 1->4 thread scaling sweep, and the
-    serve_resilience resume overhead within 10% of the uninterrupted
-    wall (with a 50 ms absolute allowance against timer jitter). A
+    streamed_windowed sections, and the serve_resilience resume overhead
+    within 10% of the uninterrupted wall (with a 50 ms absolute
+    allowance against timer jitter). A
     degraded run (workers oversubscribe the host) skips these instead
     of failing on scheduler noise.
 
@@ -118,13 +117,6 @@ def main(argv):
             if saved is None or saved <= 0:
                 rc |= fail(f"{name}: overlap_saved_seconds = {saved}, "
                            "expected > 0 on a multi-core host")
-        sweep = {p["threads"]: p["wall_seconds"] for p in bench.get("scaling", [])}
-        walls = [sweep.get(n) for n in (1, 2, 4)]
-        if None in walls:
-            rc |= fail("scaling sweep is missing the 1/2/4 thread points")
-        elif not all(a >= b for a, b in zip(walls, walls[1:])):
-            rc |= fail(f"scaling wall_seconds not monotonically "
-                       f"non-increasing across 1->4 threads: {walls}")
         if serve:
             clean = serve.get("clean_wall_seconds", 0)
             faulty = serve.get("faulty_wall_seconds", 0)

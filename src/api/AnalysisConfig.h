@@ -6,12 +6,9 @@
 ///
 /// \file
 /// The single declarative configuration object behind every analysis entry
-/// point. What used to be scattered across runDetector / runDetectorWindowed
-/// / runDetectorSharded signatures and PipelineOptions flag combinations —
-/// detector selection, run mode, thread count, window size, shard count and
-/// shard strategy — is one AnalysisConfig with one validate() that rejects
-/// inconsistent combinations up front with a structured Status, instead of
-/// each entry point silently interpreting its own corner cases.
+/// point: detector selection, run mode, thread count, window size, shard
+/// count and shard strategy are one AnalysisConfig with one validate() that
+/// rejects inconsistent combinations up front with a structured Status.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
 /// FastTrack, Eraser) or by custom factory, and selects exactly one run
@@ -32,8 +29,8 @@
 ///               capture clock pass behind ingestion and shard checks on
 ///               the published prefix.
 ///
-/// Every mode is available both as a one-shot batch run (analyzeTrace)
-/// and as a streaming session (AnalysisSession) with identical reports.
+/// Every mode runs on the one session engine (AnalysisSession); the
+/// one-shot analyzeTrace is a session fed a whole in-memory trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,10 +77,10 @@ struct DetectorSpec {
 struct AnalysisConfig {
   std::vector<DetectorSpec> Detectors;
   RunMode Mode = RunMode::Sequential;
-  /// Worker threads (0 = hardware concurrency) for the batch engines and
-  /// for the session thread pool that runs Windowed window tasks /
-  /// VarSharded shard-check tasks. Sequential/Fused sessions run one
-  /// consumer thread per lane (one total for Fused) regardless.
+  /// Worker threads (0 = hardware concurrency) of the session thread pool
+  /// that runs Windowed window tasks / VarSharded shard-check tasks.
+  /// Sequential/Fused sessions have no pool: they run one consumer thread
+  /// per lane (one total for Fused) whatever this says.
   unsigned Threads = 0;
   /// Windowed mode only: events per window (must be > 0 there, 0 elsewhere).
   uint64_t WindowEvents = 0;

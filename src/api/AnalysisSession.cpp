@@ -2,7 +2,8 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// The streaming engine: a single-producer / multi-consumer publication
+// The one analysis engine (analyzeTrace, at the bottom, is a session fed
+// one in-memory trace): a single-producer / multi-consumer publication
 // protocol over stable event storage. The producer (feed/feedFile on the
 // caller's thread) appends events to the trace and mirrors the validated
 // prefix into an EventStore (support/PublishedStore: chunked, append-only,
@@ -37,8 +38,7 @@
 // implicit-zero vector clocks, grow-on-first-touch access histories,
 // lockset and queue tables — so a lane built against a prefix of the id
 // tables keeps analyzing bit-for-bit with one built against the final
-// tables. The rebuild-and-replay restart machinery this file used to
-// carry is gone; LaneReport::Restarts is structurally 0.
+// tables; no lane ever rebuilds or replays.
 //
 // Table visibility: the producer interns ids and validates under M
 // *before* appending to the store (publishLocked runs with M held), so a
@@ -58,7 +58,6 @@
 #include "obs/Metrics.h"
 #include "obs/TraceRecorder.h"
 #include "pipeline/ChunkedReader.h"
-#include "pipeline/Pipeline.h"
 #include "support/GuardedTask.h"
 #include "support/PublishedStore.h"
 #include "support/ThreadPool.h"
@@ -76,18 +75,6 @@
 using namespace rapid;
 
 namespace {
-
-/// Maps a validated config onto the batch pipeline engine (analyzeTrace).
-PipelineOptions pipelineOptionsFor(const AnalysisConfig &Cfg) {
-  PipelineOptions Opts;
-  Opts.NumThreads = Cfg.Threads;
-  Opts.Parallel = Cfg.Mode != RunMode::Fused;
-  Opts.ShardEvents = Cfg.Mode == RunMode::Windowed ? Cfg.WindowEvents : 0;
-  Opts.VarShards = Cfg.Mode == RunMode::VarSharded ? Cfg.VarShards : 0;
-  Opts.VarShardStrategy = Cfg.Strategy;
-  Opts.Metrics = Cfg.Metrics;
-  return Opts;
-}
 
 /// Converts stage seconds to the integer nanoseconds the *_ns metrics use.
 uint64_t toNs(double Seconds) {
@@ -109,58 +96,7 @@ void lockCharged(std::unique_lock<std::mutex> &Lk, Counter WaitNs) {
   }
 }
 
-AnalysisPipeline buildPipeline(const AnalysisConfig &Cfg) {
-  AnalysisPipeline P(pipelineOptionsFor(Cfg));
-  for (const DetectorSpec &S : Cfg.Detectors) {
-    DetectorFactory Make =
-        S.Kind == DetectorKind::Custom ? S.Make : makeDetectorFactory(S.Kind);
-    P.addDetector(std::move(Make), S.Name);
-  }
-  return P;
-}
-
-/// Converts the pipeline's result into the unified type; stringly lane
-/// errors become structured AnalysisError statuses.
-AnalysisResult convertPipelineResult(PipelineResult &&R, uint64_t NumEvents) {
-  AnalysisResult Out;
-  Out.Lanes.reserve(R.Lanes.size());
-  for (LaneResult &L : R.Lanes) {
-    LaneReport Lane;
-    Lane.DetectorName = std::move(L.DetectorName);
-    Lane.Report = std::move(L.Report);
-    Lane.Seconds = L.Seconds;
-    if (!L.Error.empty())
-      Lane.LaneStatus = Status(StatusCode::AnalysisError, std::move(L.Error));
-    else
-      Lane.EventsConsumed = NumEvents;
-    Lane.Telemetry = std::move(L.Telemetry);
-    Out.Lanes.push_back(std::move(Lane));
-  }
-  Out.EventsIngested = NumEvents;
-  Out.WallSeconds = R.Seconds;
-  Out.IngestSeconds = R.IngestSeconds;
-  Out.NumShards = R.NumShards;
-  Out.VarShards = R.VarShards;
-  Out.TasksStolen = R.TasksStolen;
-  Out.ThreadsUsed = R.ThreadsUsed;
-  return Out;
-}
-
-} // namespace
-
-AnalysisResult rapid::analyzeTrace(const AnalysisConfig &Config,
-                                   const Trace &T) {
-  if (Status V = Config.validate(); !V.ok()) {
-    AnalysisResult R;
-    R.Overall = std::move(V);
-    return R;
-  }
-  return convertPipelineResult(buildPipeline(Config).run(T), T.size());
-}
-
 // ---- Session internals ------------------------------------------------------
-
-namespace {
 
 /// Per-lane runtime shared between its consumer thread and
 /// partialResult()/finish(). Fields below SnapM are guarded by it; the
@@ -370,7 +306,7 @@ void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
 /// built once, against whatever id tables exist when the lane first has
 /// work (taking M only for that one construction); growable detector
 /// state admits ids declared later, so table growth never restarts the
-/// lane (bit-for-bit with the batch run; see the header comment).
+/// lane (bit-for-bit with runDetector; see the header comment).
 void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
   uint64_t Consumed = 0;
@@ -580,10 +516,9 @@ void AnalysisSession::Impl::dispatchWindow(
   }
 }
 
-/// Merges the retired windows into each lane's final report, reproducing
-/// the batch engine's shard-order merge (and its naming and first-error
-/// labeling) exactly. Runs on the builder thread after every task of the
-/// final epoch completed.
+/// Merges the retired windows into each lane's final report in window
+/// order (the first failing window labels the lane's error). Runs on the
+/// builder thread after every task of the final epoch completed.
 void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
   FinalNumWindows = Ep.Windows.size();
   WindowsRetired.set(FinalNumWindows);
@@ -607,7 +542,7 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
     std::lock_guard<std::mutex> G(Rt.SnapM);
     Rt.Name = Base + "[w=" + std::to_string(Cfg.WindowEvents) + "]";
     Rt.Seconds = Seconds;
-    Rt.Final = std::move(Merged); // Kept even on error, like the batch merge.
+    Rt.Final = std::move(Merged); // Kept even on error.
     if (!Err.empty())
       Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
     else
@@ -761,10 +696,10 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
 /// AccessLog), commits the captured prefix (AccessLog::commit — snapshot
 /// watermark, then access watermark) and partitions the committed range
 /// into per-shard work lists under LogM; per-shard drain tasks replay the
-/// deferred checks in place concurrently — the batch engine's three
-/// phases, spread over time. Detectors without capture support keep the
-/// plain sequential walk (bit-identical to the batch fallback). Only the
-/// trace-order merge is deferred to the very end.
+/// deferred checks in place concurrently — the three phases of
+/// detect/ShardedAccessHistory.h, spread over time. Detectors without
+/// capture support keep the plain sequential walk. Only the trace-order
+/// merge is deferred to the very end.
 void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
                                              VarShardState &VS) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
@@ -884,8 +819,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     uint32_t FinalThreads, FinalVars;
     {
       // Zero-event sessions still owe a constructed detector. Ingestion
-      // is over, so these are the final table sizes — the ones the batch
-      // engine would have built everything against.
+      // is over, so these are the final table sizes.
       std::unique_lock<std::mutex> Lk(M);
       if (!Rt.D)
         buildDetectorLocked(Rt);
@@ -895,8 +829,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     if (!Capturing) {
       // Sequential fallback lane (no capture support) — or a zero-event
       // session whose detector never attached; either way the plain walk
-      // already happened and finish()/report() is the whole story, just
-      // like the batch engine's fallback.
+      // already happened and finish()/report() is the whole story.
       std::lock_guard<std::mutex> G(Rt.SnapM);
       Rt.D->finish();
       Rt.Final = Rt.D->report();
@@ -919,7 +852,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         // capture counts, so it is fixed here — shard checks for this
         // strategy start once the clock pass retires (the modulo plan
         // needs no counts and streams all along). Counts are sized to the
-        // final tables, so the plan is exactly the batch engine's.
+        // final tables, so the plan is a pure function of the trace.
         std::vector<uint64_t> Counts(FinalVars, 0);
         Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
                                              uint64_t) {
@@ -961,10 +894,9 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         return true;
       });
     }
-    // Phase 3 — the deterministic trace-order merge, identical to the
-    // batch engine's. Everything is quiescent now (drains exited, no more
-    // publication), but the locks are cheap and keep the invariants
-    // simple.
+    // Phase 3 — the deterministic trace-order merge. Everything is
+    // quiescent now (drains exited, no more publication), but the locks
+    // are cheap and keep the invariants simple.
     std::string Err;
     std::vector<std::vector<RaceInstance>> PerShard(NumShards);
     double ShardSeconds = 0;
@@ -980,7 +912,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
       if (Sh.Checker)
         PerShard[S] = std::move(Sh.Checker->findings());
     }
-    RaceReport Merged = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+    RaceReport Merged = mergeInTraceOrder(PerShard);
     std::lock_guard<std::mutex> G(Rt.SnapM);
     Rt.Seconds += ShardSeconds;
     if (!Err.empty())
@@ -1248,14 +1180,13 @@ void AnalysisSession::Impl::snapshotVarShardLane(VarShardState &VS,
       PerShard[S].push_back(Inst);
     }
   }
-  Lane.Report = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+  Lane.Report = mergeInTraceOrder(PerShard);
   Lane.Seconds += ShardSeconds;
 }
 
 AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
   AnalysisResult R;
   R.Partial = Partial;
-  R.Streamed = true;
   const bool Metrics = Reg && Reg->enabled();
   R.Lanes.reserve(Lanes.size());
   for (size_t L = 0; L != Lanes.size(); ++L) {
@@ -1269,7 +1200,6 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
       Lane.LaneStatus = Rt.LaneStatus;
       Lane.Seconds = Rt.Seconds;
       Lane.EventsConsumed = Rt.Consumed;
-      Lane.Restarts = 0; // Structurally: growable state never restarts.
       Done = Rt.Done;
       if (Done)
         Lane.Report = Rt.Final;
@@ -1571,9 +1501,9 @@ AnalysisResult AnalysisSession::finish() {
     R.ThreadsUsed = std::max(NumConsumers, 1u);
     break;
   case RunMode::Windowed:
-    // Mirrors the batch engine's shape: NumShards is the window count and
-    // ThreadsUsed the pool width. No pool exists when the config failed
-    // validation (start() bailed before creating one).
+    // NumShards is the window count and ThreadsUsed the pool width. No
+    // pool exists when the config failed validation (start() bailed
+    // before creating one).
     R.NumShards = I->FinalNumWindows;
     if (I->Pool) {
       R.ThreadsUsed = I->Pool->numThreads();
@@ -1600,4 +1530,11 @@ const Trace &AnalysisSession::trace() const { return *I->Live; }
 
 std::string AnalysisSession::exportTimeline() const {
   return I->Rec ? I->Rec->exportJson() : std::string();
+}
+
+AnalysisResult rapid::analyzeTrace(const AnalysisConfig &Config,
+                                   const Trace &T) {
+  AnalysisSession S(Config);
+  S.feedTrace(T); // A failure sticks in the session; finish() reports it.
+  return S.finish();
 }

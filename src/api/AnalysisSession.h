@@ -20,7 +20,8 @@
 /// producer) and analysis consumes published ranges concurrently
 /// (multiple consumers), so analysis overlaps ingestion — the ROADMAP's
 /// "overlap ingestion with analysis" seam, applied to all four run modes.
-/// Reports are bit-identical to the batch entry points in every mode:
+/// Reports are bit-identical however the events arrive (one trace, push
+/// batches, a file) in every mode:
 ///
 ///   Sequential   one consumer thread per lane runs runDetector's walk,
 ///                spread over time;
@@ -40,7 +41,7 @@
 /// late. Every piece of detector state is size-polymorphic (implicit-zero
 /// vector clocks, grow-on-first-touch access histories/locksets/queues),
 /// so a mid-stream declaration is an O(1) metadata update: no lane ever
-/// rebuilds or replays, and LaneReport::Restarts is structurally 0.
+/// rebuilds or replays.
 /// Declaring names up front (binary headers, declareTablesFrom) is still
 /// good hygiene — it sizes state once — but is no longer required for
 /// streaming: text files publish chunk by chunk exactly like binary ones,
@@ -52,9 +53,7 @@
 /// an unvalidated release-without-acquire reaching a live lane would be
 /// undefined behaviour. The first violation freezes ingestion with a
 /// sticky ValidationError; everything validated up to it stays analyzed.
-/// (The zero-copy analyzeTrace() below does NOT validate, preserving the
-/// legacy entry points' exact contracts — batch callers validate
-/// themselves, as race_cli always has.)
+/// analyzeTrace() below is a session too, so it validates the same way.
 ///
 /// Sessions are single-producer: feeds and finish() must come from one
 /// thread. partialResult() may be called concurrently with the producer
@@ -115,8 +114,7 @@ public:
   Status feed(const std::vector<Event> &Batch);
 
   /// Bulk-adopts a whole in-memory trace (tables + events). Only valid as
-  /// the first ingestion; copies the trace. Prefer analyzeTrace() for
-  /// zero-copy one-shot batch runs.
+  /// the first ingestion; copies the trace.
   Status feedTrace(const Trace &T);
 
   /// Streams the file at \p Path into the session. Regular files are
@@ -179,9 +177,9 @@ private:
   std::unique_ptr<Impl> I;
 };
 
-/// One-shot batch convenience: validates \p Config and analyzes \p T in
-/// place (zero-copy — no session trace is built). Reports are
-/// bit-identical to what a session fed the same events would produce.
+/// One-shot convenience over the one engine: opens a session on \p Config,
+/// feedTrace()s \p T (one copy plus §2.1 validation) and finishes it.
+/// Config and validation failures come back in the result's Overall.
 AnalysisResult analyzeTrace(const AnalysisConfig &Config, const Trace &T);
 
 } // namespace rapid

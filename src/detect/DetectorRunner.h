@@ -6,15 +6,13 @@
 ///
 /// \file
 /// Drives a streaming detector over a full trace (the unwindowed mode the
-/// paper insists on) or over fixed-size windows (the handicapped mode other
-/// sound tools are forced into, §1/§4), timing the analysis.
+/// paper insists on) or over one window fragment (the handicapped mode
+/// other sound tools are forced into, §1/§4), timing the analysis.
 ///
-/// runDetector is the shared primitive walk every engine builds on. The
-/// windowed/sharded free functions below are *legacy adapters* kept for
-/// their bit-for-bit contracts: they now delegate to the session API
-/// (api/AnalysisSession.h), whose AnalysisConfig/AnalysisResult supersede
-/// the per-function parameter lists and this file's RunResult. New code
-/// should target the session API directly.
+/// runDetector is the primitive walk every run mode is pinned against in
+/// the tests. Multi-lane, windowed and var-sharded runs go through the
+/// session API (api/AnalysisSession.h: an AnalysisConfig plus
+/// analyzeTrace or an AnalysisSession).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,16 +26,11 @@
 
 namespace rapid {
 
-/// Outcome of one analysis run. Legacy shape: superseded by
-/// api/AnalysisResult.h's AnalysisResult (which carries structured Status
-/// errors instead of the stringly Error below); kept for the adapters.
+/// Outcome of one runDetector walk.
 struct RunResult {
   RaceReport Report;
   double Seconds = 0;
   std::string DetectorName;
-  /// Set when a pipeline-backed run (windowed/sharded adapters) had a
-  /// task fail; the report is then partial or empty, not "no races".
-  std::string Error;
 };
 
 /// Runs \p D over all of \p T in trace order.
@@ -47,28 +40,13 @@ struct TraceWindow;
 
 /// Walks \p D over the fragment of \p W and returns its report with race
 /// indices translated back to the parent trace — the per-window unit of
-/// work shared by the batch pipeline and the streaming session's windowed
-/// mode (one implementation, so the two modes cannot drift).
+/// work of the session's windowed mode.
 RaceReport runDetectorOnWindow(Detector &D, const TraceWindow &W);
 
-/// Factory signature for windowed runs: each window gets a fresh detector,
-/// mirroring how windowed tools restart their analysis per fragment.
+/// Builds one lane's detector for a trace. Windowed runs call it once per
+/// window, mirroring how windowed tools restart their analysis per
+/// fragment.
 using DetectorFactory = std::function<std::unique_ptr<Detector>(const Trace &)>;
-
-/// Splits \p T into windows of \p WindowSize events, runs a fresh detector
-/// per window and merges the reports. Race indices in the merged report are
-/// translated back to the parent trace so distances stay meaningful.
-RunResult runDetectorWindowed(const DetectorFactory &Make, const Trace &T,
-                              uint64_t WindowSize);
-
-/// Runs a fresh detector over \p T with its race checks split across
-/// \p NumShards per-variable shards (detect/ShardedAccessHistory.h) on
-/// \p NumThreads pool workers (0 = hardware concurrency). Unlike windowed
-/// runs this loses nothing: the report is bit-identical to runDetector for
-/// any shard count. Detectors without capture support fall back to the
-/// sequential walk.
-RunResult runDetectorSharded(const DetectorFactory &Make, const Trace &T,
-                             uint32_t NumShards, unsigned NumThreads = 0);
 
 } // namespace rapid
 

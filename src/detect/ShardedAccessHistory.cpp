@@ -115,25 +115,6 @@ void AccessLog::record(EventIdx Idx, VarId V, ThreadId T, LocId Loc,
   Accesses.append(A);
 }
 
-// ---- ShardedAccessHistory ---------------------------------------------------
-
-ShardedAccessHistory::ShardedAccessHistory(ShardPlan Plan, uint32_t NumVars,
-                                           uint32_t NumThreads)
-    : Plan(Plan), NumVars(NumVars), NumThreads(NumThreads) {
-  if (this->Plan.NumShards == 0)
-    this->Plan.NumShards = 1;
-  Work.resize(this->Plan.NumShards);
-}
-
-void ShardedAccessHistory::partition(const AccessLog &Log) {
-  for (std::vector<uint32_t> &W : Work)
-    W.clear();
-  Log.forEachAccess(0, Log.numAccesses(), [&](const DeferredAccess &A,
-                                              uint64_t I) {
-    Work[Plan.shardOf(A.Var)].push_back(static_cast<uint32_t>(I));
-  });
-}
-
 namespace {
 
 /// FastTrack's per-variable epoch state and checks, replayed inside one
@@ -248,8 +229,7 @@ private:
 // ---- ShardChecker -----------------------------------------------------------
 
 /// The selected engine: exactly one of the members is live (selected by
-/// Replay at construction), so per-shard memory matches the old one-shot
-/// checkShard.
+/// Replay at construction).
 struct ShardChecker::Impl {
   ShardReplay Replay;
   std::unique_ptr<AccessHistory> History;       ///< FullHistory engine.
@@ -299,28 +279,9 @@ void ShardChecker::replay(const DeferredAccess &A, VarId Local,
     Out[R].Var = A.Var;
 }
 
-std::vector<RaceInstance>
-ShardedAccessHistory::checkShard(uint32_t S, const AccessLog &Log,
-                                 ShardReplay Replay,
-                                 const ShardContext *Ctx) const {
-  // Private partition: only this shard's variables, addressed by dense
-  // local ids, so per-shard memory is NumVars/NumShards — the histories
-  // genuinely split rather than replicate. One engine serves both the
-  // batch and streaming paths: this is the incremental ShardChecker fed
-  // the full work list in one go.
-  ShardChecker Checker(Replay, Plan.numLocalVars(S, NumVars), NumThreads, Ctx);
-  const ClockBroadcast &Clocks = Log.clocks();
-  for (uint32_t I : Work[S]) {
-    const DeferredAccess &A = Log.access(I);
-    Checker.replay(A, VarId(Plan.localIdOf(A.Var)), Clocks.snapshot(A.Clock),
-                   A.Hard == DeferredAccess::NoClock
-                       ? nullptr
-                       : &Clocks.snapshot(A.Hard));
-  }
-  return std::move(Checker.findings());
-}
+// ---- Trace-order merge -----------------------------------------------------
 
-RaceReport ShardedAccessHistory::mergeInTraceOrder(
+RaceReport rapid::mergeInTraceOrder(
     const std::vector<std::vector<RaceInstance>> &PerShard) {
   RaceReport Report;
   std::vector<size_t> Cursor(PerShard.size(), 0);

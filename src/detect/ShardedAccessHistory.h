@@ -180,7 +180,7 @@ private:
 /// while shard drains read already-committed entries in place — no lock
 /// around the log, no copy-out per drain. commit() publishes the appended
 /// prefix (snapshots first, then accesses, so a committed access's clock
-/// indices always resolve); batch callers commit once after capture ends.
+/// indices always resolve).
 class AccessLog {
 public:
   explicit AccessLog(uint32_t NumThreads) : Clocks(NumThreads) {}
@@ -227,16 +227,16 @@ private:
   ClockBroadcast Clocks;
 };
 
-/// Incremental replay of ONE shard's deferred checks — the streaming form
-/// of ShardedAccessHistory::checkShard for consumers that publish AccessLog
-/// prefixes while the capture pass is still appending (the session's
-/// streamed var-sharded mode). Accesses must arrive in trace order and
-/// pre-mapped to the shard (caller applies the ShardPlan); clocks are
-/// passed in explicitly so the caller can hand over stable copies instead
-/// of references into a concurrently growing broadcast table. Findings
-/// accumulate in discovery order; feeding a full shard's work list
-/// reproduces checkShard's output exactly (checkShard is implemented on
-/// top of this class).
+/// Incremental replay of ONE shard's deferred checks (phase 2), for
+/// consumers that publish AccessLog prefixes while the capture pass is
+/// still appending (the session's var-sharded mode). Accesses must arrive
+/// in trace order and pre-mapped to the shard (caller applies the
+/// ShardPlan); clocks are passed in explicitly so the caller can hand over
+/// stable copies instead of references into a concurrently growing
+/// broadcast table. Findings accumulate in discovery order. The checker
+/// builds a private history over only its shard's variables, addressed by
+/// dense local ids, so per-shard memory is NumVars/NumShards — the
+/// histories genuinely split rather than replicate.
 class ShardChecker {
 public:
   /// \p Replay selects the engine (must match the capturing detector's
@@ -273,45 +273,12 @@ private:
   uint64_t Replayed = 0;
 };
 
-/// Partitions one lane's access history across N shards and replays the
-/// deferred checks. partition() runs once (sequentially) after capture;
-/// checkShard() is safe to call concurrently for distinct shards (each
-/// builds a private history over only its variables); the merge restores
-/// parent-trace order.
-class ShardedAccessHistory {
-public:
-  ShardedAccessHistory(ShardPlan Plan, uint32_t NumVars, uint32_t NumThreads);
-
-  uint32_t numShards() const { return Plan.NumShards; }
-
-  /// Splits \p Log's accesses into per-shard work lists, keeping trace
-  /// order within each shard.
-  void partition(const AccessLog &Log);
-
-  /// Replays shard \p S's deferred checks and returns its races in trace
-  /// order. Requires partition() to have run; const and data-parallel
-  /// across distinct shards. \p Replay selects the check engine: the
-  /// shared full-history replay (HB, WCP), FastTrack's epoch replay, or a
-  /// context-bearing replay built from \p Ctx (SyncP) — it must match the
-  /// capturing detector's shardReplay() (and shardContext()).
-  std::vector<RaceInstance>
-  checkShard(uint32_t S, const AccessLog &Log,
-             ShardReplay Replay = ShardReplay::FullHistory,
-             const ShardContext *Ctx = nullptr) const;
-
-  /// Interleaves per-shard findings back into parent-trace order and
-  /// accumulates them into a report. Each access event belongs to exactly
-  /// one shard, so the interleaving is unique: the result is bit-identical
-  /// to the sequential detector's report for any shard count.
-  static RaceReport
-  mergeInTraceOrder(const std::vector<std::vector<RaceInstance>> &PerShard);
-
-private:
-  ShardPlan Plan;
-  uint32_t NumVars;
-  uint32_t NumThreads;
-  std::vector<std::vector<uint32_t>> Work; ///< Per shard: access indices.
-};
+/// Interleaves per-shard findings back into parent-trace order and
+/// accumulates them into a report. Each access event belongs to exactly
+/// one shard, so the interleaving is unique: the result is bit-identical to
+/// the sequential detector's report for any shard count.
+RaceReport
+mergeInTraceOrder(const std::vector<std::vector<RaceInstance>> &PerShard);
 
 } // namespace rapid
 

@@ -159,27 +159,35 @@ public:
   }
 
   /// Blocks until the watermark exceeds \p Current or \p Stop() turns
-  /// true; returns the watermark seen last (== Current only if stopped).
-  /// A short spin covers the common producer-just-behind case; the park
-  /// itself is charged to \p ParkNs (null handle: uncharged).
+  /// true; returns the watermark seen last (== Current only if stopped
+  /// with nothing left past \p Current, so callers may read it as
+  /// "stopped and drained"). A short spin covers the common
+  /// producer-just-behind case; the park itself is charged to \p ParkNs
+  /// (null handle: uncharged).
   template <typename StopPred>
   uint64_t waitPublished(uint64_t Current, Counter ParkNs, StopPred Stop) {
-    uint64_t W = Watermark.load(std::memory_order_seq_cst);
-    if (W > Current || Stop())
-      return W;
-    for (int Spin = 0; Spin != 64; ++Spin) {
+    uint64_t W = 0;
+    auto Ready = [&] {
       W = Watermark.load(std::memory_order_seq_cst);
-      if (W > Current || Stop())
+      if (W > Current)
+        return true;
+      if (!Stop())
+        return false;
+      // The producer's final publish() and its stop flag may both land
+      // between the load above and Stop(); re-read so a stopped reader
+      // never returns a stale watermark and drops the published tail.
+      W = Watermark.load(std::memory_order_seq_cst);
+      return true;
+    };
+    // One check plus a 64-round spin before parking.
+    for (int Spin = 0; Spin != 65; ++Spin)
+      if (Ready())
         return W;
-    }
     {
       ScopedNs Park(ParkNs);
       std::unique_lock<std::mutex> Lk(WaitM);
       Sleepers.fetch_add(1, std::memory_order_seq_cst);
-      WakeCV.wait(Lk, [&] {
-        W = Watermark.load(std::memory_order_seq_cst);
-        return W > Current || Stop();
-      });
+      WakeCV.wait(Lk, Ready);
       Sleepers.fetch_sub(1, std::memory_order_seq_cst);
     }
     return W;

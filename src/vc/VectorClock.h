@@ -20,9 +20,10 @@
 /// This is what lets detector state grow mid-stream: a detector built
 /// against a trace prefix with fewer threads keeps analyzing, bit-for-bit
 /// with a detector built against the final tables, because every clock it
-/// owns behaves as if it had always been wide enough. Batch runs size
-/// their clocks up front (the trace header records the counts) and never
-/// hit the growth paths, so the hot loop still does no allocation.
+/// owns behaves as if it had always been wide enough. Runs whose tables
+/// are declared up front (feedTrace, binary headers) size their clocks
+/// once and never hit the growth paths, so the hot loop still does no
+/// allocation.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -82,8 +82,8 @@ foreach(I RANGE ${LAST})
     message(FATAL_ERROR "lane ${I} telemetry missing or not an object "
             "(${TELERR}/${TELTYPE})")
   endif()
-  # The per-lane restarts key is deprecated out of the schema (see the
-  # top-level compat note); its reappearance means a schema regression.
+  # The per-lane restarts key left the schema (detectors grow in place and
+  # never restart); its reappearance means a schema regression.
   string(JSON IGNORED ERROR_VARIABLE RERR GET "${OUT}" lanes ${I} restarts)
   if(NOT RERR)
     message(FATAL_ERROR "lane ${I} still emits the deprecated restarts key")
@@ -102,10 +102,10 @@ if(NOT WCPQ GREATER 0)
   message(FATAL_ERROR "wcp.queue_peak_abstract = ${WCPQ}, want > 0")
 endif()
 
-# Deprecation forwarding address for tooling that greps for restarts.
-string(JSON COMPAT ERROR_VARIABLE CERR GET "${OUT}" compat restarts)
-if(CERR)
-  message(FATAL_ERROR "top-level compat.restarts note missing: ${CERR}")
+# The one-cycle compat note for the retired restarts key is gone too.
+string(JSON IGNORED ERROR_VARIABLE CERR GET "${OUT}" compat)
+if(NOT CERR)
+  message(FATAL_ERROR "race_cli still emits the retired compat note")
 endif()
 
 message(STATUS "race_cli --json: valid (${EVENTS} events, ${NLANES} lanes)")

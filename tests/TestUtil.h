@@ -7,10 +7,12 @@
 #ifndef RAPID_TESTS_TESTUTIL_H
 #define RAPID_TESTS_TESTUTIL_H
 
+#include "api/AnalysisSession.h"
 #include "detect/DetectorRunner.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
+#include "trace/Window.h"
 #include "vc/VectorClock.h"
 
 #include <gtest/gtest.h>
@@ -62,6 +64,44 @@ inline void expectSameReport(const RaceReport &Got, const RaceReport &Want,
     EXPECT_EQ(Got.pairDistance(W.pair()), Want.pairDistance(W.pair()))
         << Label << " #" << I;
   }
+}
+
+/// The classic sequential windowed loop, written out as an oracle that
+/// shares no code with the session's windowed mode: a fresh detector per
+/// window, race indices translated back to the parent trace, reports
+/// merged in window order.
+inline RaceReport windowedReference(const DetectorFactory &Make,
+                                    const Trace &T, uint64_t W) {
+  RaceReport Want;
+  for (TraceWindow &Win : splitIntoWindows(T, W)) {
+    std::unique_ptr<Detector> D = Make(Win.Fragment);
+    for (EventIdx I = 0; I != Win.Fragment.size(); ++I)
+      D->processEvent(Win.Fragment.event(I), I);
+    D->finish();
+    RaceReport Translated;
+    for (RaceInstance Inst : D->report().instances()) {
+      Inst.EarlierIdx = Win.Original[Inst.EarlierIdx];
+      Inst.LaterIdx = Win.Original[Inst.LaterIdx];
+      Translated.addRace(Inst);
+    }
+    Want.mergeFrom(Translated);
+  }
+  return Want;
+}
+
+/// Analyzes \p T with \p Make as the only lane of a windowed analyzeTrace
+/// run (\p W events per window, one pool worker — the windowed baseline
+/// stays single-threaded). Fails the current test when the run fails.
+inline LaneReport analyzeWindowed(const DetectorFactory &Make,
+                                  const Trace &T, uint64_t W) {
+  AnalysisConfig Cfg;
+  Cfg.addDetector(Make);
+  Cfg.Mode = RunMode::Windowed;
+  Cfg.WindowEvents = W;
+  Cfg.Threads = 1;
+  AnalysisResult R = analyzeTrace(Cfg, T);
+  EXPECT_TRUE(R.ok()) << R.firstError().str();
+  return R.Lanes.empty() ? LaneReport() : std::move(R.Lanes.front());
 }
 
 /// Runs detector type \p D over \p T and returns its report.

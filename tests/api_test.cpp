@@ -4,10 +4,11 @@
 //
 // The session API's contract has three legs, pinned here:
 //
-//   1. equivalence — a streaming session is the batch engine's pass
-//      spread over time: for every mode (sequential, fused, windowed,
+//   1. equivalence — a streaming session is the sequential pass spread
+//      over time: for every mode (sequential, fused, windowed,
 //      var-sharded) and detector, the final report is bit-identical to
-//      the batch entry points, on 100 seeded random traces per detector,
+//      runDetector (windowed: to the classic windowed loop) and to
+//      analyzeTrace, on 100 seeded random traces per detector,
 //      whether events arrive as one trace, as push batches, through
 //      mid-stream table growth (growable state; never a restart), or from
 //      a file (binary and text chunks both overlap analysis). Windowed/var-sharded
@@ -78,6 +79,9 @@ void expectLanesMatchSequential(const AnalysisResult &R, const Trace &T,
     RunResult Want = runDetector(*D, T);
     EXPECT_EQ(R.Lanes[L].DetectorName, Want.DetectorName) << Label;
     EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
+    // A lane that stopped short of the published tail can still look
+    // race-free; pin the frontier itself.
+    EXPECT_EQ(R.Lanes[L].EventsConsumed, R.EventsIngested) << Label;
     expectSameReport(R.Lanes[L].Report, Want.Report, T,
                      Label + "/" + Want.DetectorName);
   }
@@ -109,7 +113,7 @@ class ApiStreamFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 } // namespace
 
-// ---- Streaming vs batch, bit for bit ----------------------------------------
+// ---- Streaming vs the sequential walk, bit for bit --------------------------
 
 // 50 seeds x {no-forkjoin, forkjoin} = 100 distinct traces, each analyzed
 // by all four detectors: a sequential-mode session fed the whole trace
@@ -122,7 +126,6 @@ TEST_P(ApiStreamFuzzTest, SessionFeedTraceMatchesBatchBitForBit) {
     ASSERT_TRUE(S.feedTrace(T).ok());
     AnalysisResult R = S.finish();
     ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
-    EXPECT_TRUE(R.Streamed);
     EXPECT_EQ(R.EventsIngested, T.size());
     expectLanesMatchSequential(R, T,
                                "feedTrace seed " + std::to_string(GetParam()) +
@@ -151,8 +154,6 @@ TEST_P(ApiStreamFuzzTest, SessionPushBatchesMatchBatchBitForBit) {
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, T,
                              "push seed " + std::to_string(GetParam()));
-  for (const LaneReport &L : R.Lanes)
-    EXPECT_EQ(L.Restarts, 0u) << "tables were declared up front";
 }
 
 // Fused mode: one consumer walks the published prefix once, feeding every
@@ -168,10 +169,10 @@ TEST_P(ApiStreamFuzzTest, FusedSessionMatchesBatchBitForBit) {
 }
 
 // Windowed sessions stream: windows dispatch onto the pool as their event
-// range publishes, and the merged result must equal the batch windowed
-// engine bit for bit — with every mid-stream partial a prefix of the
-// final report (no torn merges). 50 seeds x 4 detectors, varied window
-// and push-batch sizes.
+// range publishes, and the merged result must equal the classic windowed
+// loop bit for bit (window count and names as analyzeTrace reports them)
+// — with every mid-stream partial a prefix of the final report (no torn
+// merges). 50 seeds x 4 detectors, varied window and push-batch sizes.
 TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
   uint64_t Seed = GetParam();
   Trace T = randomTrace(fuzzParams(Seed ^ 0x77aa, Seed % 2 == 0));
@@ -194,7 +195,6 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
   }
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.ok()) << R.firstError().str();
-  EXPECT_TRUE(R.Streamed);
   AnalysisResult Want = analyzeTrace(Cfg, T);
   ASSERT_TRUE(Want.ok()) << Want.firstError().str();
   EXPECT_EQ(R.NumShards, Want.NumShards) << "window count";
@@ -204,8 +204,11 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
                         Want.Lanes[L].DetectorName;
     EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
     EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
-    EXPECT_EQ(R.Lanes[L].Restarts, 0u) << "tables were declared up front";
-    expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T, Label);
+    expectSameReport(R.Lanes[L].Report,
+                     testutil::windowedReference(
+                         makeDetectorFactory(kAllKinds[L]), T,
+                         Cfg.WindowEvents),
+                     T, Label);
     for (const AnalysisResult &Mid : Partials) {
       ASSERT_TRUE(Mid.Partial);
       expectReportIsPrefix(Mid.Lanes[L].Report, R.Lanes[L].Report, Label);
@@ -215,9 +218,8 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
 
 // Var-sharded sessions stream too: the capture clock pass runs behind
 // ingestion and shard checks replay published AccessLog prefixes; the
-// merged result must equal both the batch var-sharded engine and (for
-// capture-capable detectors) plain sequential runDetector, bit for bit,
-// under both shard strategies.
+// merged result must equal both analyzeTrace and plain sequential
+// runDetector, bit for bit, under both shard strategies.
 TEST_P(ApiStreamFuzzTest, VarShardedSessionStreamsBitForBit) {
   uint64_t Seed = GetParam();
   Trace T = randomTrace(fuzzParams(Seed ^ 0x1c3f, Seed % 2 == 1));
@@ -242,7 +244,6 @@ TEST_P(ApiStreamFuzzTest, VarShardedSessionStreamsBitForBit) {
   }
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.ok()) << R.firstError().str();
-  EXPECT_TRUE(R.Streamed);
   EXPECT_EQ(R.VarShards, Cfg.VarShards);
   AnalysisResult Want = analyzeTrace(Cfg, T);
   ASSERT_TRUE(Want.ok()) << Want.firstError().str();
@@ -252,9 +253,8 @@ TEST_P(ApiStreamFuzzTest, VarShardedSessionStreamsBitForBit) {
                         Want.Lanes[L].DetectorName;
     EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
     EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
-    EXPECT_EQ(R.Lanes[L].Restarts, 0u) << "tables were declared up front";
     expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T,
-                     Label + "/vs-batch");
+                     Label + "/vs-analyzeTrace");
     // The var-sharded contract on top: nothing may differ from the plain
     // sequential walk either.
     std::unique_ptr<Detector> D = makeDetectorFactory(kAllKinds[L])(T);
@@ -301,23 +301,20 @@ TEST(ApiSessionTest, LateDeclarationsGrowLanesAndStayBitForBit) {
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
 
-  // Bit-for-bit against batch runs over the final ingested trace; both
-  // the x and y races must be present (HB sees 2 write-write/write-read
-  // pairs).
+  // Bit-for-bit against sequential runs over the final ingested trace;
+  // both the x and y races must be present (HB sees 2 write-write/
+  // write-read pairs).
   const Trace &T = S.trace();
   ASSERT_EQ(T.size(), 4u);
   expectLanesMatchSequential(R, T, "late declarations");
   EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 1u);
-  for (const LaneReport &L : R.Lanes)
-    EXPECT_EQ(L.Restarts, 0u)
-        << L.DetectorName << ": growable state must never restart";
 }
 
-// Late declarations in the streamed batch modes: tables grow after a lane
+// Late declarations in the pool-backed modes: tables grow after a lane
 // already consumed events. Growable detector state admits the new ids in
 // place — the windowed builder keeps its window set, the capture pass
 // keeps its log and checkers — so no lane restarts and the final report
-// still matches the batch engine over the final trace, bit for bit.
+// still matches analyzeTrace over the final trace, bit for bit.
 TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
   for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
     AnalysisConfig Cfg = allDetectorConfig(Mode);
@@ -367,8 +364,6 @@ TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
       if (Mode == RunMode::VarSharded) { // 1-event windows see no races.
         EXPECT_GT(R.Lanes[L].Report.numDistinctPairs(), 0u) << Label;
       }
-      EXPECT_EQ(R.Lanes[L].Restarts, 0u)
-          << Label << ": growable state must never restart";
     }
   }
 }
@@ -377,7 +372,7 @@ TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
 // hammers partialResult(). Every snapshot must be well-formed — lanes ok,
 // races confined to the consumed prefix, instance counts monotone — and a
 // prefix of the final report. Run under TSan in CI, this also pins the
-// publication protocol data-race-free for the streamed batch modes.
+// publication protocol data-race-free for the pool-backed modes.
 TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
   for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
     Trace T = randomTrace(fuzzParams(41, true));
@@ -435,7 +430,7 @@ TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
                              std::string("stress ") + runModeName(Mode));
       }
     }
-    // And the final result still matches the batch engine bit for bit.
+    // And the final result still matches analyzeTrace bit for bit.
     AnalysisResult Want = analyzeTrace(Cfg, T);
     for (size_t L = 0; L != R.Lanes.size(); ++L)
       expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T,
@@ -445,7 +440,7 @@ TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
 
 // ---- File ingestion ---------------------------------------------------------
 
-TEST(ApiSessionTest, FeedFileBinaryStreamsWithoutRestartsBitForBit) {
+TEST(ApiSessionTest, FeedFileBinaryStreamsBitForBit) {
   Trace T = randomTrace(fuzzParams(17, true));
   std::string Path = tempPath("stream.bin");
   ASSERT_EQ(saveTraceFile(T, Path), "");
@@ -456,11 +451,6 @@ TEST(ApiSessionTest, FeedFileBinaryStreamsWithoutRestartsBitForBit) {
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, S.trace(), "feedFile binary");
-  for (const LaneReport &L : R.Lanes) {
-    // Binary headers carry all tables up front: streaming must never
-    // have restarted a lane.
-    EXPECT_EQ(L.Restarts, 0u) << L.DetectorName;
-  }
   std::remove(Path.c_str());
 }
 
@@ -647,9 +637,9 @@ TEST(ApiSessionTest, IngestPreconditionsAreEnforced) {
   }
 }
 
-// ---- Batch modes through the session ----------------------------------------
+// ---- Pool-backed modes against their references ----------------------------
 
-TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchLegacyAdapters) {
+TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchReferences) {
   Trace T = randomTrace(fuzzParams(29, true));
   for (DetectorKind K : kAllKinds) {
     DetectorFactory Make = makeDetectorFactory(K);
@@ -663,11 +653,11 @@ TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchLegacyAdapters) {
       ASSERT_TRUE(S.feedTrace(T).ok());
       AnalysisResult R = S.finish();
       ASSERT_TRUE(R.ok()) << R.firstError().str();
-      EXPECT_TRUE(R.Streamed) << "windowed sessions stream since PR 4";
-      RunResult Want = runDetectorWindowed(Make, T, 64);
-      EXPECT_EQ(R.Lanes[0].DetectorName, Want.DetectorName);
+      EXPECT_EQ(R.Lanes[0].DetectorName,
+                std::string(detectorKindName(K)) + "[w=64]");
       EXPECT_GT(R.NumShards, 1u);
-      expectSameReport(R.Lanes[0].Report, Want.Report, T,
+      expectSameReport(R.Lanes[0].Report,
+                       testutil::windowedReference(Make, T, 64), T,
                        std::string("windowed session/") +
                            detectorKindName(K));
     }

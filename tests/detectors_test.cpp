@@ -166,7 +166,7 @@ TEST(WindowedDetectorTest, WindowingLosesFarRaces) {
   DetectorFactory Make = [](const Trace &Fragment) {
     return std::make_unique<WcpDetector>(Fragment);
   };
-  RunResult Windowed = runDetectorWindowed(Make, T, 500);
+  LaneReport Windowed = testutil::analyzeWindowed(Make, T, 500);
   EXPECT_LT(Windowed.Report.numDistinctPairs(), Full.numDistinctPairs());
 }
 
@@ -181,10 +181,10 @@ TEST(WindowedDetectorTest, WholeTraceWindowEqualsUnwindowedRun) {
   DetectorFactory Make = [](const Trace &Fragment) {
     return std::make_unique<HbDetector>(Fragment);
   };
-  RunResult Whole = runDetectorWindowed(Make, T, T.size());
+  LaneReport Whole = testutil::analyzeWindowed(Make, T, T.size());
   EXPECT_EQ(Whole.Report.numDistinctPairs(), Full.numDistinctPairs());
   for (uint64_t W : {64u, 256u, 1024u}) {
-    RunResult Win = runDetectorWindowed(Make, T, W);
+    LaneReport Win = testutil::analyzeWindowed(Make, T, W);
     for (const RaceInstance &I : Win.Report.instances())
       EXPECT_TRUE(Full.hasPair(I.pair()))
           << "window " << W << " invented " << I.str(T);

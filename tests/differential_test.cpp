@@ -21,12 +21,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "api/AnalysisSession.h"
 #include "detect/ShardedAccessHistory.h"
 #include "gen/RandomTraceGen.h"
 #include "gen/Workloads.h"
 #include "hb/FastTrackDetector.h"
 #include "hb/HbDetector.h"
-#include "pipeline/Pipeline.h"
 #include "reference/ClosureEngine.h"
 #include "syncp/SyncPDetector.h"
 #include "trace/TraceValidator.h"
@@ -63,6 +63,19 @@ RandomTraceParams fuzzParams(uint64_t Seed, bool ForkJoin) {
 
 using testutil::expectSameReport;
 
+/// \p Make as the only lane of a var-sharded analyzeTrace run.
+AnalysisResult analyzeSharded(const DetectorFactory &Make, const Trace &T,
+                              uint32_t NumShards, unsigned NumThreads,
+                              ShardStrategy Strategy = ShardStrategy::Modulo) {
+  AnalysisConfig Cfg;
+  Cfg.addDetector(Make);
+  Cfg.Mode = RunMode::VarSharded;
+  Cfg.VarShards = NumShards;
+  Cfg.Threads = NumThreads;
+  Cfg.Strategy = Strategy;
+  return analyzeTrace(Cfg, T);
+}
+
 /// One differential round: sequential oracle vs every shard count.
 /// Bit-for-bit comparison via testutil::expectSameReport.
 void expectShardedMatchesSequential(const DetectorFactory &Make,
@@ -71,12 +84,18 @@ void expectShardedMatchesSequential(const DetectorFactory &Make,
   std::unique_ptr<Detector> D = Make(T);
   RunResult Want = runDetector(*D, T);
   for (uint32_t N : kShardCounts) {
-    RunResult Got = runDetectorSharded(Make, T, N, /*NumThreads=*/2);
-    ASSERT_TRUE(Got.Error.empty()) << Label << ": " << Got.Error;
+    AnalysisResult Got = analyzeSharded(Make, T, N, /*NumThreads=*/2);
+    ASSERT_TRUE(Got.ok()) << Label << ": " << Got.firstError().str();
+    ASSERT_EQ(Got.Lanes.size(), 1u) << Label;
+    const LaneReport &Lane = Got.Lanes[0];
+    // A lane that stopped short of the published tail can still look
+    // race-free; pin the frontier itself.
+    EXPECT_EQ(Lane.EventsConsumed, Got.EventsIngested)
+        << Label << " shards=" << N;
     // Var-sharding loses nothing, so the lane keeps the plain name — no
     // "[w=...]"-style marker distinguishing it from the sequential run.
-    EXPECT_EQ(Got.DetectorName, Want.DetectorName) << Label;
-    expectSameReport(Got.Report, Want.Report, T,
+    EXPECT_EQ(Lane.DetectorName, Want.DetectorName) << Label;
+    expectSameReport(Lane.Report, Want.Report, T,
                      Label + " shards=" + std::to_string(N));
   }
 }
@@ -174,7 +193,7 @@ TEST_P(DifferentialFuzzTest, AdversarialMatrixMatchesSequentialBitForBit) {
 }
 
 // The frequency-balanced shard plan must be invisible in results: same
-// bit-for-bit contract as the modulo plan, via the pipeline's strategy
+// bit-for-bit contract as the modulo plan, via the config's strategy
 // option.
 TEST_P(DifferentialFuzzTest, BalancedStrategyMatchesSequentialBitForBit) {
   Trace T = randomTrace(fuzzParams(GetParam() ^ 0x1234, GetParam() % 2 == 0));
@@ -186,15 +205,11 @@ TEST_P(DifferentialFuzzTest, BalancedStrategyMatchesSequentialBitForBit) {
   for (auto &[Name, Make] : Factories) {
     std::unique_ptr<Detector> D = Make(T);
     RunResult Want = runDetector(*D, T);
-    PipelineOptions Opts;
-    Opts.NumThreads = 2;
-    Opts.VarShards = 4;
-    Opts.VarShardStrategy = ShardStrategy::FrequencyBalanced;
-    AnalysisPipeline P(Opts);
-    P.addDetector(Make);
-    PipelineResult R = P.run(T);
+    AnalysisResult R = analyzeSharded(Make, T, /*NumShards=*/4,
+                                      /*NumThreads=*/2,
+                                      ShardStrategy::FrequencyBalanced);
     ASSERT_EQ(R.Lanes.size(), 1u);
-    ASSERT_TRUE(R.Lanes[0].Error.empty()) << R.Lanes[0].Error;
+    ASSERT_TRUE(R.ok()) << R.firstError().str();
     expectSameReport(R.Lanes[0].Report, Want.Report, T,
                      std::string("balanced/") + Name + " seed " +
                          std::to_string(GetParam()));
@@ -214,9 +229,11 @@ TEST_P(DifferentialFuzzTest, ShardedHbAgreesWithClosureOracle) {
     P.OpsPerThread = 15 + GetParam() % 20; // Keep the O(N^2) oracle cheap.
     Trace T = randomTrace(P);
     ClosureEngine Ref(T);
-    RunResult Sharded = runDetectorSharded(
+    AnalysisResult R = analyzeSharded(
         [](const Trace &F) { return std::make_unique<HbDetector>(F); }, T,
-        /*NumShards=*/4);
+        /*NumShards=*/4, /*NumThreads=*/0);
+    ASSERT_TRUE(R.ok()) << R.firstError().str();
+    const LaneReport &Sharded = R.Lanes[0];
     for (const RaceInstance &I : Sharded.Report.instances())
       EXPECT_TRUE(Ref.isRace(OrderKind::HB, I.EarlierIdx, I.LaterIdx))
           << "seed " << GetParam() << ": " << I.str(T);
@@ -327,7 +344,7 @@ TEST(ShardedAccessHistoryTest, MergeRestoresTraceOrder) {
   PerShard[0] = {mk(1, 5), mk(2, 9)};
   PerShard[1] = {mk(0, 3), mk(6, 12)};
   PerShard[2] = {mk(4, 7)};
-  RaceReport R = ShardedAccessHistory::mergeInTraceOrder(PerShard);
+  RaceReport R = mergeInTraceOrder(PerShard);
   ASSERT_EQ(R.instances().size(), 5u);
   EventIdx Prev = 0;
   for (const RaceInstance &I : R.instances()) {

@@ -1,17 +1,20 @@
-//===- tests/pipeline_test.cpp - Pipeline, chunked reader, thread pool --------===//
+//===- tests/pipeline_test.cpp - Multi-lane runs, chunked reader, pool ------===//
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// The pipeline's contract is *determinism*: parallel multi-detector runs
-// must be bit-for-bit identical (same race pairs, same witness indices, in
-// the same order) to the sequential single-detector runs they fan out —
-// across thread counts, shard sizes and scheduling. These tests pin that
-// contract on the paper figures and on randomized traces, and cover the
-// streaming chunked reader against the one-shot loader byte for byte.
+// The multi-lane contract is *determinism*: analyzeTrace runs fanning one
+// trace out to several detector lanes must be bit-for-bit identical (same
+// race pairs, same witness indices, in the same order) to the sequential
+// single-detector runs they replace — across run modes, thread counts,
+// shard counts, window sizes and scheduling. These tests pin that contract
+// on the paper figures and on randomized traces against runDetector and
+// the classic windowed loop, and cover the streaming chunked reader
+// against the one-shot loader byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "api/AnalysisSession.h"
 #include "gen/PaperTraces.h"
 #include "gen/RandomTraceGen.h"
 #include "gen/Workloads.h"
@@ -21,15 +24,12 @@
 #include "io/TraceFile.h"
 #include "lockset/EraserDetector.h"
 #include "pipeline/ChunkedReader.h"
-#include "pipeline/Pipeline.h"
 #include "support/ThreadPool.h"
-#include "trace/Window.h"
 #include "wcp/WcpDetector.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
 #include <cstdio>
 
 using namespace rapid;
@@ -53,18 +53,21 @@ std::vector<NamedFactory> allLanes() {
   };
 }
 
-AnalysisPipeline makePipeline(const PipelineOptions &Opts) {
-  AnalysisPipeline P(Opts);
+AnalysisConfig allLanesConfig(RunMode Mode, unsigned Threads) {
+  AnalysisConfig Cfg;
+  Cfg.Mode = Mode;
+  Cfg.Threads = Threads;
   for (NamedFactory &F : allLanes())
-    P.addDetector(F.Make, F.Name);
-  return P;
+    Cfg.addDetector(F.Make, F.Name);
+  return Cfg;
 }
 
 using testutil::expectSameReport;
 
-void expectPipelineMatchesSequential(const Trace &T, const PipelineOptions &Opts,
-                                     const std::string &Label) {
-  PipelineResult R = makePipeline(Opts).run(T);
+void expectLanesMatchSequential(const Trace &T, const AnalysisConfig &Cfg,
+                                const std::string &Label) {
+  AnalysisResult R = analyzeTrace(Cfg, T);
+  ASSERT_TRUE(R.ok()) << Label << ": " << R.firstError().str();
   std::vector<NamedFactory> Lanes = allLanes();
   ASSERT_EQ(R.Lanes.size(), Lanes.size());
   for (size_t L = 0; L != Lanes.size(); ++L) {
@@ -111,72 +114,79 @@ Trace mediumRandomTrace(uint64_t Seed) {
 
 } // namespace
 
-// ---- Parallel multi-detector fan-out ----------------------------------------
+// ---- Multi-detector fan-out -------------------------------------------------
 
 TEST(PipelineTest, UnshardedParallelMatchesSequentialOnPaperTraces) {
-  PipelineOptions Opts;
-  Opts.NumThreads = 4;
   for (const PaperTrace &P : allPaperTraces())
-    expectPipelineMatchesSequential(P.T, Opts, P.Name);
+    expectLanesMatchSequential(P.T, allLanesConfig(RunMode::Sequential, 4),
+                               P.Name);
 }
 
 class PipelineRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PipelineRandomTest, UnshardedParallelMatchesSequential) {
-  PipelineOptions Opts;
-  Opts.NumThreads = 4;
   Trace T = mediumRandomTrace(GetParam());
-  expectPipelineMatchesSequential(
-      T, Opts, "random seed " + std::to_string(GetParam()));
+  expectLanesMatchSequential(T, allLanesConfig(RunMode::Sequential, 4),
+                             "random seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, PipelineRandomTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 TEST(PipelineTest, FusedSingleWalkMatchesSequential) {
-  PipelineOptions Opts;
-  Opts.Parallel = false;
-  expectPipelineMatchesSequential(makeWorkload(workloadSpec("pingpong")), Opts,
-                                  "fused/pingpong");
-  expectPipelineMatchesSequential(mediumRandomTrace(99), Opts, "fused/random");
+  AnalysisConfig Cfg = allLanesConfig(RunMode::Fused, 1);
+  expectLanesMatchSequential(makeWorkload(workloadSpec("pingpong")), Cfg,
+                             "fused/pingpong");
+  expectLanesMatchSequential(mediumRandomTrace(99), Cfg, "fused/random");
 }
 
 TEST(PipelineTest, ThreadCountDoesNotChangeResults) {
+  // Only the pool-backed modes have a thread count to vary: window tasks
+  // and shard drains land on different workers in a different order, and
+  // the merged reports must not notice.
   Trace T = makeWorkload(workloadSpec("account"));
-  PipelineOptions One;
-  One.NumThreads = 1;
-  PipelineResult RefRun = makePipeline(One).run(T);
-  for (unsigned N : {2u, 4u, 8u}) {
-    PipelineOptions Opts;
-    Opts.NumThreads = N;
-    PipelineResult R = makePipeline(Opts).run(T);
-    ASSERT_EQ(R.Lanes.size(), RefRun.Lanes.size());
-    for (size_t L = 0; L != R.Lanes.size(); ++L)
-      expectSameReport(R.Lanes[L].Report, RefRun.Lanes[L].Report, T,
-                       "threads=" + std::to_string(N));
+  for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
+    auto configFor = [Mode](unsigned Threads) {
+      AnalysisConfig Cfg = allLanesConfig(Mode, Threads);
+      if (Mode == RunMode::Windowed)
+        Cfg.WindowEvents = 256;
+      else
+        Cfg.VarShards = 4;
+      return Cfg;
+    };
+    AnalysisResult RefRun = analyzeTrace(configFor(1), T);
+    ASSERT_TRUE(RefRun.ok()) << RefRun.firstError().str();
+    for (unsigned N : {2u, 4u, 8u}) {
+      AnalysisResult R = analyzeTrace(configFor(N), T);
+      ASSERT_TRUE(R.ok()) << R.firstError().str();
+      ASSERT_EQ(R.Lanes.size(), RefRun.Lanes.size());
+      for (size_t L = 0; L != R.Lanes.size(); ++L)
+        expectSameReport(R.Lanes[L].Report, RefRun.Lanes[L].Report, T,
+                         std::string(runModeName(Mode)) +
+                             " threads=" + std::to_string(N));
+    }
   }
 }
 
 TEST(PipelineTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
-  // The per-variable sharded lane mode (Opts.VarShards) must be invisible
-  // in the results: capture-capable lanes (HB, WCP, and FastTrack via its
-  // epoch replayer) go through the clock pass + shard check + merge
-  // machinery, the rest (Eraser) fall back to a sequential walk, and every
-  // lane's report stays bit-identical to runDetector for any shard or
-  // thread count.
+  // The per-variable sharded lane mode must be invisible in the results:
+  // capture-capable lanes (HB, WCP, and FastTrack via its epoch replayer)
+  // go through the clock pass + shard check + merge machinery, the rest
+  // (Eraser) fall back to a sequential walk, and every lane's report stays
+  // bit-identical to runDetector for any shard or thread count.
   for (uint64_t Seed : {4u, 9u}) {
     Trace T = mediumRandomTrace(Seed);
     for (uint32_t Shards : {1u, 3u, 8u}) {
       for (unsigned Threads : {1u, 4u}) {
-        PipelineOptions Opts;
-        Opts.NumThreads = Threads;
-        Opts.VarShards = Shards;
-        PipelineResult R = makePipeline(Opts).run(T);
+        AnalysisConfig Cfg = allLanesConfig(RunMode::VarSharded, Threads);
+        Cfg.VarShards = Shards;
+        AnalysisResult R = analyzeTrace(Cfg, T);
         EXPECT_EQ(R.VarShards, Shards);
         std::vector<NamedFactory> Lanes = allLanes();
         ASSERT_EQ(R.Lanes.size(), Lanes.size());
         for (size_t L = 0; L != Lanes.size(); ++L) {
-          EXPECT_TRUE(R.Lanes[L].Error.empty()) << R.Lanes[L].Error;
+          EXPECT_TRUE(R.Lanes[L].LaneStatus.ok())
+              << R.Lanes[L].LaneStatus.str();
           std::unique_ptr<Detector> D = Lanes[L].Make(T);
           RunResult Want = runDetector(*D, T);
           expectSameReport(R.Lanes[L].Report, Want.Report, T,
@@ -189,36 +199,22 @@ TEST(PipelineTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
   }
 }
 
-// ---- Sharded (windowed) mode ------------------------------------------------
+// ---- Windowed mode ----------------------------------------------------------
 
 TEST(PipelineTest, ShardedParallelMatchesWindowedReference) {
   // Reference: the classic sequential windowed loop — fresh detector per
   // window, indices translated to the parent trace, merged in window
-  // order. The sharded parallel pipeline must reproduce it exactly.
+  // order. The windowed mode on a 4-worker pool must reproduce it exactly.
   Trace T = makeWorkload(workloadSpec("bufwriter"), 0.05);
   for (uint64_t W : {64u, 500u, 4096u}) {
     for (NamedFactory &F : allLanes()) {
-      RaceReport Want;
-      for (TraceWindow &Win : splitIntoWindows(T, W)) {
-        std::unique_ptr<Detector> D = F.Make(Win.Fragment);
-        for (EventIdx I = 0; I != Win.Fragment.size(); ++I)
-          D->processEvent(Win.Fragment.event(I), I);
-        D->finish();
-        RaceReport Translated;
-        for (RaceInstance Inst : D->report().instances()) {
-          Inst.EarlierIdx = Win.Original[Inst.EarlierIdx];
-          Inst.LaterIdx = Win.Original[Inst.LaterIdx];
-          Translated.addRace(Inst);
-        }
-        Want.mergeFrom(Translated);
-      }
-
-      PipelineOptions Opts;
-      Opts.NumThreads = 4;
-      Opts.ShardEvents = W;
-      AnalysisPipeline P(Opts);
-      P.addDetector(F.Make);
-      PipelineResult R = P.run(T);
+      RaceReport Want = testutil::windowedReference(F.Make, T, W);
+      AnalysisConfig Cfg;
+      Cfg.Mode = RunMode::Windowed;
+      Cfg.WindowEvents = W;
+      Cfg.Threads = 4;
+      Cfg.addDetector(F.Make);
+      AnalysisResult R = analyzeTrace(Cfg, T);
       ASSERT_EQ(R.Lanes.size(), 1u);
       EXPECT_EQ(R.Lanes[0].DetectorName,
                 std::string(F.Name) + "[w=" + std::to_string(W) + "]");
@@ -226,19 +222,6 @@ TEST(PipelineTest, ShardedParallelMatchesWindowedReference) {
                        std::string(F.Name) + " w=" + std::to_string(W));
     }
   }
-}
-
-TEST(PipelineTest, WindowedRunnerAdapterKeepsItsContract) {
-  // runDetectorWindowed is now an adapter over the pipeline; it must still
-  // agree with the unwindowed run when one window spans the whole trace.
-  Trace T = makeWorkload(workloadSpec("mergesort"));
-  RaceReport Full = testutil::run<HbDetector>(T);
-  DetectorFactory Make = [](const Trace &F) {
-    return std::make_unique<HbDetector>(F);
-  };
-  RunResult Whole = runDetectorWindowed(Make, T, T.size());
-  EXPECT_EQ(Whole.DetectorName, "HB[w=" + std::to_string(T.size()) + "]");
-  expectSameReport(Whole.Report, Full, T, "whole-window");
 }
 
 // ---- Streaming ingestion ----------------------------------------------------
@@ -343,53 +326,6 @@ TEST(ChunkedReaderTest, MalformedLineReportsLineNumber) {
   EXPECT_NE(R.Error.find("line 3"), std::string::npos) << R.Error;
   EXPECT_NE(R.Error.find("frobnicate"), std::string::npos) << R.Error;
   std::remove(Path.c_str());
-}
-
-TEST(PipelineTest, RunFileMatchesInMemoryRun) {
-  Trace T = mediumRandomTrace(5);
-  std::string Path = tempPath("runfile.bin");
-  ASSERT_EQ(saveTraceFile(T, Path), "");
-  PipelineOptions Opts;
-  Opts.NumThreads = 2;
-  AnalysisPipeline P = makePipeline(Opts);
-  std::string Error;
-  Trace Loaded;
-  PipelineResult FromFile = P.runFile(Path, Error, &Loaded);
-  ASSERT_TRUE(Error.empty()) << Error;
-  expectSameTrace(Loaded, T);
-  PipelineResult InMemory = P.run(T);
-  ASSERT_EQ(FromFile.Lanes.size(), InMemory.Lanes.size());
-  for (size_t L = 0; L != FromFile.Lanes.size(); ++L)
-    expectSameReport(FromFile.Lanes[L].Report, InMemory.Lanes[L].Report, T,
-                     "runFile lane " + std::to_string(L));
-  std::remove(Path.c_str());
-
-  PipelineResult Missing = P.runFile("/nonexistent/x.bin", Error);
-  EXPECT_FALSE(Error.empty());
-  EXPECT_TRUE(Missing.Lanes.empty());
-}
-
-TEST(PipelineTest, ThrowingLaneFailsAloneWithoutSinkingTheRun) {
-  // One detector factory throws; its lane reports the error while every
-  // other lane completes normally and the process survives.
-  Trace T = makeWorkload(workloadSpec("pingpong"));
-  PipelineOptions Opts;
-  Opts.NumThreads = 2;
-  AnalysisPipeline P(Opts);
-  P.addDetector(
-      [](const Trace &F) { return std::make_unique<HbDetector>(F); }, "HB");
-  P.addDetector(
-      [](const Trace &) -> std::unique_ptr<Detector> {
-        throw std::runtime_error("detector exploded");
-      },
-      "Boom");
-  PipelineResult R = P.run(T);
-  ASSERT_EQ(R.Lanes.size(), 2u);
-  EXPECT_TRUE(R.Lanes[0].Error.empty()) << R.Lanes[0].Error;
-  EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u);
-  EXPECT_NE(R.Lanes[1].Error.find("detector exploded"), std::string::npos)
-      << R.Lanes[1].Error;
-  EXPECT_EQ(R.Lanes[1].Report.numDistinctPairs(), 0u);
 }
 
 TEST(ChunkedReaderTest, EmptyBinFileMatchesOneShotLoaderError) {

@@ -14,7 +14,7 @@
 //      partialResult()/exportTimeline() while every lane reads the
 //      prefix in place (run under TSan via RAPID_SANITIZE=thread), and
 //      a 100-seed fuzz pins the in-place lane walk bit-for-bit against
-//      the batch engine.
+//      the sequential runDetector walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -138,6 +138,23 @@ TEST(PublishedStoreTest, WaitPublishedStopHandshake) {
   Writer.join();
 }
 
+// The tail-drop race, made deterministic: the producer's final publish
+// lands between the reader's watermark load and its stop check (here,
+// inside the stop predicate itself). A stopped reader must still return
+// the fresh watermark — consumers read "returned Current" as "stopped and
+// drained" and would otherwise drop the published tail.
+TEST(PublishedStoreTest, WaitPublishedRereadsWatermarkAfterStop) {
+  PublishedStore<int> S;
+  S.append(1);
+  S.publish(1);
+  auto PublishThenStop = [&] {
+    S.append(2);
+    S.publish(2);
+    return true;
+  };
+  EXPECT_EQ(S.waitPublished(1, Counter(), PublishThenStop), 2u);
+}
+
 // One writer, several readers: every reader walks the full stream in
 // place through waitPublished/forRange and must observe exactly the
 // values the writer appended — the core seqlock-prefix guarantee the
@@ -191,7 +208,7 @@ TEST(PublishedStoreTest, ConcurrentReadersSeeExactPrefix) {
 // exportTimeline(). Every snapshot must be internally consistent —
 // EventsIngested monotone, every lane within the watermark, every race
 // index below the lane's consumed frontier — and the final report must
-// match the batch engine bit for bit. TSan (RAPID_SANITIZE=thread)
+// match the sequential walk bit for bit. TSan (RAPID_SANITIZE=thread)
 // exercises the watermark/eventcount orderings directly here.
 TEST_P(PublishFuzzTest, HammeredSessionStaysConsistentAndExact) {
   const uint64_t Seed = GetParam();
@@ -252,7 +269,7 @@ TEST_P(PublishFuzzTest, HammeredSessionStaysConsistentAndExact) {
   EXPECT_FALSE(S.exportTimeline().empty());
 }
 
-// In-place lane reads vs the batch engine, bit for bit: 50 seeds x
+// In-place lane reads vs the sequential walk, bit for bit: 50 seeds x
 // {no-forkjoin, forkjoin} = 100 traces through a fused session with a
 // small drain size (many watermark rounds), each lane pinned against an
 // independent sequential run.

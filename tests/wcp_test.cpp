@@ -255,8 +255,8 @@ TEST(WcpWindowedTest, DetectorIsRestartablePerFragment) {
   DetectorFactory Make = [](const Trace &F) {
     return std::make_unique<WcpDetector>(F);
   };
-  RunResult Whole = runDetectorWindowed(Make, T, T.size());
+  LaneReport Whole = testutil::analyzeWindowed(Make, T, T.size());
   EXPECT_EQ(Whole.Report.numDistinctPairs(), Full.numDistinctPairs());
-  RunResult Tiny = runDetectorWindowed(Make, T, 3);
+  LaneReport Tiny = testutil::analyzeWindowed(Make, T, 3);
   EXPECT_LE(Tiny.Report.numDistinctPairs(), Full.numDistinctPairs());
 }
