@@ -6,9 +6,7 @@
 // Unix-domain socket, runs one AnalysisSession per connection over a
 // shared ingest pool, enforces per-session budgets with backpressure,
 // answers mid-stream partial/timeline/roster queries, and retains every
-// finished session's canonical report for final-report queries. Optional
-// --fifo/--shm sources pump framed streams from pipes or shared-memory
-// rings into their own sessions (io/FeedSource.h).
+// finished session's canonical report for final-report queries.
 //
 // `race_serverd --help` has the flag matrix; docs/SERVING.md documents
 // the protocol and the LD_PRELOAD interposer that feeds this daemon.
@@ -17,21 +15,15 @@
 
 #include "api/AnalysisSession.h"
 #include "hb/HbDetector.h"
-#include "io/FaultInjector.h"
-#include "io/FeedSource.h"
 #include "serve/RaceServer.h"
-#include "serve/ReportCanon.h"
-#include "serve/WireIngestor.h"
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
 using namespace rapid;
 
@@ -81,11 +73,9 @@ struct Options {
   uint64_t IdleTimeoutMs = 0;
   uint64_t RosterMax = 0;
   uint64_t RetryAfterMs = 100;
-  uint64_t FaultSeed = 0;
   unsigned DebugSlowUs = 0;
   bool Quiet = false;
   bool DryRun = false;
-  std::vector<std::string> Sources; ///< fifo:/shm: specs to pump.
 };
 
 void printHelp() {
@@ -111,8 +101,6 @@ void printHelp() {
       "                    lag exceeds N events (default 1048576; 0 off)\n"
       "  --max-events N    hard per-session event budget (0 = unlimited)\n"
       "  --ingest-threads N  shared decode/feed pool width (default 2)\n"
-      "  --fifo PATH       also pump a FIFO feed into its own session\n"
-      "  --shm PATH        also pump a shared-memory ring feed\n"
       "  --debug-slow-us N add a deliberately slow HB lane (N us/event) —\n"
       "                    test hook for deterministic backpressure\n"
       "  --quiet           no per-session reports on stdout\n"
@@ -126,49 +114,10 @@ void printHelp() {
       "  --idle-timeout-ms N evict sessions idle this long (0 = never)\n"
       "  --roster-max N      retain at most N finished summaries (0 = all)\n"
       "  --retry-after-ms N  hint stamped into retryable errors (default 100)\n"
-      "  --fault-seed N      decorate --fifo/--shm feeds with deterministic\n"
-      "                      delivery faults (short reads, EAGAIN, delays)\n"
-      "                      from seed N — content is never altered (0 off)\n"
       "\n"
       "SIGTERM/SIGINT drain cleanly: buffered frames are applied, every\n"
       "live session is finalized, and its prefix report is printed.\n",
       stdout);
-}
-
-/// Pumps one fifo:/shm: source into a dedicated session; prints the
-/// canonical report at EOF. Runs on its own thread — these sources are
-/// single-stream, so the blocking pump is the right shape.
-void pumpSource(const std::string &Spec, AnalysisConfig Cfg, bool Quiet,
-                uint64_t FaultSeed) {
-  Status Err;
-  std::unique_ptr<FeedSource> Src = openFeedSource(Spec, Err);
-  if (!Src) {
-    std::fprintf(stderr, "race_serverd: %s: %s\n", Spec.c_str(),
-                 Err.str().c_str());
-    return;
-  }
-  if (FaultSeed != 0) {
-    // Deterministic delivery faults (short reads, spurious EAGAIN, small
-    // delays) — the decorator never alters content, so the report must
-    // match a fault-free run byte for byte.
-    FaultyFeedConfig FC;
-    FC.Seed = FaultSeed;
-    FC.ShortReadPermille = 300;
-    FC.WouldBlockPermille = 100;
-    FC.DelayPermille = 50;
-    Src = makeFaultyFeedSource(std::move(Src), FC);
-  }
-  AnalysisSession S(Cfg);
-  Status Pumped = pumpFeedSource(*Src, S);
-  AnalysisResult R = S.finish();
-  if (!Pumped.ok())
-    std::fprintf(stderr, "race_serverd: %s: %s\n", Spec.c_str(),
-                 Pumped.str().c_str());
-  if (!Quiet) {
-    std::printf("source %s:\n%s", Spec.c_str(),
-                canonicalReport(R, S.trace()).c_str());
-    std::fflush(stdout);
-  }
 }
 
 } // namespace
@@ -200,10 +149,6 @@ int main(int Argc, char **Argv) {
       Opts.DryRun = true;
     else if (Arg == "--socket")
       Opts.Socket = NeedsValue(I);
-    else if (Arg == "--fifo")
-      Opts.Sources.push_back(std::string("fifo:") + NeedsValue(I));
-    else if (Arg == "--shm")
-      Opts.Sources.push_back(std::string("shm:") + NeedsValue(I));
     else if (Arg == "--threads")
       Opts.Threads =
           static_cast<unsigned>(std::strtoul(NeedsValue(I), nullptr, 10));
@@ -233,8 +178,6 @@ int main(int Argc, char **Argv) {
       Opts.RosterMax = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--retry-after-ms")
       Opts.RetryAfterMs = std::strtoull(NeedsValue(I), nullptr, 10);
-    else if (Arg == "--fault-seed")
-      Opts.FaultSeed = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--debug-slow-us")
       Opts.DebugSlowUs =
           static_cast<unsigned>(std::strtoul(NeedsValue(I), nullptr, 10));
@@ -314,18 +257,11 @@ int main(int Argc, char **Argv) {
   std::printf("listening on %s\n", Opts.Socket.c_str());
   std::fflush(stdout);
 
-  std::vector<std::thread> Pumps;
-  for (const std::string &Spec : Opts.Sources)
-    Pumps.emplace_back(pumpSource, Spec, Cfg.Session, Opts.Quiet,
-                       Opts.FaultSeed);
-
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
   while (!GotSignal.load())
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  for (std::thread &T : Pumps)
-    T.join();
   Server.stop();
   if (!Opts.Quiet) {
     for (const SessionSummary &Sum : Server.finishedSessions())

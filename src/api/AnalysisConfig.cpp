@@ -55,8 +55,6 @@ const char *rapid::runModeName(RunMode M) {
   switch (M) {
   case RunMode::Sequential:
     return "sequential";
-  case RunMode::Fused:
-    return "fused";
   case RunMode::Windowed:
     return "windowed";
   case RunMode::VarSharded:

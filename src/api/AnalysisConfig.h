@@ -17,8 +17,6 @@
 ///   Sequential  one independent full-trace walk per detector lane (the
 ///               paper's unwindowed single-pass mode); lanes run
 ///               concurrently and stream behind ingestion in sessions;
-///   Fused       one walk of the trace feeds every detector per event —
-///               N analyses for one trace traversal, on a single thread;
 ///   Windowed    fixed-size event windows, fresh detector per window
 ///               (the handicapped baseline of §4.3 — cross-window races
 ///               are lost by design); sessions dispatch each window onto
@@ -58,9 +56,9 @@ const char *detectorKindName(DetectorKind K);
 DetectorFactory makeDetectorFactory(DetectorKind K);
 
 /// How the analysis walks the trace. See the file comment for semantics.
-enum class RunMode : uint8_t { Sequential, Fused, Windowed, VarSharded };
+enum class RunMode : uint8_t { Sequential, Windowed, VarSharded };
 
-/// Stable lowercase name: "sequential", "fused", "windowed", "var-sharded".
+/// Stable lowercase name: "sequential", "windowed", "var-sharded".
 const char *runModeName(RunMode M);
 
 /// One detector lane of a config: a built-in kind, or a custom factory.
@@ -79,8 +77,8 @@ struct AnalysisConfig {
   RunMode Mode = RunMode::Sequential;
   /// Worker threads (0 = hardware concurrency) of the session thread pool
   /// that runs Windowed window tasks / VarSharded shard-check tasks.
-  /// Sequential/Fused sessions have no pool: they run one consumer thread
-  /// per lane (one total for Fused) whatever this says.
+  /// Sequential sessions have no pool: they run one consumer thread per
+  /// lane whatever this says.
   unsigned Threads = 0;
   /// Windowed mode only: events per window (must be > 0 there, 0 elsewhere).
   uint64_t WindowEvents = 0;

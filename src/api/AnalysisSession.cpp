@@ -13,14 +13,14 @@
 // catch up with the producer. The session mutex M now guards only the
 // trace/id tables, validation and detector construction; it is never taken
 // on a consumer's per-event path. All per-lane state shared with
-// partialResult() sits behind a per-lane snapshot mutex.
+// partialResult() sits behind a per-lane snapshot mutex; the lane's
+// consumed watermark is atomic as well, so progress() never takes it.
 //
 // Every run mode streams:
 //
 //   Sequential   one consumer thread per lane, each running its detector
-//                over published ranges in place (sequentialConsumer);
-//   Fused        one consumer thread walking every lane's detector over
-//                each published range (fusedConsumer);
+//                over published ranges in place (sequentialConsumer, the
+//                plain walkLane);
 //   Windowed     one window-builder consumer cuts completed windows out of
 //                the published prefix (trace/IncrementalWindowSplitter)
 //                and dispatches a fresh detector per lane × window onto
@@ -31,7 +31,8 @@
 //                watermark, and per-shard drain tasks on the pool replay
 //                committed accesses in place (detect/ShardChecker); only
 //                the final trace-order merge waits for finish()
-//                (varShardConsumer/drainVarShard).
+//                (varShardConsumer: walkLane plus a per-chunk commit and
+//                partition hook; drainVarShard).
 //
 // Mid-stream table growth (text inputs intern lazily; push feeds may
 // declare late) is free: detector state is growable end to end —
@@ -112,9 +113,13 @@ struct LaneRuntime {
   std::string Name;      ///< Resolved once the detector first exists.
   RaceReport Final;      ///< Set by the consumer at drain time.
   Status LaneStatus;
-  uint64_t Consumed = 0; ///< Events processed.
   double Seconds = 0;    ///< Processing time, excluding waits.
   bool Done = false;
+  /// Events processed. Written under SnapM like the fields above, but
+  /// atomic so progress() reads it without SnapM — a consumer holds SnapM
+  /// for a whole batch, and the serving layer's lag check must not wait
+  /// on a slow (or blocked) lane.
+  std::atomic<uint64_t> Consumed{0};
 
   // Cached instrument handles (obs/Metrics.h; null when metrics are off)
   // plus the lane's timeline track. Written once at session start, then
@@ -260,7 +265,7 @@ struct AnalysisSession::Impl {
   Counter PublishBatches;
   Gauge PublishedGauge;     ///< The published watermark.
   HighWater PublishBatchPeak;
-  Counter ConsumerParkNs;   ///< Shared-consumer modes (fused/builder).
+  Counter ConsumerParkNs;   ///< Windowed: the builder's park time.
   Counter WindowsDispatched;
   Gauge WindowsRetired;
   uint32_t IngestTrack = TraceRecorder::NoTrack;
@@ -271,8 +276,10 @@ struct AnalysisSession::Impl {
   std::unique_ptr<ThreadPool> Pool;
 
   void start();
+  template <typename BuiltFn, typename ChunkFn>
+  void walkLane(LaneRuntime &Rt, const char *Span, BuiltFn &&OnBuilt,
+                ChunkFn &&AfterChunk);
   void sequentialConsumer(LaneRuntime &Rt);
-  void fusedConsumer();
   void windowedConsumer();
   void dispatchWindow(const std::shared_ptr<WindowEpoch> &Ep, TraceWindow &&W);
   void finalizeWindowedLanes(WindowEpoch &Ep);
@@ -299,162 +306,98 @@ void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
   Rt.Name = Rt.Label.empty() ? Rt.D->name() : Rt.Label;
 }
 
-/// One lane of the sequential streaming mode: wait for the watermark,
-/// then run the detector over the published range *in place* — no session
-/// lock, no batch copy. Processing is still chunked (Cfg.StreamBatchEvents)
-/// so SnapM is released regularly for partialResult(). The detector is
-/// built once, against whatever id tables exist when the lane first has
-/// work (taking M only for that one construction); growable detector
-/// state admits ids declared later, so table growth never restarts the
-/// lane (bit-for-bit with runDetector; see the header comment).
-void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
+namespace {
+
+/// Retires a walked lane: the detector's finish() and final report.
+void finishWalkedLane(LaneRuntime &Rt) {
+  std::lock_guard<std::mutex> G(Rt.SnapM);
+  Rt.D->finish();
+  Rt.Final = Rt.D->report();
+  Rt.Done = true;
+}
+
+/// Runs one lane consumer's \p Body; an escaping exception fails that
+/// lane (its status carries the message), never the session.
+template <typename Fn> void runLane(LaneRuntime &Rt, Fn &&Body) {
+  std::string Err;
+  if (guardedTask(Err, Body))
+    return;
+  std::lock_guard<std::mutex> G(Rt.SnapM);
+  Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
+  Rt.Done = true;
+}
+
+} // namespace
+
+/// The in-place walk every per-lane consumer shares: wait for the
+/// watermark, then run \p Rt's detector over the published range in place
+/// — no session lock, no batch copy — until ingestion stops and the
+/// prefix is drained. Processing is chunked (Cfg.StreamBatchEvents) so
+/// SnapM is released regularly for partialResult(). The detector is built
+/// once, against whatever id tables exist when the lane first has work
+/// (taking M only for that one construction), and \p OnBuilt runs right
+/// after, outside every lock; growable detector state admits ids declared
+/// later, so table growth never restarts the lane (bit-for-bit with
+/// runDetector; see the header comment). \p AfterChunk(End) runs after
+/// each chunk, outside SnapM, inside the chunk's \p Span timeline span.
+/// A zero-event session still gets its detector, built at the end without
+/// OnBuilt (runDetector on an empty trace constructs one too).
+template <typename BuiltFn, typename ChunkFn>
+void AnalysisSession::Impl::walkLane(LaneRuntime &Rt, const char *Span,
+                                     BuiltFn &&OnBuilt, ChunkFn &&AfterChunk) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
   uint64_t Consumed = 0;
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
-  try {
-    for (;;) {
-      const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
-      if (To == Consumed)
-        break; // Stopped and fully drained.
-      if (!Rt.D) {
+  for (;;) {
+    const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
+    if (To == Consumed)
+      break; // Stopped and fully drained.
+    if (!Rt.D) {
+      {
         std::lock_guard<std::mutex> Lk(M);
         buildDetectorLocked(Rt);
       }
-      while (Consumed != To) {
-        const uint64_t From = Consumed;
-        const uint64_t End = std::min(To, From + Batch);
-        Rt.Batches.add();
-        Rt.BatchEventsPeak.observe(End - From);
-        Rt.LagEventsPeak.observe(Store.published() - From);
-        int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-        {
-          std::lock_guard<std::mutex> G(Rt.SnapM);
-          Timer Clock;
-          Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-            Rt.D->processEvent(E, I);
-          });
-          double Sec = Clock.seconds();
-          Rt.Seconds += Sec;
-          Rt.ConsumeNs.add(toNs(Sec));
-          Consumed = End;
-          Rt.Consumed = End;
-        }
-        if (Rec) {
-          Rec->span(Rt.Track, "consume", SpanStart, Rec->nowUs() - SpanStart);
-          Rec->counter("lag:" + Rt.Fallback, Rec->nowUs(), To - End);
-        }
-      }
-    }
-    {
-      // Zero-event sessions still owe a constructed detector (runDetector
-      // on an empty trace constructs, finishes and names one too).
-      std::unique_lock<std::mutex> Lk(M);
-      if (!Rt.D)
-        buildDetectorLocked(Rt);
-    }
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.D->finish();
-    Rt.Final = Rt.D->report();
-    Rt.Done = true;
-  } catch (const std::exception &E) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, E.what());
-    Rt.Done = true;
-  } catch (...) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, "unknown exception");
-    Rt.Done = true;
-  }
-}
-
-/// The fused streaming mode: one consumer drives every lane through the
-/// same in-place walk of the published prefix, so N detectors cost one
-/// pass. A lane that throws is marked failed and dropped from the walk;
-/// the others continue.
-void AnalysisSession::Impl::fusedConsumer() {
-  const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
-  uint64_t Consumed = 0;
-  bool Constructed = false;
-  std::vector<bool> Failed(Lanes.size(), false);
-  auto Stopped = [this] {
-    return IngestDone.load(std::memory_order_seq_cst);
-  };
-
-  auto failLane = [&](size_t L, const char *What) {
-    std::lock_guard<std::mutex> G(Lanes[L]->SnapM);
-    Lanes[L]->LaneStatus = Status(StatusCode::AnalysisError, What);
-    Lanes[L]->Done = true;
-    Failed[L] = true;
-  };
-  auto guardedLane = [&](size_t L, auto &&Body) {
-    if (Failed[L])
-      return;
-    try {
-      Body();
-    } catch (const std::exception &E) {
-      failLane(L, E.what());
-    } catch (...) {
-      failLane(L, "unknown exception");
-    }
-  };
-
-  for (;;) {
-    const uint64_t To = Store.waitPublished(Consumed, ConsumerParkNs, Stopped);
-    if (To == Consumed)
-      break; // Stopped and fully drained.
-    if (!Constructed) {
-      std::lock_guard<std::mutex> Lk(M);
-      for (size_t L = 0; L != Lanes.size(); ++L)
-        guardedLane(L, [&] { buildDetectorLocked(*Lanes[L]); });
-      Constructed = true;
+      OnBuilt();
     }
     while (Consumed != To) {
       const uint64_t From = Consumed;
       const uint64_t End = std::min(To, From + Batch);
-      const uint64_t Lag = Store.published() - From;
-      for (size_t L = 0; L != Lanes.size(); ++L) {
-        guardedLane(L, [&] {
-          LaneRuntime &Rt = *Lanes[L];
-          Rt.Batches.add();
-          Rt.BatchEventsPeak.observe(End - From);
-          Rt.LagEventsPeak.observe(Lag);
-          int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-          {
-            std::lock_guard<std::mutex> G(Rt.SnapM);
-            Timer Clock;
-            Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-              Rt.D->processEvent(E, I);
-            });
-            double Sec = Clock.seconds();
-            Rt.Seconds += Sec;
-            Rt.ConsumeNs.add(toNs(Sec));
-            Rt.Consumed = End;
-          }
-          if (Rec)
-            Rec->span(Rt.Track, "consume", SpanStart,
-                      Rec->nowUs() - SpanStart);
+      Rt.Batches.add();
+      Rt.BatchEventsPeak.observe(End - From);
+      Rt.LagEventsPeak.observe(Store.published() - From);
+      int64_t SpanStart = Rec ? Rec->nowUs() : 0;
+      {
+        std::lock_guard<std::mutex> G(Rt.SnapM);
+        Timer Clock;
+        Store.forRange(From, End, [&](const Event &E, uint64_t I) {
+          Rt.D->processEvent(E, I);
         });
+        double Sec = Clock.seconds();
+        Rt.Seconds += Sec;
+        Rt.ConsumeNs.add(toNs(Sec));
+        Rt.Consumed.store(End, std::memory_order_relaxed);
       }
       Consumed = End;
+      AfterChunk(End);
+      if (Rec) {
+        Rec->span(Rt.Track, Span, SpanStart, Rec->nowUs() - SpanStart);
+        Rec->counter("lag:" + Rt.Fallback, Rec->nowUs(), To - End);
+      }
     }
   }
-  {
-    std::unique_lock<std::mutex> Lk(M);
-    if (!Constructed)
-      for (size_t L = 0; L != Lanes.size(); ++L)
-        guardedLane(L, [&] { buildDetectorLocked(*Lanes[L]); });
-  }
-  for (size_t L = 0; L != Lanes.size(); ++L) {
-    guardedLane(L, [&] {
-      LaneRuntime &Rt = *Lanes[L];
-      std::lock_guard<std::mutex> G(Rt.SnapM);
-      Rt.D->finish();
-      Rt.Final = Rt.D->report();
-      Rt.Done = true;
-    });
-  }
+  std::lock_guard<std::mutex> Lk(M);
+  if (!Rt.D)
+    buildDetectorLocked(Rt);
+}
+
+/// One lane of the sequential streaming mode: the plain walk.
+void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
+  runLane(Rt, [&] {
+    walkLane(Rt, "consume", [] {}, [](uint64_t) {});
+    finishWalkedLane(Rt);
+  });
 }
 
 // ---- Windowed streaming -----------------------------------------------------
@@ -546,7 +489,7 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
     if (!Err.empty())
       Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
     else
-      Rt.Consumed = Covered;
+      Rt.Consumed.store(Covered, std::memory_order_relaxed);
     Rt.Done = true;
   }
 }
@@ -564,7 +507,8 @@ void AnalysisSession::Impl::windowedConsumer() {
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
-  try {
+  std::string Err;
+  bool Ok = guardedTask(Err, [&] {
     for (;;) {
       const uint64_t To = Store.waitPublished(Consumed, ConsumerParkNs,
                                               Stopped);
@@ -603,18 +547,13 @@ void AnalysisSession::Impl::windowedConsumer() {
       finalizeWindowedLanes(*Ep);
       return;
     }
-  } catch (const std::exception &E) {
-    for (auto &Rt : Lanes) {
-      std::lock_guard<std::mutex> G(Rt->SnapM);
-      Rt->LaneStatus = Status(StatusCode::AnalysisError, E.what());
-      Rt->Done = true;
-    }
-  } catch (...) {
-    for (auto &Rt : Lanes) {
-      std::lock_guard<std::mutex> G(Rt->SnapM);
-      Rt->LaneStatus = Status(StatusCode::AnalysisError, "unknown exception");
-      Rt->Done = true;
-    }
+  });
+  if (Ok)
+    return;
+  for (auto &Rt : Lanes) {
+    std::lock_guard<std::mutex> G(Rt->SnapM);
+    Rt->LaneStatus = Status(StatusCode::AnalysisError, Err);
+    Rt->Done = true;
   }
 }
 
@@ -690,151 +629,111 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
   }
 }
 
-/// One lane of the streamed var-sharded mode. The consumer runs the
-/// capture clock pass behind ingestion (exactly the sequential consumer's
-/// in-place walk, but with race checks deferred into the lane's
-/// AccessLog), commits the captured prefix (AccessLog::commit — snapshot
-/// watermark, then access watermark) and partitions the committed range
-/// into per-shard work lists under LogM; per-shard drain tasks replay the
-/// deferred checks in place concurrently — the three phases of
-/// detect/ShardedAccessHistory.h, spread over time. Detectors without
-/// capture support keep the plain sequential walk. Only the trace-order
+/// One lane of the streamed var-sharded mode: the sequential walk, with
+/// race checks deferred into the lane's AccessLog (capture mode). After
+/// each chunk the consumer commits the captured prefix (AccessLog::commit
+/// — snapshot watermark, then access watermark) and partitions the
+/// committed range into per-shard work lists under LogM; per-shard drain
+/// tasks replay the deferred checks in place concurrently — the three
+/// phases of detect/ShardedAccessHistory.h, spread over time. Detectors
+/// without capture support keep the plain walk. Only the trace-order
 /// merge is deferred to the very end.
 void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
                                              VarShardState &VS) {
-  const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
   const uint32_t NumShards = std::max<uint32_t>(Cfg.VarShards, 1);
   std::vector<uint32_t> ToSchedule;
-  uint64_t Consumed = 0;
   // Consumer-local mirrors of VS fields this thread itself set at attach
   // time (it is their only writer) — no LogM round-trip per chunk.
   AccessLog *Log = nullptr;
   bool Capturing = false;
   bool PlanReady = false;
-  auto Stopped = [this] {
-    return IngestDone.load(std::memory_order_seq_cst);
-  };
-  try {
-    for (;;) {
-      const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
-      if (To == Consumed)
-        break; // Stopped and fully drained.
-      if (!Rt.D) {
-        uint32_t HintThreads, HintVars;
-        {
-          std::lock_guard<std::mutex> Lk(M);
-          buildDetectorLocked(Rt);
-          HintThreads = Live->numThreads();
-          HintVars = Live->numVars();
-        }
-        // Attach capture, once per session: the log, the broadcast table
-        // and the shard checkers are all growable, so the table sizes at
-        // attach time are sizing hints, not bounds.
-        auto NewLog = std::make_unique<AccessLog>(HintThreads);
-        ShardReplay Replay = ShardReplay::FullHistory;
-        const ShardContext *Ctx = nullptr;
-        {
-          std::lock_guard<std::mutex> G(Rt.SnapM);
-          Capturing = Rt.D && Rt.D->beginCapture(*NewLog);
-          if (Capturing) {
-            Replay = Rt.D->shardReplay();
-            Ctx = Rt.D->shardContext();
-          }
-        }
-        PlanReady = Capturing && Cfg.Strategy == ShardStrategy::Modulo;
-        {
-          std::lock_guard<std::mutex> G(VS.LogM);
-          VS.LogHolder = std::move(NewLog);
-          VS.Log = VS.LogHolder.get();
-          VS.Capturing = Capturing;
-          VS.Replay = Replay;
-          VS.Ctx = Ctx;
-          VS.PlanReady = PlanReady;
-          VS.Plan = ShardPlan(NumShards);
-        }
-        Log = VS.Log;
-        if (PlanReady) {
-          for (uint32_t S = 0; S != NumShards; ++S) {
-            VarShard &Sh = *VS.Shards[S];
-            std::lock_guard<std::mutex> G(Sh.SM);
-            Sh.Checker = std::make_unique<ShardChecker>(
-                Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
-          }
-        }
-      }
-      while (Consumed != To) {
-        const uint64_t From = Consumed;
-        const uint64_t End = std::min(To, From + Batch);
-        Rt.Batches.add();
-        Rt.BatchEventsPeak.observe(End - From);
-        Rt.LagEventsPeak.observe(Store.published() - From);
-        int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-        {
-          // The capture walk itself runs lock-free against the event
-          // store; only the lane snapshot mutex serializes with
-          // partialResult(). Drains read the log via its own committed
-          // watermark, so no LogM here.
-          std::lock_guard<std::mutex> G(Rt.SnapM);
-          Timer Clock;
-          Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-            Rt.D->processEvent(E, I);
-          });
-          double Sec = Clock.seconds();
-          Rt.Seconds += Sec;
-          Rt.ConsumeNs.add(toNs(Sec));
-          Consumed = End;
-          Rt.Consumed = End;
-        }
-        // Commit outside LogM (writer-side watermark stores), then
-        // partition the committed range under LogM — the order drains
-        // rely on: every WorkList entry indexes a committed access.
-        const uint64_t CommittedNow = Capturing ? Log->commit() : 0;
-        {
-          std::lock_guard<std::mutex> LG(VS.LogM);
-          VS.CapturedEvents = Consumed;
-          if (Log) {
-            Rt.CapturedAccesses.set(Log->numAccesses());
-            Rt.BroadcastClocks.set(Log->clocks().numSnapshots());
-          }
-          if (PlanReady) {
-            for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
-              uint32_t S = VS.Plan.shardOf(Log->access(I).Var);
-              VarShard &Sh = *VS.Shards[S];
-              Sh.WorkList.append(static_cast<uint32_t>(I));
-              if (!Sh.Scheduled) {
-                Sh.Scheduled = true;
-                ToSchedule.push_back(S);
-              }
-            }
-            VS.Partitioned = CommittedNow;
-          }
-        }
-        if (Rec)
-          Rec->span(Rt.Track, "capture", SpanStart,
-                    Rec->nowUs() - SpanStart);
-        scheduleDrains(VS, ToSchedule);
+
+  // Attach capture, once per session: the log, the broadcast table and
+  // the shard checkers are all growable, so the table sizes read here are
+  // sizing hints, not bounds.
+  auto AttachCapture = [&] {
+    uint32_t HintThreads, HintVars;
+    {
+      std::lock_guard<std::mutex> Lk(M);
+      HintThreads = Live->numThreads();
+      HintVars = Live->numVars();
+    }
+    auto NewLog = std::make_unique<AccessLog>(HintThreads);
+    ShardReplay Replay = ShardReplay::FullHistory;
+    const ShardContext *Ctx = nullptr;
+    {
+      std::lock_guard<std::mutex> G(Rt.SnapM);
+      Capturing = Rt.D->beginCapture(*NewLog);
+      if (Capturing) {
+        Replay = Rt.D->shardReplay();
+        Ctx = Rt.D->shardContext();
       }
     }
+    PlanReady = Capturing && Cfg.Strategy == ShardStrategy::Modulo;
+    {
+      std::lock_guard<std::mutex> G(VS.LogM);
+      VS.LogHolder = std::move(NewLog);
+      VS.Log = VS.LogHolder.get();
+      VS.Capturing = Capturing;
+      VS.Replay = Replay;
+      VS.Ctx = Ctx;
+      VS.PlanReady = PlanReady;
+      VS.Plan = ShardPlan(NumShards);
+    }
+    Log = VS.Log;
+    if (PlanReady) {
+      for (uint32_t S = 0; S != NumShards; ++S) {
+        VarShard &Sh = *VS.Shards[S];
+        std::lock_guard<std::mutex> G(Sh.SM);
+        Sh.Checker = std::make_unique<ShardChecker>(
+            Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
+      }
+    }
+  };
 
+  // Commit outside LogM (writer-side watermark stores), then partition the
+  // committed range under LogM — the order drains rely on: every WorkList
+  // entry indexes a committed access.
+  auto CommitChunk = [&](uint64_t Consumed) {
+    const uint64_t CommittedNow = Capturing ? Log->commit() : 0;
+    {
+      std::lock_guard<std::mutex> LG(VS.LogM);
+      VS.CapturedEvents = Consumed;
+      if (Log) {
+        Rt.CapturedAccesses.set(Log->numAccesses());
+        Rt.BroadcastClocks.set(Log->clocks().numSnapshots());
+      }
+      if (PlanReady) {
+        for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
+          uint32_t S = VS.Plan.shardOf(Log->access(I).Var);
+          VarShard &Sh = *VS.Shards[S];
+          Sh.WorkList.append(static_cast<uint32_t>(I));
+          if (!Sh.Scheduled) {
+            Sh.Scheduled = true;
+            ToSchedule.push_back(S);
+          }
+        }
+        VS.Partitioned = CommittedNow;
+      }
+    }
+    scheduleDrains(VS, ToSchedule);
+  };
+
+  runLane(Rt, [&] {
+    walkLane(Rt, "capture", AttachCapture, CommitChunk);
+    if (!Capturing) {
+      // Plain-walk lane (no capture support) — or a zero-event session
+      // whose detector never attached; either way the walk already
+      // happened and finish()/report() is the whole story.
+      finishWalkedLane(Rt);
+      return;
+    }
     uint32_t FinalThreads, FinalVars;
     {
-      // Zero-event sessions still owe a constructed detector. Ingestion
-      // is over, so these are the final table sizes.
-      std::unique_lock<std::mutex> Lk(M);
-      if (!Rt.D)
-        buildDetectorLocked(Rt);
+      // Ingestion is over, so these are the final table sizes.
+      std::lock_guard<std::mutex> Lk(M);
       FinalThreads = Live->numThreads();
       FinalVars = Live->numVars();
-    }
-    if (!Capturing) {
-      // Sequential fallback lane (no capture support) — or a zero-event
-      // session whose detector never attached; either way the plain walk
-      // already happened and finish()/report() is the whole story.
-      std::lock_guard<std::mutex> G(Rt.SnapM);
-      Rt.D->finish();
-      Rt.Final = Rt.D->report();
-      Rt.Done = true;
-      return;
     }
     {
       std::lock_guard<std::mutex> G(Rt.SnapM);
@@ -920,15 +819,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     else
       Rt.Final = std::move(Merged);
     Rt.Done = true;
-  } catch (const std::exception &E) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, E.what());
-    Rt.Done = true;
-  } catch (...) {
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.LaneStatus = Status(StatusCode::AnalysisError, "unknown exception");
-    Rt.Done = true;
-  }
+  });
 }
 
 // ---- Session lifecycle ------------------------------------------------------
@@ -948,9 +839,8 @@ void AnalysisSession::Impl::registerObservability() {
   PublishBatches = Root.counter("publish.batches");
   PublishBatchPeak = Root.highWater("publish.batch_events_peak");
   PublishedGauge = Root.gauge("publish.events");
-  if (Cfg.Mode == RunMode::Fused || Cfg.Mode == RunMode::Windowed)
-    ConsumerParkNs = Root.counter("consume.park_ns");
   if (Cfg.Mode == RunMode::Windowed) {
+    ConsumerParkNs = Root.counter("consume.park_ns");
     WindowsDispatched = Root.counter("window.dispatched");
     WindowsRetired = Root.gauge("window.retired");
   }
@@ -1004,9 +894,6 @@ void AnalysisSession::Impl::start() {
   case RunMode::Sequential:
     for (auto &Rt : Lanes)
       Consumers.emplace_back([this, R = Rt.get()] { sequentialConsumer(*R); });
-    break;
-  case RunMode::Fused:
-    Consumers.emplace_back([this] { fusedConsumer(); });
     break;
   case RunMode::Windowed:
     Pool = std::make_unique<ThreadPool>(Cfg.Threads);
@@ -1199,7 +1086,7 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
       Lane.DetectorName = Rt.Name.empty() ? Rt.Fallback : Rt.Name;
       Lane.LaneStatus = Rt.LaneStatus;
       Lane.Seconds = Rt.Seconds;
-      Lane.EventsConsumed = Rt.Consumed;
+      Lane.EventsConsumed = Rt.Consumed.load(std::memory_order_relaxed);
       Done = Rt.Done;
       if (Done)
         Lane.Report = Rt.Final;
@@ -1435,14 +1322,15 @@ AnalysisSession::Progress AnalysisSession::progress() const {
     std::lock_guard<std::mutex> Lk(I->M);
     P.Fed = I->Live->size();
   }
+  // No lane lock: each lane's consumed watermark is atomic, so a lane
+  // stuck inside a batch (holding its SnapM) never stalls this read. M
+  // above is only ever held for bounded producer-side work.
   uint64_t Min = P.Published;
   if (I->Cfg.Mode == RunMode::Windowed) {
     Min = std::min(Min, I->WinBuilt.load(std::memory_order_relaxed));
   } else {
-    for (auto &Rt : I->Lanes) {
-      std::lock_guard<std::mutex> G(Rt->SnapM);
-      Min = std::min(Min, Rt->Consumed);
-    }
+    for (auto &Rt : I->Lanes)
+      Min = std::min(Min, Rt->Consumed.load(std::memory_order_relaxed));
   }
   P.MinLaneConsumed = Min;
   return P;
@@ -1497,7 +1385,6 @@ AnalysisResult AnalysisSession::finish() {
   AnalysisResult R = I->snapshotLanes(/*Partial=*/false);
   switch (I->Cfg.Mode) {
   case RunMode::Sequential:
-  case RunMode::Fused:
     R.ThreadsUsed = std::max(NumConsumers, 1u);
     break;
   case RunMode::Windowed:

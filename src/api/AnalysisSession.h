@@ -19,13 +19,12 @@
 /// Every mode streams: ingestion publishes a growing event prefix (single
 /// producer) and analysis consumes published ranges concurrently
 /// (multiple consumers), so analysis overlaps ingestion — the ROADMAP's
-/// "overlap ingestion with analysis" seam, applied to all four run modes.
+/// "overlap ingestion with analysis" seam, applied to every run mode.
 /// Reports are bit-identical however the events arrive (one trace, push
 /// batches, a file) in every mode:
 ///
 ///   Sequential   one consumer thread per lane runs runDetector's walk,
 ///                spread over time;
-///   Fused        one consumer thread walks every lane per batch;
 ///   Windowed     each window dispatches onto the session's thread pool
 ///                (a fresh detector per lane × window — no global state)
 ///                the moment its event range publishes, and window
@@ -134,7 +133,8 @@ public:
   /// Producer/consumer watermarks for backpressure decisions (the serving
   /// layer parks a connection whose Published - MinLaneConsumed lag grows
   /// past its budget). Cheap; safe to call concurrently with feeds and
-  /// consumers, like partialResult().
+  /// consumers, like partialResult(). Never waits on a lane: a consumer
+  /// blocked inside its detector does not block progress().
   struct Progress {
     uint64_t Fed = 0;             ///< Events appended (>= Published).
     uint64_t Published = 0;       ///< Validated events visible to lanes.
@@ -144,7 +144,7 @@ public:
 
   /// Mid-stream snapshot: per-lane races discovered so far and events
   /// consumed. Every mode reports live progress — sequential
-  /// and fused lanes return their detector's report so far; windowed
+  /// lanes return their detector's report so far; windowed
   /// lanes the merge of the retired-window prefix (EventsConsumed counts
   /// the events those windows cover); var-sharded lanes the merged
   /// findings below the fully checked frontier (EventsConsumed tracks the

@@ -6,16 +6,10 @@
 
 #include "io/FeedSource.h"
 
-#include "io/ShmRing.h"
-
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 namespace rapid {
@@ -57,102 +51,10 @@ private:
   Status Err;
 };
 
-class ShmRingFeedSource final : public FeedSource {
-public:
-  ShmRingFeedSource(ShmRing Ring, std::string Name)
-      : Ring(std::move(Ring)), Name(std::move(Name)) {}
-
-  long read(char *Buf, size_t Max) override {
-    return static_cast<long>(Ring.readSome(Buf, Max));
-  }
-
-  const std::string &name() const override { return Name; }
-  const Status &status() const override { return Err; }
-
-private:
-  ShmRing Ring;
-  std::string Name;
-  Status Err;
-};
-
-std::unique_ptr<FeedSource> connectUnixSource(const std::string &Path,
-                                              Status &Err) {
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    Err = Status(StatusCode::InvalidConfig,
-                 "socket path too long: '" + Path + "'");
-    return nullptr;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  const int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Err = Status(StatusCode::IoError,
-                 std::string("socket: ") + std::strerror(errno));
-    return nullptr;
-  }
-  int Rc;
-  do {
-    Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
-  } while (Rc != 0 && errno == EINTR);
-  if (Rc != 0) {
-    Err = Status(StatusCode::IoError,
-                 "connecting to '" + Path + "': " + std::strerror(errno));
-    ::close(Fd);
-    return nullptr;
-  }
-  return makeFdFeedSource(Fd, "unix:" + Path);
-}
-
 } // namespace
 
 std::unique_ptr<FeedSource> makeFdFeedSource(int Fd, std::string Name) {
   return std::make_unique<FdFeedSource>(Fd, std::move(Name));
-}
-
-std::unique_ptr<FeedSource> makeShmRingFeedSource(ShmRing Ring,
-                                                  std::string Name) {
-  return std::make_unique<ShmRingFeedSource>(std::move(Ring), std::move(Name));
-}
-
-std::unique_ptr<FeedSource> openFeedSource(const std::string &Spec,
-                                           Status &Err) {
-  Err = Status::success();
-  const size_t Colon = Spec.find(':');
-  if (Colon == std::string::npos) {
-    Err = Status(StatusCode::InvalidConfig,
-                 "feed spec '" + Spec +
-                     "' needs a transport prefix (unix:/fifo:/shm:)");
-    return nullptr;
-  }
-  const std::string Kind = Spec.substr(0, Colon);
-  const std::string Path = Spec.substr(Colon + 1);
-  if (Kind == "unix")
-    return connectUnixSource(Path, Err);
-  if (Kind == "fifo") {
-    // The open blocks until a writer appears, so a signal (SIGCHLD from a
-    // forked producer, a profiler tick) can land mid-wait: retry EINTR.
-    int Fd;
-    do {
-      Fd = ::open(Path.c_str(), O_RDONLY);
-    } while (Fd < 0 && errno == EINTR);
-    if (Fd < 0) {
-      Err = Status(StatusCode::IoError,
-                   "opening fifo '" + Path + "': " + std::strerror(errno));
-      return nullptr;
-    }
-    return makeFdFeedSource(Fd, Spec);
-  }
-  if (Kind == "shm") {
-    ShmRing Ring;
-    Err = Ring.attach(Path);
-    if (!Err.ok())
-      return nullptr;
-    return makeShmRingFeedSource(std::move(Ring), Spec);
-  }
-  Err = Status(StatusCode::InvalidConfig,
-               "unknown feed transport '" + Kind + "' in '" + Spec + "'");
-  return nullptr;
 }
 
 } // namespace rapid

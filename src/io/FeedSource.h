@@ -7,16 +7,16 @@
 /// \file
 /// The transport abstraction of the serving layer: a FeedSource is a
 /// byte stream carrying wire frames (io/WireFormat.h) from one producer —
-/// an accepted socket, a FIFO writer, or a shared-memory ring — toward
-/// one AnalysisSession. Sources deliberately know nothing about frames
-/// or sessions; serve/WireIngestor.h stacks the protocol on top, which
-/// is what keeps the three transports bit-for-bit interchangeable (the
+/// an accepted Unix socket, in practice — toward one AnalysisSession.
+/// Sources deliberately know nothing about frames or sessions;
+/// serve/WireIngestor.h stacks the protocol on top, so a decorated source
+/// (io/FaultInjector.h) must yield the same report as the plain one (the
 /// round-trip pins in tests/serve_test.cpp).
 ///
 /// Two consumption styles:
 ///
-///   - blocking pumps (FIFO/ring helper threads, tests) just call read()
-///     in a loop until 0 (EOF) or a negative error;
+///   - blocking pumps (tests) just call read() in a loop until 0 (EOF)
+///     or a negative error;
 ///   - the server's poll loop uses pollFd() to wait for readability and
 ///     keeps the fd non-blocking, in which case read() may also return
 ///     -EAGAIN-style WouldBlock.
@@ -33,8 +33,6 @@
 
 namespace rapid {
 
-class ShmRing;
-
 /// A byte source feeding one session's wire stream.
 class FeedSource {
 public:
@@ -49,37 +47,21 @@ public:
   /// WouldBlock (non-blocking fd sources only) or Failed.
   virtual long read(char *Buf, size_t Max) = 0;
 
-  /// A pollable fd for readiness-driven consumers, or -1 if the source
-  /// can only be consumed by a blocking read loop (the shm ring).
-  virtual int pollFd() const { return -1; }
+  /// The fd readiness-driven consumers poll for readability.
+  virtual int pollFd() const = 0;
 
-  /// Human-readable origin ("unix:...", "fifo:...", "shm:...").
+  /// Human-readable origin ("unix:client#3", ...).
   virtual const std::string &name() const = 0;
 
   /// The failure behind a Failed read, if any.
   virtual const Status &status() const = 0;
 };
 
-/// Wraps an open fd (accepted socket, opened FIFO, pipe). Takes ownership
-/// and closes it on destruction. Honors whatever blocking mode the fd is
-/// already in: a non-blocking fd yields WouldBlock, a blocking one parks
-/// in the kernel.
+/// Wraps an open fd (accepted socket, socketpair end, pipe). Takes
+/// ownership and closes it on destruction. Honors whatever blocking mode
+/// the fd is already in: a non-blocking fd yields WouldBlock, a blocking
+/// one parks in the kernel.
 std::unique_ptr<FeedSource> makeFdFeedSource(int Fd, std::string Name);
-
-/// Wraps an attached ring (consumer side). readSome() semantics: blocks
-/// until data or producer close.
-std::unique_ptr<FeedSource> makeShmRingFeedSource(ShmRing Ring,
-                                                  std::string Name);
-
-/// Opens a source from a spec string:
-///
-///   unix:PATH   connect to a listening Unix-domain socket
-///   fifo:PATH   open a FIFO for reading (blocks until a writer appears)
-///   shm:PATH    attach to a ShmRing segment
-///
-/// Returns null and fills \p Err on failure.
-std::unique_ptr<FeedSource> openFeedSource(const std::string &Spec,
-                                           Status &Err);
 
 } // namespace rapid
 

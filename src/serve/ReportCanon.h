@@ -45,7 +45,7 @@ class Trace;
 ///   end
 ///
 /// Identical event streams + configs produce identical bytes, whether the
-/// events arrived over a socket, a ring, or a file.
+/// events arrived over a socket or from a file.
 std::string canonicalReport(const AnalysisResult &R, const Trace &T);
 
 } // namespace rapid

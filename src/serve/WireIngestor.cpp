@@ -9,9 +9,6 @@
 #include "api/AnalysisSession.h"
 #include "io/FeedSource.h"
 
-#include <chrono>
-#include <thread>
-
 #include <poll.h>
 
 namespace rapid {
@@ -187,15 +184,9 @@ Status pumpFeedSource(FeedSource &Src, AnalysisSession &S, size_t ChunkBytes) {
     }
     if (N == FeedSource::WouldBlock) {
       // Non-blocking fds (and injected EAGAIN faults) land here: wait for
-      // readability instead of spinning. Sources without a pollable fd
-      // (the shm ring, fault decorators over it) get a short sleep.
-      const int Fd = Src.pollFd();
-      if (Fd >= 0) {
-        pollfd P{Fd, POLLIN, 0};
-        (void)::poll(&P, 1, 10);
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      // readability instead of spinning.
+      pollfd P{Src.pollFd(), POLLIN, 0};
+      (void)::poll(&P, 1, 10);
       continue;
     }
     if (N < 0)

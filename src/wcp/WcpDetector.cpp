@@ -68,8 +68,16 @@ bool WcpDetector::frontLeqCt(const VectorClock &Front,
 }
 
 void WcpDetector::ensureThread(ThreadId T) {
-  if (T.value() >= NumThreads)
+  if (T.value() >= NumThreads) {
+    // Every enqueue credited the abstract copies of the threads that
+    // existed then; a thread admitted now can still pop the entries left
+    // in the shared queues, so credit its share of them too — otherwise
+    // its pops would debit copies that were never counted.
+    const uint32_t Added = T.value() + 1 - NumThreads;
+    if (QueuedCopies != 0)
+      bumpAbstract(QueuedCopies * Added);
     NumThreads = T.value() + 1;
+  }
   if (T.value() < Threads.size())
     return;
   uint32_t Old = static_cast<uint32_t>(Threads.size());
@@ -105,6 +113,7 @@ void WcpDetector::collectLockGarbage(WcpLockState &LS) {
       break;
     LS.Entries.pop_front();
     ++LS.Base;
+    QueuedCopies -= 2; // A collected entry always carries its release.
   }
 }
 
@@ -165,6 +174,7 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   Entry.Thread = T;
   uint64_t LogicalIdx = LS.logicalEnd();
   LS.Entries.push_back(std::move(Entry));
+  ++QueuedCopies;
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
   // Touchers beyond Touched's physical size don't exist, so its size
   // bounds the live accounting loop.
@@ -248,6 +258,7 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   assert(Own.Thread == T && !Own.HasRelease && "queue entry mismatch");
   Own.ReleaseTime = TS.H;
   Own.HasRelease = true;
+  ++QueuedCopies;
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
   for (uint32_t U = 0, E = static_cast<uint32_t>(LS.Touched.size()); U < E;
        ++U) {

@@ -128,6 +128,10 @@ private:
   uint64_t EventsProcessed = 0;
   int64_t CurrentAbstract = 0;
   int64_t CurrentLive = 0;
+  /// One thread's abstract share of the shared queues' entries: an Acq
+  /// copy per entry plus a Rel copy once its section closed. A thread
+  /// admitted mid-stream is credited this much (ensureThread).
+  int64_t QueuedCopies = 0;
   WcpStats Stats;
 };
 

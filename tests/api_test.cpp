@@ -5,8 +5,8 @@
 // The session API's contract has three legs, pinned here:
 //
 //   1. equivalence — a streaming session is the sequential pass spread
-//      over time: for every mode (sequential, fused, windowed,
-//      var-sharded) and detector, the final report is bit-identical to
+//      over time: for every mode (sequential, windowed, var-sharded) and
+//      detector, the final report is bit-identical to
 //      runDetector (windowed: to the classic windowed loop) and to
 //      analyzeTrace, on 100 seeded random traces per detector,
 //      whether events arrive as one trace, as push batches, through
@@ -33,7 +33,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <future>
+#include <mutex>
 #include <thread>
 
 using namespace rapid;
@@ -154,18 +157,6 @@ TEST_P(ApiStreamFuzzTest, SessionPushBatchesMatchBatchBitForBit) {
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, T,
                              "push seed " + std::to_string(GetParam()));
-}
-
-// Fused mode: one consumer walks the published prefix once, feeding every
-// detector — still bit-identical to independent sequential runs.
-TEST_P(ApiStreamFuzzTest, FusedSessionMatchesBatchBitForBit) {
-  Trace T = randomTrace(fuzzParams(GetParam() ^ 0x51ed, GetParam() % 2 == 1));
-  AnalysisSession S(allDetectorConfig(RunMode::Fused));
-  ASSERT_TRUE(S.feedTrace(T).ok());
-  AnalysisResult R = S.finish();
-  ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
-  expectLanesMatchSequential(R, T,
-                             "fused seed " + std::to_string(GetParam()));
 }
 
 // Windowed sessions stream: windows dispatch onto the pool as their event
@@ -588,6 +579,68 @@ TEST(ApiSessionTest, PartialReportsSurfaceRacesMidStream) {
   expectLanesMatchSequential(R, S.trace(), "after partials");
 }
 
+// progress() is the serving layer's lag check, so it must answer while a
+// lane is stuck: here the lane's detector blocks inside processEvent (its
+// consumer holding the lane's snapshot lock for the whole batch) until
+// the test opens the gate.
+TEST(ApiSessionTest, ProgressDoesNotWaitOnABlockedLane) {
+  struct Gate {
+    std::mutex M;
+    std::condition_variable CV;
+    bool Entered = false;
+    bool Open = false;
+  };
+  auto G = std::make_shared<Gate>();
+  class BlockingHb : public HbDetector {
+  public:
+    BlockingHb(const Trace &T, std::shared_ptr<Gate> G)
+        : HbDetector(T), G(std::move(G)) {}
+    void processEvent(const Event &E, EventIdx I) override {
+      {
+        std::unique_lock<std::mutex> Lk(G->M);
+        G->Entered = true;
+        G->CV.notify_all();
+        G->CV.wait(Lk, [&] { return G->Open; });
+      }
+      HbDetector::processEvent(E, I);
+    }
+
+  private:
+    std::shared_ptr<Gate> G;
+  };
+  AnalysisConfig Cfg;
+  Cfg.addDetector(
+      [G](const Trace &T) { return std::make_unique<BlockingHb>(T, G); },
+      "blocking-HB");
+  AnalysisSession S(Cfg);
+  Trace T = randomTrace(fuzzParams(3, false));
+  ASSERT_TRUE(S.feedTrace(T).ok());
+  {
+    std::unique_lock<std::mutex> Lk(G->M);
+    ASSERT_TRUE(G->CV.wait_for(Lk, std::chrono::seconds(10),
+                               [&] { return G->Entered; }))
+        << "the lane never started";
+  }
+
+  auto Probe = std::async(std::launch::async, [&] { return S.progress(); });
+  const bool Answered =
+      Probe.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  {
+    // Open the gate either way, so a waiting progress() can finish.
+    std::lock_guard<std::mutex> Lk(G->M);
+    G->Open = true;
+  }
+  G->CV.notify_all();
+  ASSERT_TRUE(Answered) << "progress() waited on a blocked lane";
+  const AnalysisSession::Progress P = Probe.get();
+  EXPECT_EQ(P.Published, T.size());
+  EXPECT_LT(P.MinLaneConsumed, P.Published);
+
+  AnalysisResult R = S.finish();
+  ASSERT_TRUE(R.ok()) << R.firstError().str();
+  EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size());
+}
+
 // ---- Session protocol: structured state errors ------------------------------
 
 TEST(ApiSessionTest, FeedAfterFinishAndDoubleFinishAreRejected) {
@@ -716,7 +769,7 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
     expectInvalid(Cfg, "var-sharded without VarShards");
   }
   {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::Fused);
+    AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
     Cfg.VarShards = 2;
     expectInvalid(Cfg, "VarShards outside var-sharded mode");
   }

@@ -133,13 +133,6 @@ TEST_P(PipelineRandomTest, UnshardedParallelMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(Random, PipelineRandomTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-TEST(PipelineTest, FusedSingleWalkMatchesSequential) {
-  AnalysisConfig Cfg = allLanesConfig(RunMode::Fused, 1);
-  expectLanesMatchSequential(makeWorkload(workloadSpec("pingpong")), Cfg,
-                             "fused/pingpong");
-  expectLanesMatchSequential(mediumRandomTrace(99), Cfg, "fused/random");
-}
-
 TEST(PipelineTest, ThreadCountDoesNotChangeResults) {
   // Only the pool-backed modes have a thread count to vary: window tasks
   // and shard drains land on different workers in a different order, and

@@ -147,6 +147,36 @@ TEST(WcpStatsTest, PrivateLocksContributeNoLiveEntries) {
       << "the literal metric still counts the dead queues";
 }
 
+TEST(WcpStatsTest, LateDeclaredThreadIsCreditedForQueuedEntries) {
+  // t2 is admitted (by the fork) after t1's section was enqueued and
+  // closed, yet t2's release pops that section: the fork orders t1's
+  // acquire before it. The accounting must credit t2's share of the
+  // queued entry when the thread table grows — otherwise the pop drives
+  // the abstract count negative (an assert in checked builds) and the
+  // peak disagrees with a detector built over the whole table.
+  TraceBuilder B;
+  B.acquire("t1", "m").release("t1", "m");
+  B.fork("t1", "t2");
+  B.acquire("t2", "m").release("t2", "m");
+  Trace Full = testutil::takeValid(B);
+  ASSERT_EQ(Full.numThreads(), 2u);
+
+  Trace OneThread;
+  OneThread.threadTable().intern("t1");
+  OneThread.lockTable().intern("m");
+  WcpDetector Grown(OneThread);
+  WcpDetector UpFront(Full);
+  for (EventIdx I = 0; I != Full.size(); ++I) {
+    Grown.processEvent(Full.event(I), I);
+    UpFront.processEvent(Full.event(I), I);
+  }
+  // Up front: 1 + 1 for t1's section, +1 for t2's acquire; the pop then
+  // removes t2's two copies.
+  EXPECT_EQ(UpFront.stats().MaxAbstractQueueEntries, 3u);
+  EXPECT_EQ(Grown.stats().MaxAbstractQueueEntries,
+            UpFront.stats().MaxAbstractQueueEntries);
+}
+
 TEST(WcpStatsTest, LateToucherInheritsPendingEntries) {
   // When a thread first acquires a lock, the other threads' pending
   // sections become live for it.
