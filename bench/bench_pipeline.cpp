@@ -634,14 +634,13 @@ int main(int Argc, char **Argv) {
     std::remove(TracePath.c_str());
   }
 
-  // Sync-preserving lane: its own reduced-size random trace (the
-  // SP-closure is exact per candidate pair, so candidates — not raw
-  // events — dominate the cost; running it over the full 1M-event trace
-  // would swamp the section without adding information). --acq-rel-ratio
-  // feeds the generator's ReleasePercent: low ratios hold critical
-  // sections open across many accesses, the stress axis for the
-  // closure's per-lock maxima. The streamed session must reproduce the
-  // batch report bit-for-bit or the bench fails.
+  // Sync-preserving lane: its own lock-dense random trace of --events
+  // events (the decision per candidate is a vector-timestamp fixpoint, so
+  // the lane is linear and takes the same size as every other section).
+  // --acq-rel-ratio feeds the generator's ReleasePercent: low ratios hold
+  // critical sections open across many accesses, the stress axis for the
+  // closure's lock rule. The streamed session must reproduce the batch
+  // report bit-for-bit or the bench fails.
   std::string SyncPJson;
   {
     RandomTraceParams SP;
@@ -651,14 +650,7 @@ int main(int Argc, char **Argv) {
     SP.NumVars = 64;
     SP.MaxLockNesting = 2;
     SP.ReleasePercent = AcqRelRatio;
-    // The closure cost grows with candidates x ideal size (~quadratic in
-    // trace length on lock-dense random programs), so the section stays
-    // deliberately small: a 12k-event ceiling keeps the full bench's
-    // syncp cost in single-digit seconds while still exercising tens of
-    // thousands of candidate decisions.
-    uint64_t SyncPEvents = std::min<uint64_t>(
-        std::max<uint64_t>(TargetEvents / 64, 4000), 12000);
-    SP.OpsPerThread = static_cast<uint32_t>(SyncPEvents / SP.NumThreads);
+    SP.OpsPerThread = static_cast<uint32_t>(TargetEvents / SP.NumThreads);
     Trace ST = randomTrace(SP);
     std::fprintf(stderr,
                  "syncp trace: %llu events (acq/rel ratio %u)\n",
@@ -668,7 +660,7 @@ int main(int Argc, char **Argv) {
     RunResult Batch = runDetector(SPD, ST);
     std::vector<MetricSample> Tel;
     SPD.telemetry(Tel);
-    uint64_t Candidates = 0, ClosureIters = 0, IdealPeak = 0;
+    uint64_t Candidates = 0, ClosureIters = 0, IdealPeak = 0, IndexBytes = 0;
     for (const MetricSample &MS : Tel) {
       if (MS.Name == "syncp.candidate_pairs")
         Candidates = MS.Value;
@@ -676,16 +668,19 @@ int main(int Argc, char **Argv) {
         ClosureIters = MS.Value;
       else if (MS.Name == "syncp.ideal_peak")
         IdealPeak = MS.Value;
+      else if (MS.Name == "syncp.index_bytes")
+        IndexBytes = MS.Value;
     }
     std::fprintf(stderr,
                  "syncp sequential %.2fs: %llu race pair(s), %llu "
-                 "candidate(s), %llu closure iteration(s), ideal peak "
-                 "%llu\n",
+                 "candidate(s), %llu closure round(s), ideal peak "
+                 "%llu, index %llu bytes\n",
                  Batch.Seconds,
                  (unsigned long long)Batch.Report.numDistinctPairs(),
                  (unsigned long long)Candidates,
                  (unsigned long long)ClosureIters,
-                 (unsigned long long)IdealPeak);
+                 (unsigned long long)IdealPeak,
+                 (unsigned long long)IndexBytes);
 
     std::string SPath = OutPath + ".syncp_trace.bin";
     std::string SaveErr = saveTraceFile(ST, SPath);
@@ -739,6 +734,7 @@ int main(int Argc, char **Argv) {
           ", \"candidate_pairs\": " + std::to_string(Candidates) +
           ", \"closure_iterations\": " + std::to_string(ClosureIters) +
           ", \"ideal_peak\": " + std::to_string(IdealPeak) +
+          ", \"index_bytes\": " + std::to_string(IndexBytes) +
           ", \"streamed_matches_batch\": true}";
     }
   }

@@ -205,9 +205,6 @@ struct VarShardState {
                                 ///< frequency-balanced: at capture end).
   ShardPlan Plan;
   ShardReplay Replay = ShardReplay::FullHistory;
-  /// Lane-wide replay state for context-bearing detectors (SyncP); owned
-  /// by the lane's detector, which outlives every drain. Null otherwise.
-  const ShardContext *Ctx = nullptr;
   std::vector<std::unique_ptr<VarShard>> Shards;
   LaneRuntime *Rt = nullptr; ///< Back-pointer for drain-task telemetry.
 };
@@ -660,14 +657,11 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     }
     auto NewLog = std::make_unique<AccessLog>(HintThreads);
     ShardReplay Replay = ShardReplay::FullHistory;
-    const ShardContext *Ctx = nullptr;
     {
       std::lock_guard<std::mutex> G(Rt.SnapM);
       Capturing = Rt.D->beginCapture(*NewLog);
-      if (Capturing) {
+      if (Capturing)
         Replay = Rt.D->shardReplay();
-        Ctx = Rt.D->shardContext();
-      }
     }
     PlanReady = Capturing && Cfg.Strategy == ShardStrategy::Modulo;
     {
@@ -676,7 +670,6 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
       VS.Log = VS.LogHolder.get();
       VS.Capturing = Capturing;
       VS.Replay = Replay;
-      VS.Ctx = Ctx;
       VS.PlanReady = PlanReady;
       VS.Plan = ShardPlan(NumShards);
     }
@@ -686,7 +679,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         VarShard &Sh = *VS.Shards[S];
         std::lock_guard<std::mutex> G(Sh.SM);
         Sh.Checker = std::make_unique<ShardChecker>(
-            Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads, Ctx);
+            Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads);
       }
     }
   };
@@ -764,8 +757,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
           VarShard &Sh = *VS.Shards[S];
           std::lock_guard<std::mutex> SG(Sh.SM);
           Sh.Checker = std::make_unique<ShardChecker>(
-              VS.Replay, VS.Plan.numLocalVars(S, FinalVars), FinalThreads,
-              VS.Ctx);
+              VS.Replay, VS.Plan.numLocalVars(S, FinalVars), FinalThreads);
         }
         Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
                                              uint64_t I) {

@@ -16,8 +16,6 @@
 using namespace rapid;
 
 Detector::~Detector() = default;
-ShardReplayer::~ShardReplayer() = default;
-ShardContext::~ShardContext() = default;
 
 RunResult rapid::runDetector(Detector &D, const Trace &T) {
   Timer Clock;

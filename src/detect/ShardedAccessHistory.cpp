@@ -234,34 +234,26 @@ struct ShardChecker::Impl {
   ShardReplay Replay;
   std::unique_ptr<AccessHistory> History;       ///< FullHistory engine.
   std::unique_ptr<FastTrackShardReplayer> Fast; ///< FastTrackEpoch engine.
-  std::unique_ptr<ShardReplayer> Custom;        ///< Context-bearing engine.
 
-  Impl(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads,
-       const ShardContext *Ctx)
+  Impl(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads)
       : Replay(Replay) {
     if (Replay == ShardReplay::FastTrackEpoch)
       Fast = std::make_unique<FastTrackShardReplayer>(NumLocalVars,
                                                       NumThreads);
-    else if (Ctx && Replay == ShardReplay::SyncPClosure)
-      Custom = Ctx->makeReplayer(NumLocalVars, NumThreads);
     else
       History = std::make_unique<AccessHistory>(NumLocalVars, NumThreads);
   }
 };
 
 ShardChecker::ShardChecker(ShardReplay Replay, uint32_t NumLocalVars,
-                           uint32_t NumThreads, const ShardContext *Ctx)
-    : I(std::make_unique<Impl>(Replay, NumLocalVars, NumThreads, Ctx)) {}
+                           uint32_t NumThreads)
+    : I(std::make_unique<Impl>(Replay, NumLocalVars, NumThreads)) {}
 
 ShardChecker::~ShardChecker() = default;
 
 void ShardChecker::replay(const DeferredAccess &A, VarId Local,
                           const VectorClock &Ce, const VectorClock *Hard) {
   ++Replayed;
-  if (I->Custom) {
-    I->Custom->replay(A, Local, Ce, Hard, Out);
-    return;
-  }
   if (I->Replay == ShardReplay::FastTrackEpoch) {
     I->Fast->replay(A, Local, Ce, Out);
     return;

@@ -243,11 +243,8 @@ public:
   /// Detector::shardReplay()); \p NumLocalVars is the shard's dense
   /// local-variable count (ShardPlan::numLocalVars). Both counts are
   /// sizing hints — the engines grow on first touch, so local ids and
-  /// threads admitted mid-stream replay without a rebuild. Context-bearing
-  /// replay kinds (SyncPClosure) additionally need the capturing
-  /// detector's ShardContext in \p Ctx, which must outlive the checker.
-  ShardChecker(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads,
-               const ShardContext *Ctx = nullptr);
+  /// threads admitted mid-stream replay without a rebuild.
+  ShardChecker(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads);
   ~ShardChecker();
 
   ShardChecker(const ShardChecker &) = delete;

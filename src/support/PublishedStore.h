@@ -97,19 +97,6 @@ public:
   /// after external synchronization with it.
   uint64_t size() const { return Count; }
 
-  /// Writer-side mutable access to an appended slot — the one sanctioned
-  /// relaxation of "published elements are immutable". The caller must
-  /// guarantee that readers consult the mutated field only after
-  /// synchronizing with a publish (of this or any fellow-traveler store)
-  /// that the writer issued *after* the mutation; then the mutation is an
-  /// ordinary write made visible by that release/acquire pair. Used by the
-  /// SyncP index to backfill an acquire's matching-release edge: closures
-  /// only read the edge once an event past the release is published.
-  T &writerSlot(uint64_t I) {
-    const unsigned C = chunkOf(I);
-    return Chunks[C].load(std::memory_order_relaxed)[I - chunkStart(C)];
-  }
-
   /// Publishes the prefix [0, UpTo): one watermark store, then a wake of
   /// parked readers if any. \p UpTo must be ≤ size() and monotone across
   /// calls. seq_cst (not just release) for the Dekker pairing with

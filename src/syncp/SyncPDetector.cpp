@@ -14,63 +14,11 @@
 
 #include "syncp/SyncPDetector.h"
 
-#include "detect/ShardedAccessHistory.h"
-
 using namespace rapid;
-
-namespace {
-
-/// Shard-phase engine: same candidate enumeration as the sequential walk
-/// (an AccessHistory over shard-local variable ids), same closure filter
-/// over the shared read-only index. Shards see their variables' accesses
-/// in trace order, and the closure depends only on the index prefix below
-/// the candidate pair — which the AccessLog commit watermark guarantees is
-/// published — so the merged sharded report is bit-for-bit the sequential
-/// one.
-class SyncPShardReplayer : public ShardReplayer {
-public:
-  SyncPShardReplayer(const SyncPIndex &Index, SyncPTelemetry &Tel,
-                     uint32_t NumLocalVars, uint32_t NumThreads)
-      : Index(Index), Tel(Tel), History(NumLocalVars, NumThreads) {}
-
-  void replay(const DeferredAccess &A, VarId Local, const VectorClock &Ce,
-              const VectorClock *Hard, std::vector<RaceInstance> &Out) override {
-    (void)Hard; // SyncP defers no hard clock; thread order is Ce itself.
-    Scratch.clear();
-    if (A.IsWrite)
-      History.checkWrite(Local, A.Thread, Ce, A.Loc, A.Idx, Scratch);
-    else
-      History.checkRead(Local, A.Thread, Ce, A.Loc, A.Idx, Scratch);
-    for (RaceInstance &R : Scratch)
-      if (Index.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, &Tel, nullptr)) {
-        R.Var = A.Var; // Report in parent-trace variable ids.
-        Out.push_back(R);
-      }
-    if (A.IsWrite)
-      History.recordWrite(Local, A.Thread, A.N, A.Loc, A.Idx);
-    else
-      History.recordRead(Local, A.Thread, A.N, A.Loc, A.Idx);
-  }
-
-private:
-  const SyncPIndex &Index;
-  SyncPTelemetry &Tel;
-  AccessHistory History;
-  std::vector<RaceInstance> Scratch;
-};
-
-} // namespace
-
-std::unique_ptr<ShardReplayer>
-SyncPShardContext::makeReplayer(uint32_t NumLocalVars,
-                                uint32_t NumThreads) const {
-  return std::make_unique<SyncPShardReplayer>(Index, Tel, NumLocalVars,
-                                              NumThreads);
-}
 
 SyncPDetector::SyncPDetector(const Trace &T)
     : ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
-      ClockEpochs(T.numThreads(), 1), History(T.numVars(), T.numThreads()) {
+      History(T.numVars(), T.numThreads()) {
   // Local time 1 so "clock 0" unambiguously means "has not seen this
   // thread" (same convention as every other lane).
   for (uint32_t I = 0; I < T.numThreads(); ++I)
@@ -87,7 +35,6 @@ void SyncPDetector::ensureThread(ThreadId T) {
     return;
   uint32_t Old = static_cast<uint32_t>(ThreadClocks.size());
   ThreadClocks.resize(T.value() + 1);
-  ClockEpochs.resize(T.value() + 1, 1);
   for (uint32_t I = Old; I <= T.value(); ++I)
     ThreadClocks[I].set(ThreadId(I), 1);
 }
@@ -100,7 +47,7 @@ void SyncPDetector::processEvent(const Event &E, EventIdx Idx) {
   if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
     ensureThread(E.targetThread());
   // The index grows its own lock/var tables on first touch.
-  Index.append(E, Idx, /*Publish=*/Capture != nullptr);
+  Index.append(E, Idx);
   VectorClock &Ct = ThreadClocks[T.value()];
 
   switch (E.Kind) {
@@ -109,28 +56,18 @@ void SyncPDetector::processEvent(const Event &E, EventIdx Idx) {
     // No clock effect: thread order carries no lock edges.
     break;
 
-  case EventKind::Fork: {
-    ThreadId Child = E.targetThread();
-    if (ThreadClocks[Child.value()].joinWith(Ct))
-      ++ClockEpochs[Child.value()];
+  case EventKind::Fork:
+    ThreadClocks[E.targetThread().value()].joinWith(Ct);
     incrementLocal(T);
-    ++ClockEpochs[T.value()];
     break;
-  }
 
   case EventKind::Join:
-    if (Ct.joinWith(ThreadClocks[E.targetThread().value()]))
-      ++ClockEpochs[T.value()];
+    Ct.joinWith(ThreadClocks[E.targetThread().value()]);
     break;
 
   case EventKind::Read:
   case EventKind::Write: {
     const bool IsWrite = E.Kind == EventKind::Write;
-    if (Capture) {
-      Capture->record(Idx, E.var(), T, E.Loc, IsWrite, Ct.get(T), Ct,
-                      ClockEpochs[T.value()], nullptr);
-      break;
-    }
     Scratch.clear();
     if (IsWrite)
       History.checkWrite(E.var(), T, Ct, E.Loc, Idx, Scratch);
@@ -150,9 +87,9 @@ void SyncPDetector::processEvent(const Event &E, EventIdx Idx) {
 
 void SyncPDetector::telemetry(std::vector<MetricSample> &Out) const {
   Out.push_back({"syncp.candidate_pairs", MetricKind::Counter,
-                 Tel.CandidatePairs.load(std::memory_order_relaxed)});
+                 Tel.CandidatePairs});
   Out.push_back({"syncp.closure_iterations", MetricKind::Counter,
-                 Tel.ClosureIterations.load(std::memory_order_relaxed)});
-  Out.push_back({"syncp.ideal_peak", MetricKind::HighWater,
-                 Tel.IdealPeak.load(std::memory_order_relaxed)});
+                 Tel.ClosureIterations});
+  Out.push_back({"syncp.ideal_peak", MetricKind::HighWater, Tel.IdealPeak});
+  Out.push_back({"syncp.index_bytes", MetricKind::HighWater, Index.bytes()});
 }

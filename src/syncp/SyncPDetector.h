@@ -15,23 +15,23 @@
 /// witness reordering, and the soundness suite replays those witnesses
 /// through verify/Reordering's checker.
 ///
-/// The lane decomposes like every other detector here:
+/// The lane runs in two steps, both in one pass over the stream:
 ///
-///   clock pass   a thread-order clock (program order + fork/join only —
+///   prefilter    a thread-order clock (program order + fork/join only —
 ///                no lock edges) prunes pairs that no reordering could
 ///                co-enable; candidates are the per-(thread, kind)
 ///                last-access records AccessHistory keeps, so the
 ///                enumeration policy (and its last-access-only caveat)
 ///                matches the HB/WCP lanes exactly;
-///   check        each surviving candidate runs the SP-closure over the
-///                SyncPIndex, O(prefix) per pair;
-///   shard mode   the checks partition by variable: capture defers them
-///                into the AccessLog with the thread-order clock as C_e,
-///                and shard drains replay them through a SyncPShardReplayer
-///                that filters the same candidates through the same index
-///                (reached via Detector::shardContext()). Reports are
-///                bit-for-bit identical to the sequential walk for any
-///                shard count, pinned by the differential fuzzers.
+///   decision     each surviving candidate runs the SP-closure over the
+///                SyncPIndex's vector timestamps: a join of two seeds and
+///                a lock-rule fixpoint of a few binary searches, not a
+///                walk of the trace prefix.
+///
+/// Deciding a candidate costs under a microsecond, so the lane does not
+/// split by variable: beginCapture keeps the base class's "no", and
+/// var-sharded sessions run this sequential walk — which is the reference
+/// every mode is pinned to anyway.
 ///
 /// All state grows on first touch (implicit-zero VectorClock extension,
 /// growable index tables), so threads/vars/locks declared mid-stream cost
@@ -51,23 +51,6 @@
 
 namespace rapid {
 
-/// The detector's ShardContext: hands shard drains a replayer over the
-/// index and telemetry the clock pass owns. Read-only over the index
-/// (synchronized through the AccessLog commit watermark — every access
-/// record is appended after its event's node).
-class SyncPShardContext : public ShardContext {
-public:
-  SyncPShardContext(const SyncPIndex &Index, SyncPTelemetry &Tel)
-      : Index(Index), Tel(Tel) {}
-
-  std::unique_ptr<ShardReplayer>
-  makeReplayer(uint32_t NumLocalVars, uint32_t NumThreads) const override;
-
-private:
-  const SyncPIndex &Index;
-  SyncPTelemetry &Tel;
-};
-
 /// Streaming sync-preserving race detector.
 class SyncPDetector : public Detector {
 public:
@@ -76,20 +59,10 @@ public:
   void processEvent(const Event &E, EventIdx Index) override;
   std::string name() const override { return "SyncP"; }
 
-  /// SyncP's candidate checks partition by variable; the closure reaches
-  /// lane-wide state through shardContext(), so capture mode defers only
-  /// the per-variable candidate enumeration into \p Log.
-  bool beginCapture(AccessLog &Log) override {
-    Capture = &Log;
-    return true;
-  }
-  ShardReplay shardReplay() const override { return ShardReplay::SyncPClosure; }
-  const ShardContext *shardContext() const override { return &Ctx; }
-
   void telemetry(std::vector<MetricSample> &Out) const override;
 
-  /// Testing hooks: the closure index (soundness tests re-derive witness
-  /// schedules for reported races) and the thread-order clock.
+  /// Testing hooks: the closure index and the thread-order clock (the
+  /// oracle pin re-enumerates the lane's candidates from it).
   const SyncPIndex &index() const { return Index; }
   const VectorClock &threadClock(ThreadId T) const {
     return ThreadClocks[T.value()];
@@ -105,13 +78,10 @@ private:
   /// reorder whole critical sections, so only these "hard" edges are
   /// sound for pruning candidate pairs.
   std::vector<VectorClock> ThreadClocks;
-  std::vector<uint64_t> ClockEpochs; ///< Change epochs (capture dedup).
   SyncPIndex Index;
   SyncPTelemetry Tel;
-  SyncPShardContext Ctx{Index, Tel};
-  AccessHistory History; ///< Sequential-mode candidate records.
+  AccessHistory History; ///< Candidate records.
   std::vector<RaceInstance> Scratch;
-  AccessLog *Capture = nullptr; ///< Non-null in capture mode.
 };
 
 } // namespace rapid

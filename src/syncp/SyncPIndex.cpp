@@ -2,40 +2,22 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// The SP-closure (POPL'21, §4): an *ideal* is a union of per-thread
-// program-order prefixes. Starting from the prefixes strictly below the two
-// candidate events, the closure saturates four rules:
+// Why the lock rule only needs the frontiers' open acquires: take two
+// included acquires a1 < a2 on lock l. If a1 is not its thread's last
+// included acquire of l, the thread's next acquire of l is included and
+// a1's release precedes it in program order (no reentrant locking) — the
+// rule is already satisfied. Otherwise a1's release is either inside the
+// thread's prefix (satisfied) or past it, i.e. a1 is on the held-lock
+// stack of the thread's frontier event. And a2, being later on the same
+// lock, belongs to another thread, whose latest included acquire of l is
+// the one to compare against. So each round checks, for every frontier,
+// each held lock against one binary search per other thread.
 //
-//   (po)    the ideal is program-order downward closed (by construction:
-//           inclusion walks the Prev chain down to the old frontier);
-//   (read)  a read in the ideal pulls its trace-last writer — the trace-
-//           order linearization then shows every read its original writer
-//           (writes between them do not exist in the trace, and later
-//           writes sort after);
-//   (lock)  if two acquires of the same lock are both in the ideal, the
-//           trace-earlier one's release must be too. Incrementally: keep
-//           the maximal included acquire per lock; a newly included
-//           acquire either displaces the maximum (pulling the displaced
-//           one's release) or sits below it (pulling its own release).
-//           Every included acquire except the per-lock maximum therefore
-//           ends with its release included — the linearization has at most
-//           one trailing open section per lock, and sections on one lock
-//           appear in trace order: sync-preserving by construction;
-//   (thread) a thread's first event pulls its fork; a join pulls the
-//           child's last event (program order then closes the child).
-//
-// The pair is a race iff saturation never forces an event at or past
-// either endpoint into its endpoint's thread prefix ("swallowing" the
-// candidate). On success the ideal, linearized in trace order with the two
-// candidates appended, is a correct reordering co-enabling the pair — the
-// witness shape verify/Reordering.h's checkRaceWitness validates, which is
-// how the soundness suite pins this file against the search-based oracle.
-//
-// Rule order does not matter: inclusion is monotone and each event is
-// processed exactly once, so the fixpoint is unique — the incremental
-// (lock) bookkeeping preserves it because "all processed acquires except
-// the current per-lock maximum have their release pulled" is invariant
-// under any processing order.
+// Every firing pulls a release past its thread's frontier, so the ideal
+// grows strictly and the loop terminates at the least fixpoint — the same
+// set the reference oracle's event-by-event walk saturates to, because
+// both apply exactly the rules listed in the header and each rule is
+// monotone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,191 +28,197 @@
 
 using namespace rapid;
 
-void SyncPIndex::append(const Event &E, EventIdx Index, bool Publish) {
-  assert(Index == Nodes.size() && "events must arrive dense, in trace order");
+void SyncPIndex::append(const Event &E, EventIdx Index) {
+  assert(Index == Events.size() && "events must arrive dense, in trace order");
   const uint32_t T = E.Thread.value();
-  ensure(LastOfThread, T);
-  ensure(ForkOf, T);
+  thread(T);
+  if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
+    thread(E.targetThread().value());
+  ThreadRec &TR = Threads[T];
 
-  Node N;
-  N.Thread = E.Thread;
-  N.Kind = E.Kind;
-  N.Prev = LastOfThread[T];
-  N.Fork = ForkOf[T];
+  // The new row starts from the thread's previous event (program order),
+  // or from its fork for a first event. The record goes in first so that
+  // tsEnd() of the previous last event stops at the new row.
+  const uint32_t Width = static_cast<uint32_t>(Threads.size());
+  const uint64_t Off = Ts.size();
+  const uint32_t Local = static_cast<uint32_t>(TR.Events.size()) + 1;
+  Events.push_back(EventRec{T, Local, Off});
+  Ts.resize(Off + Width, 0);
+  auto JoinRow = [this, Off](EventIdx Src) { joinInto(&Ts[Off], Src); };
+  if (!TR.Events.empty())
+    JoinRow(TR.Events.back());
+  else if (TR.Fork != kNone)
+    JoinRow(TR.Fork);
+  Ts[Off + T] = Local;
 
   switch (E.Kind) {
-  case EventKind::Acquire:
-    N.Target = E.lock().value();
-    ensure(OpenAcq, N.Target);
-    OpenAcq[N.Target] = Index;
-    break;
-  case EventKind::Release: {
-    N.Target = E.lock().value();
-    ensure(OpenAcq, N.Target);
-    EventIdx Acq = OpenAcq[N.Target];
-    // Backfill the acquire's matching-release edge *before* this node is
-    // appended: every publish that can carry this release to a reader is
-    // issued after the backfill (see PublishedStore::writerSlot).
-    if (Acq != kNone) {
-      Nodes.writerSlot(Acq).Aux = Index;
-      OpenAcq[N.Target] = kNone;
-    }
+  case EventKind::Read: {
+    const uint32_t V = E.var().value();
+    if (V < LastWrite.size() && LastWrite[V] != kNone)
+      JoinRow(LastWrite[V]);
     break;
   }
-  case EventKind::Read:
-    N.Target = E.var().value();
-    ensure(LastWrite, N.Target);
-    N.Aux = LastWrite[N.Target];
-    break;
-  case EventKind::Write:
-    N.Target = E.var().value();
-    ensure(LastWrite, N.Target);
-    LastWrite[N.Target] = Index;
-    break;
-  case EventKind::Fork: {
-    const uint32_t Child = E.targetThread().value();
-    N.Target = Child;
-    ensure(ForkOf, Child);
-    ForkOf[Child] = Index;
+  case EventKind::Write: {
+    const uint32_t V = E.var().value();
+    if (V >= LastWrite.size())
+      LastWrite.resize(V + 1, kNone);
+    LastWrite[V] = Index;
     break;
   }
+  case EventKind::Fork:
+    Threads[E.targetThread().value()].Fork = Index;
+    break;
   case EventKind::Join: {
-    const uint32_t Child = E.targetThread().value();
-    N.Target = Child;
-    ensure(LastOfThread, Child);
-    N.Aux = LastOfThread[Child];
+    const ThreadRec &Child = Threads[E.targetThread().value()];
+    if (!Child.Events.empty())
+      JoinRow(Child.Events.back());
+    break;
+  }
+  case EventKind::Acquire: {
+    const uint32_t L = E.lock().value();
+    std::vector<AcqRec> &List = acquires(L, T);
+    HeldNodes.push_back(
+        HeldNode{L, static_cast<uint32_t>(List.size()), TR.HeldTop});
+    TR.HeldTop = static_cast<uint32_t>(HeldNodes.size() - 1);
+    List.push_back(AcqRec{Local, Index});
+    ++NumAcquires;
+    break;
+  }
+  case EventKind::Release: {
+    // Unlink the lock from the thread's stack. Stacks are persistent
+    // (earlier events still point at their nodes), so the nodes above a
+    // non-innermost release — hand-over-hand locking — are copied.
+    const uint32_t L = E.lock().value();
+    Above.clear();
+    uint32_t N = TR.HeldTop;
+    for (; N != 0 && HeldNodes[N].Lock != L; N = HeldNodes[N].Next)
+      Above.push_back(N);
+    if (N == 0)
+      break; // Not held by this thread (unvalidated input): no section.
+    acquires(L, T)[HeldNodes[N].Pos].Rel = Index;
+    uint32_t Top = HeldNodes[N].Next;
+    for (auto It = Above.rbegin(); It != Above.rend(); ++It) {
+      HeldNode Copy = HeldNodes[*It];
+      Copy.Next = Top;
+      HeldNodes.push_back(Copy);
+      Top = static_cast<uint32_t>(HeldNodes.size() - 1);
+    }
+    TR.HeldTop = Top;
     break;
   }
   }
 
-  LastOfThread[T] = Index;
-  Nodes.append(N);
-  if (Publish)
-    Nodes.publish(Index + 1);
+  TR.Events.push_back(Index);
+  TR.Held.push_back(TR.HeldTop);
 }
 
-namespace {
+void SyncPIndex::joinInto(uint32_t *Into, EventIdx I) const {
+  const uint64_t From = Events[I].TsOff, To = tsEnd(I);
+  for (uint64_t K = From; K != To; ++K)
+    Into[K - From] = std::max(Into[K - From], Ts[K]);
+}
 
-/// One closure run's working set. Thread/lock tables grow to the ids the
-/// walk actually meets, so mid-stream declarations cost nothing here.
-struct ClosureState {
-  static constexpr EventIdx kNone = SyncPIndex::kNone;
-
-  std::vector<EventIdx> Frontier; ///< Per thread: highest included event.
-  std::vector<EventIdx> MaxAcq;   ///< Per lock: maximal included acquire.
-  std::vector<EventIdx> Pending;  ///< Included, closure rules not yet run.
-  std::vector<EventIdx> Included; ///< Every ideal member, for the witness.
-  EventIdx E1, E2;                ///< The candidates (the ideal's ceiling).
-  ThreadId T1, T2;
-  bool Swallowed = false; ///< A rule demanded an event >= its endpoint.
-
-  EventIdx frontier(uint32_t T) const {
-    return T < Frontier.size() ? Frontier[T] : kNone;
+bool SyncPIndex::laterAcquireIncluded(uint32_t Lock, uint32_t T, EventIdx Acq,
+                                      const std::vector<uint32_t> &Ideal) const {
+  const std::vector<std::vector<AcqRec>> &PerThread = Acquires[Lock];
+  const uint32_t NumThreads = static_cast<uint32_t>(
+      std::min<size_t>(PerThread.size(), Ideal.size()));
+  for (uint32_t U = 0; U != NumThreads; ++U) {
+    const std::vector<AcqRec> &List = PerThread[U];
+    if (U == T || Ideal[U] == 0 || List.empty() || List.back().Acq < Acq)
+      continue;
+    // U's first acquire after Acq is its earliest candidate; it is inside
+    // the ideal iff U's frontier reaches it.
+    auto It = std::upper_bound(
+        List.begin(), List.end(), Acq,
+        [](EventIdx A, const AcqRec &R) { return A < R.Acq; });
+    if (It->Local <= Ideal[U])
+      return true;
   }
-};
-
-} // namespace
+  return false;
+}
 
 bool SyncPIndex::isSyncPreservingRace(EventIdx E1, EventIdx E2,
                                       SyncPTelemetry *Tel,
-                                      std::vector<EventIdx> *WitnessOut) const {
-  assert(E1 < E2 && "candidates must arrive in trace order");
-  ClosureState S;
-  S.E1 = E1;
-  S.E2 = E2;
-  S.T1 = node(E1).Thread;
-  S.T2 = node(E2).Thread;
-
-  // Includes X and, transitively via the Prev chain, its whole program-
-  // order prefix above the thread's current frontier. Fails the closure
-  // when X reaches an endpoint's own suffix — the reordering would have to
-  // *execute* the candidate, which is exactly what co-enabledness forbids.
-  auto include = [this, &S](EventIdx X) {
-    const uint32_t T = node(X).Thread.value();
-    const EventIdx Old = S.frontier(T);
-    if (Old != ClosureState::kNone && Old >= X)
-      return;
-    if ((node(X).Thread == S.T1 && X >= S.E1) ||
-        (node(X).Thread == S.T2 && X >= S.E2)) {
-      S.Swallowed = true;
-      return;
-    }
-    if (T >= S.Frontier.size())
-      S.Frontier.resize(T + 1, ClosureState::kNone);
-    S.Frontier[T] = X;
-    for (EventIdx C = X; C != Old; C = node(C).Prev) {
-      S.Pending.push_back(C);
-      if (node(C).Prev == ClosureState::kNone)
-        break; // Thread's first event; Old is kNone.
-    }
+                                      std::vector<uint32_t> *IdealOut) const {
+  assert(E1 < E2 && E2 < Events.size() &&
+         "candidates must arrive in trace order");
+  const EventRec &A = Events[E1], &B = Events[E2];
+  std::vector<uint32_t> Ideal(Threads.size(), 0);
+  // Seeds: each endpoint's program-order predecessor, or its thread's
+  // fork for a first event (the thread must at least be started).
+  for (const EventRec *R : {&A, &B}) {
+    const ThreadRec &TR = Threads[R->Thread];
+    const EventIdx Seed = R->Local > 1 ? TR.Events[R->Local - 2] : TR.Fork;
+    if (Seed != kNone)
+      joinInto(Ideal.data(), Seed);
+  }
+  auto Swallowed = [&] {
+    return Ideal[A.Thread] >= A.Local || Ideal[B.Thread] >= B.Local;
   };
 
-  auto seed = [this, &include](EventIdx E) {
-    const Node &N = node(E);
-    if (N.Prev != kNone)
-      include(N.Prev);
-    else if (N.Fork != kNone)
-      include(N.Fork); // First event: the thread must at least be started.
-  };
-  seed(E1);
-  seed(E2);
-
-  while (!S.Pending.empty() && !S.Swallowed) {
-    const EventIdx X = S.Pending.back();
-    S.Pending.pop_back();
-    S.Included.push_back(X);
-    const Node &N = node(X);
-    if (N.Prev == kNone && N.Fork != kNone)
-      include(N.Fork);
-    switch (N.Kind) {
-    case EventKind::Read:
-    case EventKind::Join:
-      if (N.Aux != kNone)
-        include(N.Aux);
-      break;
-    case EventKind::Acquire: {
-      if (N.Target >= S.MaxAcq.size())
-        S.MaxAcq.resize(N.Target + 1, ClosureState::kNone);
-      EventIdx &Max = S.MaxAcq[N.Target];
-      EventIdx NeedsRelease = kNone;
-      if (Max == ClosureState::kNone) {
-        Max = X;
-      } else if (X > Max) {
-        NeedsRelease = Max;
-        Max = X;
-      } else {
-        NeedsRelease = X;
+  bool Racy = !Swallowed();
+  uint64_t Rounds = 0;
+  for (bool Changed = true; Changed && Racy;) {
+    ++Rounds;
+    Changed = false;
+    for (uint32_t T = 0; T != Ideal.size() && Racy; ++T) {
+      uint32_t N = Ideal[T] ? Threads[T].Held[Ideal[T] - 1] : 0;
+      while (N != 0) {
+        const HeldNode &H = HeldNodes[N];
+        const AcqRec &Open = Acquires[H.Lock][T][H.Pos];
+        // A later included acquire implies the section closed before it,
+        // so Rel exists whenever the rule fires on a valid trace.
+        if (Open.Rel == kNone ||
+            !laterAcquireIncluded(H.Lock, T, Open.Acq, Ideal)) {
+          N = H.Next;
+          continue;
+        }
+        joinInto(Ideal.data(), Open.Rel);
+        Changed = true;
+        if (Swallowed()) {
+          Racy = false;
+          break;
+        }
+        // T's frontier moved past the release: rescan its new stack.
+        N = Threads[T].Held[Ideal[T] - 1];
       }
-      if (NeedsRelease != kNone) {
-        // A displaced acquire sits trace-before another included acquire
-        // on the same lock, so its section closed before that acquire:
-        // the release exists and was backfilled before anything after it
-        // was published.
-        const EventIdx Rel = node(NeedsRelease).Aux;
-        assert(Rel != kNone && "non-maximal section must be closed");
-        if (Rel != kNone)
-          include(Rel);
-      }
-      break;
-    }
-    default:
-      break;
     }
   }
 
   if (Tel) {
-    Tel->CandidatePairs.fetch_add(1, std::memory_order_relaxed);
-    Tel->ClosureIterations.fetch_add(S.Included.size(),
-                                     std::memory_order_relaxed);
-    Tel->noteIdeal(S.Included.size());
+    uint64_t Size = 0;
+    for (uint32_t F : Ideal)
+      Size += F;
+    ++Tel->CandidatePairs;
+    Tel->ClosureIterations += std::max<uint64_t>(Rounds, 1);
+    Tel->IdealPeak = std::max(Tel->IdealPeak, Size);
   }
-  if (S.Swallowed)
-    return false;
-  if (WitnessOut) {
-    std::sort(S.Included.begin(), S.Included.end());
-    S.Included.push_back(E1);
-    S.Included.push_back(E2);
-    *WitnessOut = std::move(S.Included);
-  }
-  return true;
+  if (Racy && IdealOut)
+    *IdealOut = std::move(Ideal);
+  return Racy;
+}
+
+std::vector<EventIdx> SyncPIndex::witness(const std::vector<uint32_t> &Ideal,
+                                          EventIdx E1, EventIdx E2) const {
+  std::vector<EventIdx> W;
+  for (uint32_t T = 0; T != Ideal.size(); ++T)
+    W.insert(W.end(), Threads[T].Events.begin(),
+             Threads[T].Events.begin() + Ideal[T]);
+  std::sort(W.begin(), W.end());
+  W.push_back(E1);
+  W.push_back(E2);
+  return W;
+}
+
+uint64_t SyncPIndex::bytes() const {
+  uint64_t B = Events.capacity() * sizeof(EventRec) +
+               Ts.capacity() * sizeof(uint32_t) +
+               HeldNodes.capacity() * sizeof(HeldNode) +
+               LastWrite.capacity() * sizeof(EventIdx) +
+               NumAcquires * sizeof(AcqRec);
+  for (const ThreadRec &TR : Threads)
+    B += TR.Events.capacity() * sizeof(EventIdx) +
+         TR.Held.capacity() * sizeof(uint32_t);
+  return B;
 }

@@ -147,11 +147,9 @@ TEST_P(DifferentialFuzzTest, ShardedFastTrackMatchesSequentialBitForBit) {
   }
 }
 
-// SyncP's shard phase replays each deferred access against a per-shard
-// AccessHistory over the TO prefilter clock and re-decides every candidate
-// with the exact SP-closure (through the detector-owned ShardContext) — a
-// completely different code path from the sequential walk, held to the
-// same bit-for-bit contract.
+// SyncP declines capture, so under a var-sharded session it runs the
+// sequential walk as a plain lane — the session's fallback path for
+// non-capturing detectors, held to the same bit-for-bit contract.
 TEST_P(DifferentialFuzzTest, ShardedSyncPMatchesSequentialBitForBit) {
   for (bool ForkJoin : {false, true}) {
     Trace T = randomTrace(fuzzParams(GetParam() ^ 0x3b3b, ForkJoin));

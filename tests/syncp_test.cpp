@@ -2,7 +2,7 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// Pins the SyncP lane (src/syncp/) three ways:
+// Pins the SyncP lane (src/syncp/) five ways:
 //
 //  * separation — hand-built gadgets where the sync-preserving closure
 //    finds a race WCP provably orders away (the POPL'21 motivation: a
@@ -16,7 +16,13 @@
 //  * mode equivalence — sequential, windowed and var-sharded runs
 //    are bit-for-bit identical (the repo-wide determinism contract; the
 //    differential and growth fuzzers extend this across the adversarial
-//    workload matrix).
+//    workload matrix);
+//  * oracle pin — every candidate the lane enumerates is decided by both
+//    the vector-timestamp closure (syncp/SyncPIndex) and the per-pair
+//    walk (reference/SyncPOracle): equal decisions, and for racy pairs
+//    equal ideals whose witness the correct-reordering checker accepts;
+//  * linearity — doubling a trace at most ~doubles the closure's
+//    fixpoint rounds (the per-pair walk's work grows ~4x).
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +30,9 @@
 #include "api/AnalysisSession.h"
 #include "gen/PaperTraces.h"
 #include "gen/RandomTraceGen.h"
+#include "gen/Workloads.h"
 #include "reference/ClosureEngine.h"
+#include "reference/SyncPOracle.h"
 #include "syncp/SyncPDetector.h"
 #include "trace/TraceBuilder.h"
 #include "verify/WitnessSearch.h"
@@ -39,7 +47,7 @@ namespace {
 /// Rebuilds the closure index for \p T (what the detector builds online).
 void buildIndex(const Trace &T, SyncPIndex &Idx) {
   for (EventIdx I = 0; I != T.size(); ++I)
-    Idx.append(T.event(I), I, /*Publish=*/false);
+    Idx.append(T.event(I), I);
 }
 
 /// Asserts that every race in \p Report has a closure witness that the
@@ -47,12 +55,11 @@ void buildIndex(const Trace &T, SyncPIndex &Idx) {
 /// executed.
 void expectAllWitnessed(const Trace &T, const RaceReport &Report,
                         const std::string &Label) {
-  SyncPIndex Idx;
-  buildIndex(T, Idx);
+  SyncPOracle Oracle(T);
   for (const RaceInstance &R : Report.instances()) {
     std::vector<EventIdx> Witness;
     ASSERT_TRUE(
-        Idx.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, nullptr, &Witness))
+        Oracle.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, &Witness))
         << Label << ": reported race lost its closure witness: " << R.str(T);
     ReorderingCheck C = checkRaceWitness(T, Witness);
     EXPECT_TRUE(C.Ok) << Label << ": closure witness for " << R.str(T)
@@ -120,6 +127,63 @@ RandomTraceParams smallParams(uint64_t Seed) {
   return P;
 }
 
+/// Re-enumerates the lane's candidates (the detector's own thread-order
+/// clock feeding a fresh AccessHistory, exactly as processEvent does) and
+/// sends each to both engines at the point the lane decides it.
+void expectEnginesAgree(const Trace &T, const std::string &Label) {
+  SyncPDetector D(T);
+  SyncPOracle Oracle(T);
+  AccessHistory History(T.numVars(), T.numThreads());
+  std::vector<RaceInstance> Candidates;
+  for (EventIdx I = 0; I != T.size(); ++I) {
+    const Event &E = T.event(I);
+    D.processEvent(E, I);
+    if (!isAccess(E.Kind))
+      continue;
+    const VectorClock &Ct = D.threadClock(E.Thread);
+    const bool IsWrite = E.Kind == EventKind::Write;
+    Candidates.clear();
+    if (IsWrite)
+      History.checkWrite(E.var(), E.Thread, Ct, E.Loc, I, Candidates);
+    else
+      History.checkRead(E.var(), E.Thread, Ct, E.Loc, I, Candidates);
+    for (const RaceInstance &R : Candidates) {
+      std::vector<uint32_t> Ideal;
+      std::vector<EventIdx> Want;
+      const bool Fast = D.index().isSyncPreservingRace(
+          R.EarlierIdx, R.LaterIdx, nullptr, &Ideal);
+      const bool Slow =
+          Oracle.isSyncPreservingRace(R.EarlierIdx, R.LaterIdx, &Want);
+      ASSERT_EQ(Fast, Slow) << Label << ": engines disagree on " << R.str(T);
+      if (!Fast)
+        continue;
+      std::vector<EventIdx> Got =
+          D.index().witness(Ideal, R.EarlierIdx, R.LaterIdx);
+      EXPECT_EQ(Got, Want) << Label << ": ideals differ for " << R.str(T);
+      ReorderingCheck C = checkRaceWitness(T, Got);
+      EXPECT_TRUE(C.Ok) << Label << ": witness for " << R.str(T)
+                        << " is not a correct reordering: " << C.Error;
+    }
+    if (IsWrite)
+      History.recordWrite(E.var(), E.Thread, Ct.get(E.Thread), E.Loc, I);
+    else
+      History.recordRead(E.var(), E.Thread, Ct.get(E.Thread), E.Loc, I);
+  }
+}
+
+uint64_t closureIterations(const Trace &T) {
+  SyncPDetector D(T);
+  for (EventIdx I = 0; I != T.size(); ++I)
+    D.processEvent(T.event(I), I);
+  std::vector<MetricSample> Tel;
+  D.telemetry(Tel);
+  for (const MetricSample &S : Tel)
+    if (S.Name == "syncp.closure_iterations")
+      return S.Value;
+  ADD_FAILURE() << "closure_iterations sample missing";
+  return 0;
+}
+
 } // namespace
 
 // ---- Separation: races WCP provably misses ---------------------------------
@@ -167,33 +231,37 @@ TEST(SyncPSeparation, ReadVariantSwallowsTheCandidate) {
 
 // ---- Closure unit behaviour -------------------------------------------------
 
-TEST(SyncPClosure, SameLockSectionsAreNotRacy) {
+TEST(SyncPIdeal, SameLockSectionsAreNotRacy) {
   TraceBuilder B;
   B.acquire("t1", "l").write("t1", "x").release("t1", "l");
   B.acquire("t2", "l").write("t2", "x").release("t2", "l");
   Trace T = testutil::takeValid(B, true);
   SyncPIndex Idx;
   buildIndex(T, Idx);
-  // w(x)@1 vs w(x)@4: including acq@3 displaces acq@0 as the lock maximum
-  // and demands rel@2 — past w(x)@1 in its thread, swallowing it.
+  // w(x)@1 vs w(x)@4: t2's frontier holds acq@3 while t1's holds the
+  // still-open acq@0, so the lock rule pulls rel@2 — past w(x)@1 in its
+  // thread, swallowing it.
   EXPECT_FALSE(Idx.isSyncPreservingRace(1, 4, nullptr, nullptr));
+  EXPECT_FALSE(SyncPOracle(T).isSyncPreservingRace(1, 4, nullptr));
   EXPECT_EQ(testutil::run<SyncPDetector>(T).numDistinctPairs(), 0u);
 }
 
-TEST(SyncPClosure, UnprotectedConflictIsRacyWithMinimalIdeal) {
+TEST(SyncPIdeal, UnprotectedConflictIsRacyWithMinimalIdeal) {
   TraceBuilder B;
   B.write("t1", "x").write("t2", "x");
   Trace T = testutil::takeValid(B, true);
   SyncPIndex Idx;
   buildIndex(T, Idx);
-  std::vector<EventIdx> Witness;
-  ASSERT_TRUE(Idx.isSyncPreservingRace(0, 1, nullptr, &Witness));
+  std::vector<uint32_t> Ideal;
+  ASSERT_TRUE(Idx.isSyncPreservingRace(0, 1, nullptr, &Ideal));
   // Empty ideal: just the two candidates.
+  EXPECT_EQ(Ideal, (std::vector<uint32_t>{0, 0}));
+  std::vector<EventIdx> Witness = Idx.witness(Ideal, 0, 1);
   EXPECT_EQ(Witness, (std::vector<EventIdx>{0, 1}));
   EXPECT_TRUE(checkRaceWitness(T, Witness).Ok);
 }
 
-TEST(SyncPClosure, ReadPullsItsWriterAndItsLocks) {
+TEST(SyncPIdeal, ReadPullsItsWriterAndItsLocks) {
   // t2's read of y sees t1's locked write, so the witness must replay
   // t1's whole critical section before t2's prefix — and the final races
   // on z stay co-enabled regardless.
@@ -207,7 +275,7 @@ TEST(SyncPClosure, ReadPullsItsWriterAndItsLocks) {
   expectAllWitnessed(T, Syncp, "read-pulls-writer");
 }
 
-TEST(SyncPClosure, ForkJoinOrderIsRespected) {
+TEST(SyncPIdeal, ForkJoinOrderIsRespected) {
   TraceBuilder B;
   B.declareThread("main");
   B.declareThread("child");
@@ -266,6 +334,38 @@ TEST_P(SyncPSoundnessTest, ExhaustiveSearchConfirmsFirstReport) {
 INSTANTIATE_TEST_SUITE_P(Fuzz, SyncPSoundnessTest,
                          ::testing::Range<uint64_t>(1, 61));
 
+// ---- Oracle pin and linearity -----------------------------------------------
+
+class SyncPOraclePinTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SyncPOraclePinTest, EnginesAgreeOnEveryCandidate) {
+  const uint64_t Seed = GetParam();
+  expectEnginesAgree(randomTrace(smallParams(Seed)),
+                     "seed " + std::to_string(Seed));
+  for (WorkloadShape Shape : allWorkloadShapes())
+    expectEnginesAgree(makeAdversarialTrace(Shape, Seed),
+                       std::string(workloadShapeName(Shape)) + " seed " +
+                           std::to_string(Seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Fuzz, SyncPOraclePinTest,
+                         ::testing::Range<uint64_t>(1, 61));
+
+TEST(SyncPLinearity, DoublingTheTraceAtMostDoublesClosureRounds) {
+  // Same model, same seed, twice the events. Deterministic counts, no
+  // timing: the per-pair walk pulls ~4x the events here.
+  WorkloadSpec Spec = workloadSpec("montecarlo");
+  Trace Small = makeWorkload(Spec, 0.02);
+  Trace Large = makeWorkload(Spec, 0.04);
+  ASSERT_NEAR(static_cast<double>(Large.size()) / Small.size(), 2.0, 0.1);
+  const uint64_t N = closureIterations(Small);
+  const uint64_t TwoN = closureIterations(Large);
+  ASSERT_GT(N, 0u);
+  EXPECT_LE(static_cast<double>(TwoN), 2.5 * static_cast<double>(N))
+      << "closure_iterations " << N << " at " << Small.size()
+      << " events, " << TwoN << " at " << Large.size();
+}
+
 // ---- Mode equivalence and telemetry -----------------------------------------
 
 class SyncPModeTest : public ::testing::TestWithParam<uint64_t> {};
@@ -318,8 +418,8 @@ TEST(SyncPTelemetry, CountersSurfaceThroughTheLane) {
 }
 
 TEST(SyncPTelemetry, VarShardedRunCountsItsClosureWork) {
-  // The candidate checks run in shard drains there — the lane's telemetry
-  // snapshot must still see them (the phase-3 re-collection).
+  // SyncP does not capture, so the var-sharded session runs the lane's
+  // sequential walk — its telemetry must still count the closure work.
   Trace T = gadgetThreeThreads();
   AnalysisConfig Cfg;
   Cfg.addDetector(DetectorKind::SyncP);
