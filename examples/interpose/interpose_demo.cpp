@@ -2,11 +2,12 @@
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// A small pthread workload for the LD_PRELOAD interposer: N workers bump
-// one mutex-protected counter (never racy) and one deliberately
-// unprotected counter (racy by construction, and annotated so the
-// analysis models it). Run it live against a server, recording the same
-// stream for offline replay:
+// A small pthread workload for the LD_PRELOAD interposer: N workers wait
+// at a condvar start gate, then bump one mutex-protected counter (never
+// racy; taken by lock, a trylock spin and timedlock in turn) and one
+// deliberately unprotected counter (racy by construction, and annotated
+// so the analysis models it). Run it live against a server, recording the
+// same stream for offline replay:
 //
 //   LD_PRELOAD=./librace_interpose.so RACE_SERVER=/tmp/raced.sock
 //     RACE_RECORD=/tmp/demo.txt ./interpose_demo        (one command line)
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include <pthread.h>
+#include <sched.h>
 #include <time.h>
 
 namespace {
@@ -34,6 +36,12 @@ namespace {
 pthread_mutex_t CounterMutex = PTHREAD_MUTEX_INITIALIZER;
 long Protected;            // Always accessed under CounterMutex.
 unsigned long Racy;        // Accessed lock-free (relaxed atomics).
+
+// The start gate: workers check in and wait until main opens it.
+pthread_mutex_t GateMutex = PTHREAD_MUTEX_INITIALIZER;
+pthread_cond_t GateCv = PTHREAD_COND_INITIALIZER;
+unsigned Ready;
+bool Open;
 
 struct WorkerArgs {
   int Iters;
@@ -48,10 +56,34 @@ void napUs(unsigned Us) {
   nanosleep(&TS, nullptr);
 }
 
+/// Takes CounterMutex three ways in turn: lock, a trylock spin, and
+/// timedlock with a far deadline.
+void lockCounter(int I) {
+  if (I % 3 == 0) {
+    pthread_mutex_lock(&CounterMutex);
+  } else if (I % 3 == 1) {
+    while (pthread_mutex_trylock(&CounterMutex) != 0)
+      sched_yield();
+  } else {
+    timespec Deadline;
+    clock_gettime(CLOCK_REALTIME, &Deadline);
+    Deadline.tv_sec += 60;
+    while (pthread_mutex_timedlock(&CounterMutex, &Deadline) != 0)
+      ;
+  }
+}
+
 void *worker(void *P) {
   const WorkerArgs *A = static_cast<const WorkerArgs *>(P);
+  pthread_mutex_lock(&GateMutex);
+  ++Ready;
+  pthread_cond_broadcast(&GateCv);
+  while (!Open)
+    pthread_cond_wait(&GateCv, &GateMutex);
+  pthread_mutex_unlock(&GateMutex);
+
   for (int I = 0; I != A->Iters; ++I) {
-    pthread_mutex_lock(&CounterMutex);
+    lockCounter(I);
     RACE_WRITE(&Protected, "protected");
     ++Protected;
     pthread_mutex_unlock(&CounterMutex);
@@ -85,6 +117,19 @@ int main() {
       return 1;
     }
   }
+  // Every worker checks in (and waits, releasing GateMutex inside the
+  // wait) before the gate opens; main waits with a deadline.
+  pthread_mutex_lock(&GateMutex);
+  while (Ready != Threads) {
+    timespec Deadline;
+    clock_gettime(CLOCK_REALTIME, &Deadline);
+    Deadline.tv_sec += 1;
+    pthread_cond_timedwait(&GateCv, &GateMutex, &Deadline);
+  }
+  Open = true;
+  pthread_cond_broadcast(&GateCv);
+  pthread_mutex_unlock(&GateMutex);
+
   for (unsigned T = 0; T != Threads; ++T)
     pthread_join(Ids[T], nullptr);
 

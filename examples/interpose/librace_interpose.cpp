@@ -6,70 +6,68 @@
 //
 //   LD_PRELOAD=./librace_interpose.so RACE_SERVER=/tmp/raced.sock ./app
 //
-// wraps pthread_create/join and pthread_mutex_lock/unlock, stamps each
-// captured operation with a global sequence number, buffers records in
-// per-thread logs, and a background flusher merges consistent cuts into
-// one globally ordered §2.1-valid stream — pushed to a race_serverd
-// session as wire frames (RACE_SERVER) and/or appended to a text trace
-// (RACE_RECORD) that race_cli replays offline, bit-for-bit.
+// wraps pthread_create/join, the pthread_mutex lock calls and the
+// condvar waits, stamps each captured operation with a global sequence
+// number, buffers records in per-thread logs, and a background flusher
+// merges consistent cuts into one globally ordered §2.1-valid stream —
+// pushed to a race_serverd session as wire frames (RACE_SERVER) and/or
+// appended to a text trace (RACE_RECORD) that race_cli replays offline,
+// bit-for-bit.
 //
 // Shared-memory accesses cannot be interposed without compiler help, so
 // programs mark the ones to model via race_annotate.h (weak symbol; see
 // that header). Environment: RACE_SERVER (unix socket path), RACE_RECORD
-// (text trace path), RACE_FLUSH_MS (flush cadence, default 50).
+// (text trace path), RACE_FLUSH_MS (flush cadence, default 50),
+// RACE_RETRY_MAX (reconnect attempts per outage, default 8; 0 = a plain
+// connection without resume).
 //
 // Capture rules that make the merged stream well-formed:
 //   - acquire is stamped AFTER the real lock returns (inside the critical
 //     section), release BEFORE the real unlock (still inside) — two
 //     critical sections on one mutex can never interleave in the stream;
+//     trylock/timedlock emit their acquire only when they succeed;
+//   - a condvar wait is a release stamped before the real wait and an
+//     acquire stamped after it returns (the mutex is held again on every
+//     return), for the outermost hold only — glibc does not release a
+//     recursive mutex locked more than once;
 //   - fork is stamped before the real pthread_create, so the child's
 //     first event always lands after it; join after the real join
 //     returns, so the child's last event lands before it;
 //   - recursive re-locks are depth-counted per thread and only the
-//     outermost pair is modeled; an unlock with no modeled lock (e.g.
-//     after an uninterposed trylock) is skipped, never emitted unmatched.
+//     outermost pair is modeled; an unlock with no modeled lock is
+//     skipped, never emitted unmatched.
 //
-// Known model limits (documented in docs/SERVING.md): pthread_cond_wait
-// releases/reacquires its mutex inside glibc without crossing these
-// wrappers, so condvar-heavy code falls outside the modeled lock
-// discipline; trylock/timedlock criticals are not modeled.
+// Known model limits (documented in docs/SERVING.md): a condvar signal
+// is not itself an edge (the wakeup's reacquire is); reader-writer locks,
+// barriers, semaphores, spinlocks, clocklock and atomics are not modeled.
 //
-// Deliberately links NO rapidpp code: the wire encoders it needs are the
-// header-only half of io/WireFormat.h (the static analysis library is not
-// position-independent and must not be pulled into a preloaded .so).
-//
-// Fault tolerance: when the server grants a resume token (Welcome), the
-// shim sequence-numbers its Events frames, spills them until the server
-// acknowledges, and survives connection loss — it reconnects with bounded
-// exponential backoff + jitter, replays Resume(token, next-seq), and
-// retransmits the unacked tail; the server's sequence dedup makes the
-// delivery exactly-once, so a killed-and-resumed session reports exactly
-// what an uninterrupted one would. RACE_RETRY_MAX (default 8) bounds
-// reconnect attempts per outage; 0 disables resume.
+// Streaming goes through WireClient (serve/WireClient.h, linked from the
+// position-independent rapid_wire objects), including its resume
+// protocol: when the server grants a token, a lost connection is resumed
+// exactly-once within RACE_RETRY_MAX attempts. The transport never fails
+// the host program, and only the flusher and the exit path ever wait on
+// it (bounded by the retry policy and the report timeout). Any permanent
+// loss (server unreachable at start, retries exhausted, a tokenless
+// session cut off) stops streaming with one warning; RACE_RECORD keeps
+// recording.
 //
 //===----------------------------------------------------------------------===//
 
-#include "io/WireFormat.h"
+#include "serve/WireClient.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include <dlfcn.h>
-#include <poll.h>
 #include <pthread.h>
 #include <sched.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <time.h>
-#include <unistd.h>
 
 using namespace rapid;
 
@@ -81,19 +79,51 @@ using CreateFn = int (*)(pthread_t *, const pthread_attr_t *,
                          void *(*)(void *), void *);
 using JoinFn = int (*)(pthread_t, void **);
 using MutexFn = int (*)(pthread_mutex_t *);
+using TimedLockFn = int (*)(pthread_mutex_t *, const timespec *);
+using CondWaitFn = int (*)(pthread_cond_t *, pthread_mutex_t *);
+using CondTimedWaitFn = int (*)(pthread_cond_t *, pthread_mutex_t *,
+                                const timespec *);
 
 CreateFn RealCreate;
 JoinFn RealJoin;
 MutexFn RealLock;
 MutexFn RealUnlock;
+MutexFn RealTryLock;
+TimedLockFn RealTimedLock;
+CondWaitFn RealCondWait;
+CondTimedWaitFn RealCondTimedWait;
+
+template <typename Fn> void resolve(Fn &Out, const char *Name) {
+  Out = reinterpret_cast<Fn>(dlsym(RTLD_NEXT, Name));
+}
+
+/// Plain dlsym can hand back glibc's GLIBC_2.2.5 compat condvar function,
+/// which expects the old pthread_cond_t layout; then ask for the current
+/// x86-64 ABI (GLIBC_2.3.2) by version. Any other answer — a sanitizer
+/// runtime's interceptor ahead of libc included — is kept as is.
+template <typename Fn> void resolveCond(Fn &Out, const char *Name) {
+  resolve(Out, Name);
+  void *Compat = dlvsym(RTLD_NEXT, Name, "GLIBC_2.2.5");
+  if (Compat && reinterpret_cast<void *>(Out) == Compat)
+    Out = reinterpret_cast<Fn>(dlvsym(RTLD_NEXT, Name, "GLIBC_2.3.2"));
+}
 
 void resolveReals() {
-  RealCreate = reinterpret_cast<CreateFn>(dlsym(RTLD_NEXT, "pthread_create"));
-  RealJoin = reinterpret_cast<JoinFn>(dlsym(RTLD_NEXT, "pthread_join"));
-  RealLock =
-      reinterpret_cast<MutexFn>(dlsym(RTLD_NEXT, "pthread_mutex_lock"));
-  RealUnlock =
-      reinterpret_cast<MutexFn>(dlsym(RTLD_NEXT, "pthread_mutex_unlock"));
+  resolve(RealCreate, "pthread_create");
+  resolve(RealJoin, "pthread_join");
+  resolve(RealLock, "pthread_mutex_lock");
+  resolve(RealUnlock, "pthread_mutex_unlock");
+  resolve(RealTryLock, "pthread_mutex_trylock");
+  resolve(RealTimedLock, "pthread_mutex_timedlock");
+  resolveCond(RealCondWait, "pthread_cond_wait");
+  resolveCond(RealCondTimedWait, "pthread_cond_timedwait");
+}
+
+/// Wrappers can run before the constructor (from other libraries'
+/// initializers), so each one resolves the real functions on first use.
+void ensureReals() {
+  if (!RealUnlock)
+    resolveReals();
 }
 
 // ---- State ------------------------------------------------------------------
@@ -137,28 +167,17 @@ struct State {
   std::atomic<uint64_t> Seq{1};
   uint32_t RtLoc = 0; ///< Loc id for runtime (non-annotated) events.
 
-  int Sock = -1;
   std::FILE *Record = nullptr;
   unsigned FlushMs = 50;
   std::atomic<bool> Stop{false};
   pthread_t Flusher{};
   bool FlusherStarted = false;
 
-  // Resumable transport. Only one thread touches the socket at a time
-  // (the flusher, or the destructor after joining it), so none of this
-  // needs locking.
-  std::string ServerPath;
-  uint64_t SessionToken = 0; ///< Welcome token (0 = resume unavailable).
-  uint64_t EventsSent = 0;   ///< Cumulative events encoded (next frame's seq).
-  uint64_t AckedEvents = 0;  ///< Server-confirmed applied events.
-  std::string DeclareLog;    ///< Every Declare frame, replayed on resume.
-  std::vector<std::pair<uint64_t, std::string>> Spill; ///< Unacked Events.
-  size_t SpillBytes = 0;
-  bool FinishQueued = false; ///< Finish sent; re-send after any resume.
-  bool GaveUp = false;       ///< Permanent loss: stop trying, drop frames.
-  unsigned RetryMax = 8;
-  uint64_t JitterState = 0x9e3779b97f4a7c15ull;
-  FrameDecoder SrvDec;       ///< Acks/errors coming back from the server.
+  /// The live session. Only one thread uses it at a time (the flusher, or
+  /// the destructor after joining it), so it needs no lock. Streaming
+  /// turns false for good on the first permanent transport failure.
+  WireClient Server;
+  bool Streaming = false;
 };
 
 State *St; // Heap-allocated, never freed: immune to static-dtor order.
@@ -177,249 +196,6 @@ struct HookGuard {
   }
 };
 
-bool sendAllFd(int Fd, const char *P, size_t N) {
-  while (N != 0) {
-    const ssize_t W = send(Fd, P, N, MSG_NOSIGNAL);
-    if (W < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += W;
-    N -= static_cast<size_t>(W);
-  }
-  return true;
-}
-
-// ---- Resumable transport ----------------------------------------------------
-//
-// Cannot link support/Prng.cpp (see the header comment), so the backoff
-// jitter is a local splitmix64 — determinism does not matter here, only
-// decorrelation between concurrently retrying shims.
-
-uint64_t nextJitter() {
-  uint64_t Z = (St->JitterState += 0x9e3779b97f4a7c15ull);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
-
-void sleepMs(uint64_t Ms) {
-  timespec TS{static_cast<time_t>(Ms / 1000),
-              static_cast<long>(Ms % 1000) * 1000000L};
-  nanosleep(&TS, nullptr);
-}
-
-void dropSock() {
-  if (St->Sock >= 0) {
-    close(St->Sock);
-    St->Sock = -1;
-  }
-  St->SrvDec = FrameDecoder();
-}
-
-uint64_t eventsInFrame(const std::string &Frame) {
-  const size_t Header = WireFrameHeaderSize + 12; // seq u64 + count u32
-  return Frame.size() >= Header ? (Frame.size() - Header) / WireEventRecordSize
-                                : 0;
-}
-
-void trimSpill() {
-  size_t Keep = 0;
-  while (Keep != St->Spill.size() &&
-         St->Spill[Keep].first + eventsInFrame(St->Spill[Keep].second) <=
-             St->AckedEvents)
-    St->SpillBytes -= St->Spill[Keep++].second.size();
-  if (Keep)
-    St->Spill.erase(St->Spill.begin(),
-                    St->Spill.begin() + static_cast<ptrdiff_t>(Keep));
-}
-
-/// True when the frame was handled and the stream stays usable; false
-/// drops the connection (retryable error) or gives up (fatal one).
-bool onServerFrame(const WireFrameView &F) {
-  switch (F.Type) {
-  case WireFrame::Ack:
-    if (F.Payload.size() == 8) {
-      const uint64_t A = wireGetU64(F.Payload.data());
-      if (A > St->AckedEvents)
-        St->AckedEvents = A;
-      trimSpill();
-    }
-    return true;
-  case WireFrame::WireError: {
-    WireErrorInfo E;
-    if (wireParseError(F.Payload, E) && !E.Retryable) {
-      std::fprintf(stderr, "librace_interpose: server error: %s\n",
-                   E.Message.c_str());
-      St->GaveUp = true;
-    }
-    dropSock();
-    return false;
-  }
-  default:
-    return true; // Welcome/ResumeOk replays, Report at shutdown.
-  }
-}
-
-/// Non-blocking drain of server->client frames (acks, errors).
-void pollServerInput() {
-  if (St->Sock < 0)
-    return;
-  char Buf[4096];
-  for (;;) {
-    pollfd P{St->Sock, POLLIN, 0};
-    if (poll(&P, 1, 0) <= 0 || !(P.revents & (POLLIN | POLLHUP | POLLERR)))
-      break;
-    const ssize_t N = recv(St->Sock, Buf, sizeof(Buf), 0);
-    if (N == 0) {
-      dropSock();
-      return;
-    }
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    St->SrvDec.append(Buf, static_cast<size_t>(N));
-  }
-  WireFrameView F;
-  while (St->Sock >= 0 && St->SrvDec.next(F) == 1)
-    if (!onServerFrame(F))
-      return;
-}
-
-/// Blocks (up to \p TimeoutMs) for one complete server frame.
-bool readServerFrame(WireFrameView &F, int TimeoutMs) {
-  char Buf[4096];
-  for (int Waited = 0;;) {
-    if (St->SrvDec.next(F) == 1)
-      return true;
-    if (St->Sock < 0 || Waited >= TimeoutMs)
-      return false;
-    pollfd P{St->Sock, POLLIN, 0};
-    const int PR = poll(&P, 1, 100);
-    Waited += 100;
-    if (PR <= 0)
-      continue;
-    const ssize_t N = recv(St->Sock, Buf, sizeof(Buf), 0);
-    if (N <= 0) {
-      if (N < 0 && errno == EINTR)
-        continue;
-      dropSock();
-      return false;
-    }
-    St->SrvDec.append(Buf, static_cast<size_t>(N));
-  }
-}
-
-int connectServerPath() {
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (St->ServerPath.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, St->ServerPath.c_str(),
-              St->ServerPath.size() + 1);
-  const int S = socket(AF_UNIX, SOCK_STREAM, 0);
-  if (S < 0)
-    return -1;
-  if (connect(S, reinterpret_cast<const sockaddr *>(&Addr), sizeof(Addr)) !=
-      0) {
-    close(S);
-    return -1;
-  }
-  return S;
-}
-
-bool retransmitUnacked();
-
-/// Bounded reconnect + Resume(token, next-seq) + retransmit. Returns with
-/// a usable attached socket, or gives up for good.
-bool reattach() {
-  if (St->GaveUp || St->RetryMax == 0 || St->SessionToken == 0) {
-    if (!St->GaveUp) {
-      St->GaveUp = true;
-      std::fprintf(stderr, "librace_interpose: lost the server connection\n");
-    }
-    return false;
-  }
-  for (unsigned Attempt = 0; Attempt < St->RetryMax; ++Attempt) {
-    if (Attempt != 0) {
-      uint64_t DelayMs = std::min<uint64_t>(500, 2ull << Attempt);
-      DelayMs += nextJitter() % (DelayMs / 2 + 1);
-      sleepMs(DelayMs);
-    }
-    dropSock();
-    const int S = connectServerPath();
-    if (S < 0)
-      continue;
-    St->Sock = S;
-    std::string HS = wireHelloFrame(WireHelloAttach);
-    HS += wireResumeFrame(St->SessionToken, St->EventsSent);
-    if (!sendAllFd(S, HS.data(), HS.size()))
-      continue;
-    WireFrameView F;
-    if (!readServerFrame(F, 5000))
-      continue;
-    if (F.Type == WireFrame::ResumeOk && F.Payload.size() == 16) {
-      const uint64_t Applied = wireGetU64(F.Payload.data() + 8);
-      if (Applied > St->AckedEvents)
-        St->AckedEvents = Applied;
-      trimSpill();
-      if (retransmitUnacked())
-        return true;
-      continue;
-    }
-    if (F.Type == WireFrame::WireError) {
-      WireErrorInfo E;
-      if (wireParseError(F.Payload, E) && !E.Retryable) {
-        std::fprintf(stderr, "librace_interpose: resume refused: %s\n",
-                     E.Message.c_str());
-        break;
-      }
-      continue;
-    }
-  }
-  dropSock();
-  St->GaveUp = true;
-  std::fprintf(stderr, "librace_interpose: lost the server connection\n");
-  return false;
-}
-
-/// Replays declares, the unacked spill tail, and a queued Finish on a
-/// freshly attached socket.
-bool retransmitUnacked() {
-  if (!St->DeclareLog.empty() &&
-      !sendAllFd(St->Sock, St->DeclareLog.data(), St->DeclareLog.size()))
-    return false;
-  for (const auto &E : St->Spill) {
-    if (E.first + eventsInFrame(E.second) <= St->AckedEvents)
-      continue;
-    if (!sendAllFd(St->Sock, E.second.data(), E.second.size()))
-      return false;
-  }
-  if (St->FinishQueued) {
-    std::string Fin;
-    wireAppendFrame(Fin, WireFrame::Finish, std::string_view());
-    if (!sendAllFd(St->Sock, Fin.data(), Fin.size()))
-      return false;
-  }
-  return true;
-}
-
-/// send-with-resume: survives connection loss as long as reattach can.
-bool sendResumable(const std::string &Frame) {
-  for (;;) {
-    if (St->GaveUp)
-      return false;
-    if (St->Sock < 0 && !reattach())
-      return false;
-    if (sendAllFd(St->Sock, Frame.data(), Frame.size()))
-      return true;
-    dropSock();
-  }
-}
-
 // ---- Interning (RegM held by caller) ---------------------------------------
 
 void stageDecl(WireDeclareKind K, const std::string &Name) {
@@ -435,37 +211,23 @@ ThreadLog *newThreadLocked() {
   return L;
 }
 
-uint32_t internMutexLocked(const void *M) {
-  auto It = St->MutexIds.find(M);
-  if (It != St->MutexIds.end())
+/// Interns an annotation name (a variable or a location) into one table.
+uint32_t internNameLocked(std::unordered_map<std::string, uint32_t> &Ids,
+                          std::vector<std::string> &Names, WireDeclareKind K,
+                          const std::string &Name) {
+  auto It = Ids.find(Name);
+  if (It != Ids.end())
     return It->second;
-  const uint32_t Id = static_cast<uint32_t>(St->LockNames.size());
-  St->LockNames.push_back("M" + std::to_string(Id + 1));
-  stageDecl(WireDeclareKind::Lock, St->LockNames.back());
-  St->MutexIds.emplace(M, Id);
-  return Id;
-}
-
-uint32_t internVarLocked(const std::string &Name) {
-  auto It = St->VarIds.find(Name);
-  if (It != St->VarIds.end())
-    return It->second;
-  const uint32_t Id = static_cast<uint32_t>(St->VarNames.size());
-  St->VarNames.push_back(Name);
-  stageDecl(WireDeclareKind::Var, Name);
-  St->VarIds.emplace(Name, Id);
+  const uint32_t Id = static_cast<uint32_t>(Names.size());
+  Names.push_back(Name);
+  stageDecl(K, Name);
+  Ids.emplace(Name, Id);
   return Id;
 }
 
 uint32_t internLocLocked(const std::string &Name) {
-  auto It = St->LocIds.find(Name);
-  if (It != St->LocIds.end())
-    return It->second;
-  const uint32_t Id = static_cast<uint32_t>(St->LocNames.size());
-  St->LocNames.push_back(Name);
-  stageDecl(WireDeclareKind::Loc, Name);
-  St->LocIds.emplace(Name, Id);
-  return Id;
+  return internNameLocked(St->LocIds, St->LocNames, WireDeclareKind::Loc,
+                          Name);
 }
 
 ThreadLog *ensureThread() {
@@ -486,11 +248,73 @@ void record(ThreadLog *L, uint8_t Kind, uint32_t Target, uint32_t Loc) {
   L->M.unlock();
 }
 
+/// Interns \p M (takes the registry lock itself).
+uint32_t mutexId(const pthread_mutex_t *M) {
+  St->RegM.lock();
+  auto It = St->MutexIds.find(M);
+  if (It == St->MutexIds.end()) {
+    const uint32_t New = static_cast<uint32_t>(St->LockNames.size());
+    St->LockNames.push_back("M" + std::to_string(New + 1));
+    stageDecl(WireDeclareKind::Lock, St->LockNames.back());
+    It = St->MutexIds.emplace(M, New).first;
+  }
+  const uint32_t Id = It->second;
+  St->RegM.unlock();
+  return Id;
+}
+
+/// A lock call (lock, trylock, timedlock) that emits its acquire only on
+/// success, stamped while the real lock is held; only the outermost level
+/// of a recursive mutex is modeled.
+template <typename LockFn> int modelLock(pthread_mutex_t *M, LockFn Lock) {
+  ensureReals();
+  if (InHook || !St)
+    return Lock();
+  HookGuard G;
+  const int R = Lock();
+  if (R == 0) {
+    ThreadLog *Self = ensureThread();
+    const uint32_t Id = mutexId(M);
+    if (++Self->HeldDepth[Id] == 1)
+      record(Self, 2 /*acq*/, Id, St->RtLoc);
+  }
+  return R;
+}
+
+/// A condvar wait: release stamped before the real wait (the mutex is
+/// still held), acquire after it returns (held again on every return).
+/// Only the outermost hold is modeled: glibc's wait does not release a
+/// recursive mutex locked more than once.
+template <typename WaitFn> int modelWait(pthread_mutex_t *M, WaitFn Wait) {
+  ensureReals();
+  if (InHook || !St)
+    return Wait();
+  HookGuard G;
+  ThreadLog *Self = ensureThread();
+  const uint32_t Id = mutexId(M);
+  auto It = Self->HeldDepth.find(Id);
+  const bool Outer = It != Self->HeldDepth.end() && It->second == 1;
+  if (Outer)
+    record(Self, 3 /*rel*/, Id, St->RtLoc);
+  const int R = Wait();
+  if (Outer)
+    record(Self, 2 /*acq*/, Id, St->RtLoc);
+  return R;
+}
+
 // ---- Flushing ---------------------------------------------------------------
 
 const char *kindOp(uint8_t K) {
   static const char *Ops[] = {"r", "w", "acq", "rel", "fork", "join"};
   return Ops[K];
+}
+
+/// Permanent transport failure: warn once and go on recording only.
+void stopStreaming(const Status &Why) {
+  St->Streaming = false;
+  St->Server.close();
+  std::fprintf(stderr, "librace_interpose: streaming stopped: %s\n",
+               Why.str().c_str());
 }
 
 /// One consistent cut: with RegM held, take every thread lock, swap all
@@ -536,40 +360,27 @@ void flushOnce() {
   }
   St->RegM.unlock();
 
-  if ((St->Sock >= 0 || St->SessionToken != 0) && !St->GaveUp) {
-    pollServerInput(); // Pick up acks so the spill stays trimmed.
-    if (!Decl.empty()) {
-      std::string DF;
+  if (St->Streaming) {
+    std::string DF;
+    if (!Decl.empty())
       wireAppendFrame(DF, WireFrame::Declare, Decl);
-      St->DeclareLog += DF; // Replayed in full on every resume.
-      sendResumable(DF);
-    }
+    Status S = St->Server.sendDeclareFrames(DF);
     constexpr size_t BatchRecords = 8192;
-    for (size_t I = 0; I < Cut.size(); I += BatchRecords) {
+    for (size_t I = 0; S.ok() && I < Cut.size(); I += BatchRecords) {
       const size_t N = std::min(BatchRecords, Cut.size() - I);
       std::string P;
       P.reserve(12 + N * WireEventRecordSize);
-      wireEventsHeader(P, St->EventsSent, static_cast<uint32_t>(N));
+      wireEventsHeader(P, St->Server.eventsSent(), static_cast<uint32_t>(N));
       for (size_t K = 0; K != N; ++K) {
         const Rec &R = Cut[I + K];
         wireEventRecord(P, R.Kind, R.Thread, R.Target, R.Loc);
       }
       std::string EF;
       wireAppendFrame(EF, WireFrame::Events, P);
-      St->EventsSent += N;
-      if (St->SessionToken != 0) {
-        St->SpillBytes += EF.size();
-        St->Spill.emplace_back(St->EventsSent - N, EF);
-        if (St->SpillBytes > (8u << 20)) {
-          // Unbounded unacked backlog: stop pretending we can resume.
-          St->Spill.clear();
-          St->SpillBytes = 0;
-          St->SessionToken = 0;
-        }
-      }
-      if (!sendResumable(EF))
-        break;
+      S = St->Server.sendEventsFrame(EF);
     }
+    if (!S.ok())
+      stopStreaming(S);
   }
   if (St->Record && !Text.empty()) {
     std::fwrite(Text.data(), 1, Text.size(), St->Record);
@@ -606,30 +417,24 @@ __attribute__((constructor)) void interposeInit() {
     if (!St->Record)
       std::fprintf(stderr, "librace_interpose: cannot write '%s'\n", Path);
   }
-  if (const char *Retry = std::getenv("RACE_RETRY_MAX"))
-    St->RetryMax = static_cast<unsigned>(std::strtoul(Retry, nullptr, 10));
   if (const char *Path = std::getenv("RACE_SERVER")) {
-    St->ServerPath = Path;
-    const int S = connectServerPath();
-    if (S >= 0) {
-      St->Sock = S;
-      const std::string Hello =
-          wireHelloFrame(St->RetryMax ? WireHelloResumable : 0);
-      sendAllFd(S, Hello.data(), Hello.size());
-      if (St->RetryMax) {
-        // The server answers a resumable Hello with Welcome immediately;
-        // token 0 means resume is disabled server-side (grace window off).
-        WireFrameView F;
-        if (readServerFrame(F, 5000) && F.Type == WireFrame::Welcome &&
-            F.Payload.size() == 16)
-          St->SessionToken = wireGetU64(F.Payload.data() + 8);
-      }
+    const char *Retry = std::getenv("RACE_RETRY_MAX");
+    const int RetryMax = Retry ? std::atoi(Retry) : 8;
+    Status S;
+    if (RetryMax > 0) {
+      S = St->Server.connectResumable(Path, 0,
+                                      WireRetryPolicy::perProcess(RetryMax));
     } else {
+      S = St->Server.connectUnix(Path);
+      if (S.ok())
+        S = St->Server.sendHello();
+    }
+    St->Streaming = S.ok();
+    if (!S.ok())
       std::fprintf(stderr,
                    "librace_interpose: cannot reach RACE_SERVER '%s': %s "
                    "(recording only)\n",
-                   Path, std::strerror(errno));
-    }
+                   Path, S.str().c_str());
   }
   if (RealCreate &&
       RealCreate(&St->Flusher, nullptr, flusherMain, nullptr) == 0)
@@ -643,24 +448,16 @@ __attribute__((destructor)) void interposeFini() {
   if (St->FlusherStarted && RealJoin)
     RealJoin(St->Flusher, nullptr);
   flushOnce();
-  if (St->Sock >= 0 || (St->SessionToken != 0 && !St->GaveUp)) {
-    std::string Fin;
-    wireAppendFrame(Fin, WireFrame::Finish, std::string_view());
-    St->FinishQueued = true; // reattach() re-sends it after any resume.
-    sendResumable(Fin);
-  }
-  if (St->Sock >= 0) {
-    shutdown(St->Sock, SHUT_WR);
-    // Drain until the server finalizes (its Report, then EOF) so the
-    // session is retained server-side before this process disappears.
-    char Buf[4096];
-    for (int Spins = 0; Spins != 500; ++Spins) {
-      const ssize_t N = recv(St->Sock, Buf, sizeof(Buf), 0);
-      if (N <= 0)
-        break;
-    }
-    close(St->Sock);
-    St->Sock = -1;
+  if (St->Streaming) {
+    // Wait for the Report, so the session is finalized (and retained
+    // server-side) before this process disappears.
+    std::string Report;
+    Status S = St->Server.sendFinishReliable();
+    if (S.ok())
+      S = St->Server.awaitReport(Report);
+    if (!S.ok())
+      stopStreaming(S);
+    St->Server.close();
   }
   if (St->Record) {
     std::fclose(St->Record);
@@ -671,7 +468,11 @@ __attribute__((destructor)) void interposeFini() {
 } // namespace
 
 // ---- Interposed entry points ------------------------------------------------
+//
+// The only symbols the shared object exports (everything else is built
+// with hidden visibility).
 
+#pragma GCC visibility push(default)
 extern "C" {
 
 struct RaceStartArg {
@@ -691,8 +492,7 @@ static void *raceTrampoline(void *P) {
 
 int pthread_create(pthread_t *Th, const pthread_attr_t *Attr,
                    void *(*Fn)(void *), void *Arg) {
-  if (!RealCreate)
-    resolveReals();
+  ensureReals();
   if (InHook || !St)
     return RealCreate(Th, Attr, Fn, Arg);
   HookGuard G;
@@ -714,8 +514,7 @@ int pthread_create(pthread_t *Th, const pthread_attr_t *Attr,
 }
 
 int pthread_join(pthread_t Th, void **Ret) {
-  if (!RealJoin)
-    resolveReals();
+  ensureReals();
   if (InHook || !St)
     return RealJoin(Th, Ret);
   HookGuard G;
@@ -736,42 +535,40 @@ int pthread_join(pthread_t Th, void **Ret) {
 }
 
 int pthread_mutex_lock(pthread_mutex_t *M) {
-  if (!RealLock)
-    resolveReals();
-  if (InHook || !St)
-    return RealLock(M);
-  HookGuard G;
-  const int R = RealLock(M);
-  if (R == 0) {
-    ThreadLog *Self = ensureThread();
-    St->RegM.lock();
-    const uint32_t Id = internMutexLocked(M);
-    St->RegM.unlock();
-    // Acquire stamped while the real lock is held; only the outermost
-    // level of a recursive mutex is modeled.
-    if (++Self->HeldDepth[Id] == 1)
-      record(Self, 2 /*acq*/, Id, St->RtLoc);
-  }
-  return R;
+  return modelLock(M, [M] { return RealLock(M); });
+}
+
+int pthread_mutex_trylock(pthread_mutex_t *M) {
+  return modelLock(M, [M] { return RealTryLock(M); });
+}
+
+int pthread_mutex_timedlock(pthread_mutex_t *M, const timespec *Abs) {
+  return modelLock(M, [M, Abs] { return RealTimedLock(M, Abs); });
 }
 
 int pthread_mutex_unlock(pthread_mutex_t *M) {
-  if (!RealUnlock)
-    resolveReals();
+  ensureReals();
   if (InHook || !St)
     return RealUnlock(M);
   HookGuard G;
   ThreadLog *Self = ensureThread();
-  St->RegM.lock();
-  const uint32_t Id = internMutexLocked(M);
-  St->RegM.unlock();
+  const uint32_t Id = mutexId(M);
   // Release stamped before the real unlock (still inside the critical
-  // section). Unmatched unlocks — depth 0, e.g. after an uninterposed
-  // trylock — are skipped, never emitted as bare releases.
+  // section). Unmatched unlocks (depth 0: the lock was taken before the
+  // shim could see it) are skipped, never emitted as bare releases.
   auto It = Self->HeldDepth.find(Id);
   if (It != Self->HeldDepth.end() && It->second != 0 && --It->second == 0)
     record(Self, 3 /*rel*/, Id, St->RtLoc);
   return RealUnlock(M);
+}
+
+int pthread_cond_wait(pthread_cond_t *C, pthread_mutex_t *M) {
+  return modelWait(M, [C, M] { return RealCondWait(C, M); });
+}
+
+int pthread_cond_timedwait(pthread_cond_t *C, pthread_mutex_t *M,
+                           const timespec *Abs) {
+  return modelWait(M, [C, M, Abs] { return RealCondTimedWait(C, M, Abs); });
 }
 
 void race_annotate_access(int IsWrite, const void *Addr, const char *Var,
@@ -786,10 +583,12 @@ void race_annotate_access(int IsWrite, const void *Addr, const char *Var,
     Var = AddrName;
   }
   St->RegM.lock();
-  const uint32_t V = internVarLocked(Var);
+  const uint32_t V =
+      internNameLocked(St->VarIds, St->VarNames, WireDeclareKind::Var, Var);
   const uint32_t L = Loc ? internLocLocked(Loc) : St->RtLoc;
   St->RegM.unlock();
   record(Self, IsWrite ? 1 : 0, V, L);
 }
 
 } // extern "C"
+#pragma GCC visibility pop

@@ -19,12 +19,11 @@
 /// sequential ids per table in declaration order, so an id is just "the
 /// k-th name I declared of this kind" and no round trip is needed.
 ///
-/// The encode helpers and the incremental FrameDecoder are header-only on
-/// purpose: the LD_PRELOAD interposer (examples/interpose/) speaks this
-/// protocol from inside arbitrary processes and must not link the static
-/// rapid library into a shared object. Trace-coupled conveniences
-/// (encodeTraceFrames, decodeEventsPayload) live in WireFormat.cpp and
-/// are only for rapid-linking code (server, tests, tools).
+/// WireFormat.cpp is compiled into the position-independent `rapid_wire`
+/// object library together with serve/WireClient and support/Prng; the
+/// LD_PRELOAD interposer (examples/interpose/) links that library into
+/// its shared object without the rest of rapid. So the codec may use
+/// only inline Trace accessors and header-only support code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -155,7 +154,7 @@ struct WireErrorInfo {
   std::string Message;
 };
 
-// ---- Little-endian scalar helpers (header-only; interposer-safe) -----------
+// ---- Little-endian scalar helpers ------------------------------------------
 
 inline void wirePutU16(std::string &B, uint16_t V) {
   B.push_back(static_cast<char>(V & 0xff));
@@ -184,7 +183,7 @@ inline uint64_t wireGetU64(const char *P) {
          (static_cast<uint64_t>(wireGetU32(P + 4)) << 32);
 }
 
-// ---- Frame/payload building (header-only; interposer-safe) -----------------
+// ---- Frame/payload building ------------------------------------------------
 
 /// Appends one complete frame to \p Out.
 inline void wireAppendFrame(std::string &Out, WireFrame T,
@@ -366,7 +365,7 @@ private:
   std::string Err;
 };
 
-// ---- Trace-coupled helpers (WireFormat.cpp; rapid-linking code only) -------
+// ---- Trace-coupled helpers (WireFormat.cpp) --------------------------------
 
 /// Checks a Hello payload; false fills \p Error.
 bool wireCheckHello(std::string_view Payload, std::string &Error);

@@ -21,6 +21,13 @@
 
 namespace rapid {
 
+WireRetryPolicy WireRetryPolicy::perProcess(int Attempts) {
+  WireRetryPolicy P;
+  P.MaxAttempts = Attempts;
+  P.JitterSeed = static_cast<uint64_t>(::getpid());
+  return P;
+}
+
 WireClient::~WireClient() { close(); }
 
 void WireClient::close() {
@@ -156,6 +163,12 @@ void WireClient::dropConnection() {
   Dec = FrameDecoder();
 }
 
+Status WireClient::failFatal(const WireErrorInfo &E) {
+  Fatal = Status(E.Code == StatusCode::Ok ? StatusCode::InvalidState : E.Code,
+                 E.Message);
+  return Fatal;
+}
+
 void WireClient::setFaultPlan(const WireFaultPlan &P) {
   Plan = P;
   KillRng.reseed(P.Seed);
@@ -239,11 +252,8 @@ void WireClient::handleServerFrame(const WireFrameView &F) {
     return;
   case WireFrame::WireError: {
     WireErrorInfo E;
-    if (wireParseError(F.Payload, E) && !E.Retryable) {
-      ServerError = Status(E.Code == StatusCode::Ok ? StatusCode::InvalidState
-                                                    : E.Code,
-                           E.Message);
-    }
+    if (wireParseError(F.Payload, E) && !E.Retryable)
+      failFatal(E);
     // Retryable mid-stream errors force a reconnect on the next send.
     dropConnection();
     return;
@@ -306,8 +316,8 @@ Status WireClient::handshakeFresh(int RetryMs) {
       }
       Dec = FrameDecoder();
     }
-    Status S = rawSend(wireHelloFrame(WireHelloResumable).data(),
-                       wireHelloFrame(WireHelloResumable).size());
+    const std::string Hello = wireHelloFrame(WireHelloResumable);
+    Status S = rawSend(Hello.data(), Hello.size());
     if (!S.ok()) {
       Last = S;
       continue;
@@ -337,10 +347,7 @@ Status WireClient::handshakeFresh(int RetryMs) {
         Last = Status(StatusCode::InvalidState, E.Message);
         continue;
       }
-      ServerError = Status(E.Code == StatusCode::Ok ? StatusCode::InvalidState
-                                                    : E.Code,
-                           E.Message);
-      return ServerError;
+      return failFatal(E);
     }
     dropConnection();
     Last = Status(StatusCode::ValidationError,
@@ -354,16 +361,24 @@ Status WireClient::handshakeFresh(int RetryMs) {
 Status WireClient::reconnectAndResume() {
   if (!Resumable)
     return Status(StatusCode::IoError, "connection lost (not resumable)");
-  if (!ServerError.ok())
-    return ServerError;
-  if (Token == 0) {
-    // The outage predates the Welcome (or the server disabled resume):
-    // start a fresh session and replay the whole logged stream into it.
+  if (!Fatal.ok())
+    return Fatal;
+  if (SessId == 0) {
+    // The outage predates the Welcome: start a fresh session and replay
+    // the whole logged stream into it.
     Status S = handshakeFresh(0);
     if (!S.ok())
       return S;
     ++Reconnects;
     return retransmit();
+  }
+  if (Token == 0) {
+    // No token (resume disabled server-side, or the spill was dropped):
+    // a fresh session would get only what is still logged and report an
+    // empty or partial stream as if it were the whole one.
+    Fatal = Status(StatusCode::IoError,
+                   "connection lost and the session has no resume token");
+    return Fatal;
   }
   Status Last;
   uint32_t Hint = 0;
@@ -419,10 +434,7 @@ Status WireClient::reconnectAndResume() {
         Last = Status(StatusCode::InvalidState, E.Message);
         continue;
       }
-      ServerError = Status(E.Code == StatusCode::Ok ? StatusCode::InvalidState
-                                                    : E.Code,
-                           E.Message);
-      return ServerError;
+      return failFatal(E);
     }
     dropConnection();
     Last = Status(StatusCode::ValidationError,
@@ -461,16 +473,16 @@ Status WireClient::retransmit() {
 Status WireClient::sendFrameReliable(const std::string &Frame, bool IsEvents,
                                      uint64_t StartSeq, uint64_t Count) {
   for (;;) {
-    if (!ServerError.ok())
-      return ServerError;
+    if (!Fatal.ok())
+      return Fatal;
     if (Fd < 0) {
       Status RS = reconnectAndResume();
       if (!RS.ok())
         return RS;
     }
     drainAcks();
-    if (!ServerError.ok())
-      return ServerError;
+    if (!Fatal.ok())
+      return Fatal;
     if (IsEvents && StartSeq + Count <= AckedSeq)
       return Status::success(); // Applied before the last outage.
     if (Fd < 0)
@@ -482,34 +494,46 @@ Status WireClient::sendFrameReliable(const std::string &Frame, bool IsEvents,
   }
 }
 
-Status WireClient::sendDeclares(const Trace &T) {
-  if (!Resumable)
-    return Status(StatusCode::InvalidState,
-                  "sendDeclares requires connectResumable");
-  const std::string Frames = encodeDeclareFrames(T);
-  DeclareLog += Frames;
+Status WireClient::sendDeclareFrames(const std::string &Frames) {
   if (Frames.empty())
     return Status::success();
+  if (Resumable)
+    DeclareLog += Frames;
   return sendFrameReliable(Frames, /*IsEvents=*/false, 0, 0);
 }
 
-Status WireClient::sendEvents(const Trace &T, uint64_t BatchEvents) {
-  if (!Resumable)
+Status WireClient::sendEventsFrame(const std::string &Frame) {
+  const uint64_t Start = NextSeq;
+  if (Frame.size() < WireFrameHeaderSize + 12 ||
+      static_cast<WireFrame>(Frame[4]) != WireFrame::Events ||
+      wireGetU64(Frame.data() + WireFrameHeaderSize) != Start)
     return Status(StatusCode::InvalidState,
-                  "sendEvents requires connectResumable");
-  for (std::string &Frame : encodeEventFrames(T, BatchEvents, NextSeq)) {
-    const uint64_t Start = NextSeq;
-    const uint64_t Count = eventsInFrame(Frame);
-    NextSeq += Count;
-    if (Token != 0 || SessId == 0) {
+                  "not an events frame starting at sequence " +
+                      std::to_string(Start));
+  const uint64_t Count = eventsInFrame(Frame);
+  NextSeq += Count;
+  if (Resumable && (Token != 0 || SessId == 0)) {
+    if (SpillBytes + Frame.size() > Policy.SpillMaxBytes) {
+      // Too much unacknowledged to resume from: drop the spill and the
+      // token, keep streaming, and let the next outage be final.
+      Spill.clear();
+      SpillBytes = 0;
+      Token = 0;
+    } else {
       SpillBytes += Frame.size();
-      if (SpillBytes > Policy.SpillMaxBytes)
-        return Status(StatusCode::InvalidState,
-                      "resume spill buffer overflow (" +
-                          std::to_string(SpillBytes) + " bytes unacked)");
       Spill.emplace_back(Start, Frame);
     }
-    Status S = sendFrameReliable(Frame, /*IsEvents=*/true, Start, Count);
+  }
+  return sendFrameReliable(Frame, /*IsEvents=*/true, Start, Count);
+}
+
+Status WireClient::sendDeclares(const Trace &T) {
+  return sendDeclareFrames(encodeDeclareFrames(T));
+}
+
+Status WireClient::sendEvents(const Trace &T, uint64_t BatchEvents) {
+  for (const std::string &Frame : encodeEventFrames(T, BatchEvents, NextSeq)) {
+    Status S = sendEventsFrame(Frame);
     if (!S.ok())
       return S;
   }
@@ -517,9 +541,6 @@ Status WireClient::sendEvents(const Trace &T, uint64_t BatchEvents) {
 }
 
 Status WireClient::sendFinishReliable() {
-  if (!Resumable)
-    return Status(StatusCode::InvalidState,
-                  "sendFinishReliable requires connectResumable");
   FinishSent = true;
   return sendFrameReliable(finishFrame(), /*IsEvents=*/false, 0, 0);
 }
@@ -532,8 +553,8 @@ Status WireClient::awaitReport(std::string &Payload, int TimeoutMs) {
       HasStashedReport = false;
       return Status::success();
     }
-    if (!ServerError.ok())
-      return ServerError;
+    if (!Fatal.ok())
+      return Fatal;
     const auto Elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - Start)
                              .count();
@@ -576,10 +597,7 @@ Status WireClient::awaitReport(std::string &Payload, int TimeoutMs) {
         backoff(1, E.RetryAfterMs);
         continue;
       }
-      ServerError = Status(E.Code == StatusCode::Ok ? StatusCode::InvalidState
-                                                    : E.Code,
-                           E.Message);
-      return ServerError;
+      return failFatal(E);
     }
     default:
       continue;

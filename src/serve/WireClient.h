@@ -7,10 +7,12 @@
 /// \file
 /// A small blocking client for the serving protocol (io/WireFormat.h):
 /// connect to a race_serverd socket, push hello/declare/events frames,
-/// issue control queries, read reply frames. This is the test harness's
-/// and tooling's side of the protocol — the LD_PRELOAD interposer ships
-/// its own freestanding encoder (examples/interpose/) because it must not
-/// link the analysis library.
+/// issue control queries, read reply frames. It is the one client side of
+/// the protocol: tests, perfbench and the LD_PRELOAD interposer
+/// (examples/interpose/) all use it. This file, io/WireFormat.cpp and
+/// support/Prng.cpp form the position-independent `rapid_wire` object
+/// library, so the interposer links them without the analysis library;
+/// nothing here may reach into the rest of rapid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +39,11 @@ struct WireRetryPolicy {
   int BackoffMaxMs = 500;    ///< Exponential cap.
   uint64_t JitterSeed = 1;   ///< Deterministic jitter stream.
   size_t SpillMaxBytes = 8u << 20; ///< Unacked-frame buffer cap.
+
+  /// The default policy with \p Attempts reconnect attempts and the
+  /// jitter seeded from the process id, so processes that lose one server
+  /// together do not retry in lockstep.
+  static WireRetryPolicy perProcess(int Attempts);
 };
 
 /// Deterministic client-side fault injection: kill the connection (close
@@ -94,14 +101,21 @@ public:
   // ---- Resumable mode -------------------------------------------------------
   //
   // connectResumable() negotiates a sequence-numbered session (Hello with
-  // the Resumable flag, Welcome reply). From then on sendDeclares/
-  // sendEvents/sendFinishReliable spill unacknowledged frames and survive
-  // connection loss: the client reconnects with bounded exponential
-  // backoff + jitter, replays Resume(token, next-seq), and retransmits
-  // from the spill; the server's sequence dedup makes delivery
-  // exactly-once. awaitReport() filters Welcome/ResumeOk/Ack frames and
-  // rides reconnects transparently, so the caller sees exactly the frames
-  // a fault-free run would produce.
+  // the Resumable flag, Welcome reply). From then on the sendDeclare*/
+  // sendEvents*/sendFinishReliable calls spill unacknowledged frames and
+  // survive connection loss: the client reconnects with bounded
+  // exponential backoff + jitter, replays Resume(token, next-seq), and
+  // retransmits from the spill; the server's sequence dedup makes
+  // delivery exactly-once. awaitReport() filters Welcome/ResumeOk/Ack
+  // frames and rides reconnects transparently, so the caller sees exactly
+  // the frames a fault-free run would produce.
+  //
+  // Resume needs a token. A session without one — the server disabled
+  // resume (Welcome token 0), or the spill outgrew SpillMaxBytes and the
+  // client dropped it and its token — keeps streaming, but its next lost
+  // connection is a permanent IoError. The same calls also work on a
+  // plain connectUnix()+sendHello() connection, where any lost connection
+  // is permanent.
 
   /// Connects and performs the resumable handshake.
   Status connectResumable(const std::string &Path, int RetryMs = 0,
@@ -110,10 +124,15 @@ public:
   /// Installs a deterministic kill schedule (before or mid-stream).
   void setFaultPlan(const WireFaultPlan &Plan);
 
-  /// Declare frames for every table of \p T; logged and replayed on every
-  /// resume (interning dedupes, so replay is idempotent).
+  /// Already-framed Declare frames; logged and replayed on every resume
+  /// (interning dedupes, so replay is idempotent).
+  Status sendDeclareFrames(const std::string &Frames);
+  /// One already-framed Events frame whose start sequence is eventsSent();
+  /// spilled until acknowledged.
+  Status sendEventsFrame(const std::string &Frame);
+  /// sendDeclareFrames() of every table of \p T.
   Status sendDeclares(const Trace &T);
-  /// Sequence-numbered Events frames, spilled until acknowledged.
+  /// \p T's events as sendEventsFrame() batches of \p BatchEvents.
   Status sendEvents(const Trace &T, uint64_t BatchEvents = 8192);
   /// Finish, resent after any resume (the server treats it idempotently).
   Status sendFinishReliable();
@@ -131,6 +150,7 @@ private:
   Status rawSend(const char *Data, size_t N);
   Status sendFrameReliable(const std::string &Frame, bool IsEvents,
                            uint64_t StartSeq, uint64_t Count);
+  Status failFatal(const WireErrorInfo &E);
   Status handshakeFresh(int RetryMs);
   Status reconnectAndResume();
   Status retransmit();
@@ -158,7 +178,9 @@ private:
   /// Unacked Events frames: (start seq, framed bytes).
   std::deque<std::pair<uint64_t, std::string>> Spill;
   size_t SpillBytes = 0;
-  Status ServerError; ///< Sticky non-retryable WireError from the server.
+  /// Sticky permanent failure: a non-retryable WireError from the server,
+  /// or a lost connection that had no resume token.
+  Status Fatal;
   bool HasStashedReport = false;
   std::string StashedReport; ///< Report drained while processing acks.
 

@@ -17,7 +17,11 @@
 //   4. bounded grace — a detached resumable session whose client never
 //      returns is finalized (prefix retained) when the grace window
 //      expires; a Resume with an unknown token is rejected loudly;
-//   5. idle eviction and roster GC run off the server's timer wheel.
+//   5. idle eviction and roster GC run off the server's timer wheel;
+//   6. no token, no resume — a session without a resume token (server
+//      grace window off, or a spill overflow that dropped it) streams on,
+//      but losing its connection is a permanent IoError, never a fresh
+//      session that reports a truncated stream as the whole one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -346,6 +350,71 @@ TEST_F(ServeResumeTest, IdleSessionsAreEvictedAndRosterIsTrimmed) {
         return true;
     return false;
   }));
+  Server.stop();
+}
+
+// ---- 6. No token, no resume ------------------------------------------------
+
+TEST_F(ServeResumeTest, LostConnectionWithoutTokenFailsInsteadOfRestarting) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("notoken");
+  Cfg.ResumeGraceMs = 0; // Welcome carries token 0: resume is off
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  WireClient C;
+  ASSERT_TRUE(C.connectResumable(Cfg.SocketPath, 2000).ok());
+  ASSERT_EQ(C.sessionToken(), 0u);
+  // Kill the connection exactly where the Finish frame starts: every
+  // declare and event is through, the Finish is not.
+  WireFaultPlan Plan;
+  Plan.Kills = 1;
+  Plan.MinGapBytes = Plan.MaxGapBytes = encodeTraceFrames(T, 257).size();
+  C.setFaultPlan(Plan);
+  ASSERT_TRUE(C.sendDeclares(T).ok());
+  ASSERT_TRUE(C.sendEvents(T, 257).ok());
+  Status S = C.sendFinishReliable();
+  std::string Payload;
+  if (S.ok())
+    S = C.awaitReport(Payload);
+  EXPECT_EQ(S.Code, StatusCode::IoError) << S.str();
+  EXPECT_EQ(C.reconnects(), 0u);
+
+  // The one session the server saw got the whole stream; no second,
+  // empty session was opened behind it.
+  ASSERT_TRUE(eventually([&] {
+    return Server.activeSessions() == 0 &&
+           Server.finishedSessions().size() == 1;
+  }));
+  EXPECT_EQ(Server.finishedSessions()[0].Events, T.size());
+  Server.stop();
+}
+
+TEST_F(ServeResumeTest, SpillOverflowDropsTheTokenAndKeepsStreaming) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("overflow");
+  const std::string Want = directCanon(Cfg.Session, T);
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  // A cap that holds a one-event frame: the first 257-event frame
+  // overflows it, deterministically.
+  WireClient C;
+  WireRetryPolicy Pol;
+  Pol.SpillMaxBytes = WireFrameHeaderSize + 12 + WireEventRecordSize;
+  ASSERT_TRUE(C.connectResumable(Cfg.SocketPath, 2000, Pol).ok());
+  ASSERT_NE(C.sessionToken(), 0u);
+  ASSERT_TRUE(C.sendDeclares(T).ok());
+  Status S = C.sendEvents(T, 257);
+  ASSERT_TRUE(S.ok()) << S.str();
+  EXPECT_EQ(C.sessionToken(), 0u);
+  ASSERT_TRUE(C.sendFinishReliable().ok());
+  std::string Payload;
+  S = C.awaitReport(Payload);
+  ASSERT_TRUE(S.ok()) << S.str();
+  ASSERT_GE(Payload.size(), 9u);
+  EXPECT_EQ(Payload.substr(9), Want);
+  EXPECT_EQ(C.sessionToken(), 0u);
   Server.stop();
 }
 
