@@ -4,78 +4,78 @@
 //
 // The paper's headline complexity claim: Algorithm 1 runs in time
 // N·(T² + L) — linear in the trace length, the only parameter that is
-// ever large. Three google-benchmark sweeps probe the three parameters
-// independently:
+// ever large. Three sweeps probe the three parameters independently and
+// print ns/event (best of 3 walks):
 //
-//   * WcpVsEvents: time per event must stay flat as N grows (linearity);
-//   * WcpVsThreads: per-event cost grows with T (the T² term comes from
-//     the queue fan-out — visible but irrelevant at realistic T < 25);
-//   * WcpVsLocks: per-event cost is insensitive to the number of locks
-//     actually used per access (the L term bounds held-lock iteration).
+//   * N: WCP's cost per event must stay flat as N grows (linearity), and
+//     sit near HB's, the baseline the paper compares against in cols 12-13;
+//   * T: per-event cost grows with T (the T² term comes from the queue
+//     fan-out — visible but irrelevant at realistic T < 25);
+//   * L: per-event cost is insensitive to the number of locks actually
+//     used per access (the L term bounds held-lock iteration).
 //
-// HbVsEvents is the baseline the paper compares against in cols 12-13.
+// Environment: RAPID_SCALE (default 1) scales every sweep's event count.
 //
 //===----------------------------------------------------------------------===//
 
 #include "detect/DetectorRunner.h"
 #include "gen/RandomTraceGen.h"
 #include "hb/HbDetector.h"
+#include "support/TablePrinter.h"
+#include "support/Timer.h"
 #include "wcp/WcpDetector.h"
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdlib>
 
 using namespace rapid;
 
 namespace {
 
-Trace makeTrace(uint32_t Threads, uint32_t Locks, uint64_t Events) {
+Trace makeTrace(uint32_t Threads, uint32_t Locks, double Events) {
   RandomTraceParams P;
   P.Seed = 42;
   P.NumThreads = Threads;
   P.NumLocks = Locks;
   P.NumVars = 64;
-  P.OpsPerThread = static_cast<uint32_t>(Events / Threads);
+  P.OpsPerThread = std::max(1u, static_cast<uint32_t>(Events / Threads));
   P.MaxLockNesting = 2;
   P.AcquirePercent = 15;
   return randomTrace(P);
 }
 
-template <typename D> void runOver(benchmark::State &State, const Trace &T) {
-  for (auto _ : State) {
+template <typename D> std::string nsPerEvent(const Trace &T) {
+  double Best = 1e30;
+  for (int Rep = 0; Rep != 3; ++Rep) {
+    Timer Clock;
     D Detector(T);
-    for (EventIdx I = 0; I != T.size(); ++I)
-      Detector.processEvent(T.event(I), I);
-    benchmark::DoNotOptimize(Detector.report().numDistinctPairs());
+    runDetector(Detector, T);
+    Best = std::min(Best, Clock.seconds());
   }
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(T.size()));
-  State.counters["events"] = static_cast<double>(T.size());
+  return std::to_string(static_cast<uint64_t>(Best * 1e9 / T.size()));
 }
-
-void WcpVsEvents(benchmark::State &State) {
-  Trace T = makeTrace(4, 8, static_cast<uint64_t>(State.range(0)));
-  runOver<WcpDetector>(State, T);
-}
-BENCHMARK(WcpVsEvents)->RangeMultiplier(4)->Range(1 << 12, 1 << 19);
-
-void HbVsEvents(benchmark::State &State) {
-  Trace T = makeTrace(4, 8, static_cast<uint64_t>(State.range(0)));
-  runOver<HbDetector>(State, T);
-}
-BENCHMARK(HbVsEvents)->RangeMultiplier(4)->Range(1 << 12, 1 << 19);
-
-void WcpVsThreads(benchmark::State &State) {
-  Trace T = makeTrace(static_cast<uint32_t>(State.range(0)), 8, 1 << 16);
-  runOver<WcpDetector>(State, T);
-}
-BENCHMARK(WcpVsThreads)->RangeMultiplier(2)->Range(2, 32);
-
-void WcpVsLocks(benchmark::State &State) {
-  Trace T = makeTrace(4, static_cast<uint32_t>(State.range(0)), 1 << 16);
-  runOver<WcpDetector>(State, T);
-}
-BENCHMARK(WcpVsLocks)->RangeMultiplier(4)->Range(2, 512);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  double Scale = 1.0;
+  if (const char *S = std::getenv("RAPID_SCALE"))
+    Scale = std::atof(S);
+  TablePrinter Table({"sweep", "threads", "locks", "events", "WCP ns/event",
+                      "HB ns/event"});
+  auto row = [&](const char *Sweep, uint32_t Threads, uint32_t Locks,
+                 double Events) {
+    Trace T = makeTrace(Threads, Locks, Events * Scale);
+    Table.addRow({Sweep, std::to_string(Threads), std::to_string(Locks),
+                  std::to_string(T.size()), nsPerEvent<WcpDetector>(T),
+                  nsPerEvent<HbDetector>(T)});
+  };
+  for (double N = 1 << 12; N <= 1 << 19; N *= 4)
+    row("N", 4, 8, N);
+  for (uint32_t Threads = 2; Threads <= 32; Threads *= 2)
+    row("T", Threads, 8, 1 << 16);
+  for (uint32_t Locks = 2; Locks <= 512; Locks *= 4)
+    row("L", 4, Locks, 1 << 16);
+  Table.print();
+  return 0;
+}

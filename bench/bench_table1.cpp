@@ -14,7 +14,8 @@
 // planted race structure makes columns 6-7 match the paper exactly, and
 // the *shape* — WCP ≥ HB everywhere, WCP > HB on eclipse/jigsaw/xalan,
 // the windowed predictor trailing both on large traces, queues staying
-// tiny — is the reproduction target. See EXPERIMENTS.md.
+// tiny — is the reproduction target. gen_test's PlantedRaceCountsAreExact
+// pins columns 6-7 for every model.
 //
 // Environment: RAPID_SCALE (default 0.03) scales the large traces;
 // RAPID_FULL=1 runs the predictor sweep for the max column (slower).

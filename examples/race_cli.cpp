@@ -12,7 +12,7 @@
 // engine overlaps analysis with ingestion — windows dispatch as their
 // event range arrives; the var-sharded clock pass and shard checks run
 // behind the reader. --json replaces the human-readable output with a
-// machine-readable report mirroring BENCH_pipeline.json's style;
+// machine-readable report (lanes, statuses, timings, telemetry);
 // --dry-run validates the flag combination and exits (the docs CI job
 // uses it to keep every invocation quoted in docs/*.md parseable).
 //
@@ -28,7 +28,6 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "trace/TraceStats.h"
-#include "trace/TraceValidator.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -103,8 +102,7 @@ void printHelp() {
       "\n"
       "output:\n"
       "  --stats        print trace statistics first\n"
-      "  --json         machine-readable report (schema shared with\n"
-      "                 BENCH_pipeline.json tooling); includes per-lane\n"
+      "  --json         machine-readable report; includes per-lane\n"
       "                 and session \"telemetry\" objects\n"
       "  --metrics      print the telemetry tables (session counters,\n"
       "                 then one table per lane; see docs/OBSERVABILITY.md\n"
@@ -168,8 +166,8 @@ std::string renderTelemetryJson(const std::vector<MetricSample> &Telemetry,
   return J;
 }
 
-/// The machine-readable report: same field style as BENCH_pipeline.json
-/// so the two outputs can share tooling.
+/// The machine-readable report: one JSON object whose field names are
+/// the AnalysisResult's (seconds as fixed-point numbers, see Json.h).
 std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg,
                        bool Streamed) {
   std::string J;
@@ -362,12 +360,12 @@ int main(int Argc, char **Argv) {
   double IngestSeconds = 0;
   if (Opts.Stream) {
     Session.emplace(Cfg);
-    Status Fed = Session->feedFile(Opts.Path);
-    if (!Fed.ok())
-      std::fprintf(stderr, "error: %s\n", Fed.str().c_str());
     // Even on ingest failure, finish and render: the session's contract
     // is that the validated/published prefix stays analyzed, and --json
     // consumers always get a report (with the failure in its status).
+    // A failed feed is the session's sticky status, so R.Overall carries
+    // it and it is reported once, below, as in the loaded-trace path.
+    (void)Session->feedFile(Opts.Path);
     R = Session->finish();
     IngestSeconds = R.IngestSeconds;
     if (!Opts.TraceOut.empty()) {
@@ -402,17 +400,12 @@ int main(int Argc, char **Argv) {
       IngestSeconds = Ingest.seconds();
       Batch = std::move(Load.T);
     }
-    ValidationResult V = validateTrace(Batch);
-    if (!V.ok()) {
-      std::fprintf(stderr, "trace is not well-formed:\n%s", V.str().c_str());
-      return 1;
-    }
     R = analyzeTrace(Cfg, Batch);
   }
   const Trace &T = Opts.Stream ? Session->trace() : Batch;
-  // (Streamed traces are validated *inside* the session, event by event
-  // before publication — an ill-formed trace surfaces as a
-  // ValidationError in R.Overall, in --json mode too.)
+  // Both paths validate inside the session, event by event before
+  // publication: an ill-formed trace surfaces as the first
+  // ValidationError in R.Overall (exit 1), in --json mode too.
 
   if (!Opts.ReportOut.empty()) {
     const std::string Canon = canonicalReport(R, T);

@@ -1,140 +1,120 @@
 #!/usr/bin/env python3
-"""Structural checks over a bench_pipeline JSON emission.
+"""The perfbench baseline: record it, or compare against it.
 
-Two tiers, mirroring what the numbers can actually support:
+  check_bench.py record [OUT.json]
+      Runs perfbench/run.py for every BENCHMARK.json workload at --trace 0
+      (end-to-end metrics) and --trace 1 (per-layer metrics), seeds 1-5,
+      10 s each, and writes each metric's median, quartiles and runs, with
+      the host's nproc, CPU model and git sha, to OUT.json (default
+      bench/BASELINE.json). Seeds run in the outer loop, so slow drift
+      spreads over every workload; a run that is not correct, or that
+      fails a request, aborts the recording.
 
-  * Always (any host): the lock-free publish path's invariants — every
-    streamed section's ``publish.events`` equals the events the run
-    ingested, and the retired ``consume.lock_wait_seconds`` must be
-    absent or exactly zero (a nonzero value means a mutex crept back
-    between publication and the lanes). The ``syncp`` section must be
-    present and self-consistent: the streamed run reproduced the batch
-    report (``streamed_matches_batch`` true), every reported race came
-    from a candidate the prefilter admitted (``races <=
-    candidate_pairs``), and the closure actually ran when there were
-    candidates to decide. The ``serve_resilience`` section must be
-    present, its kill-injected run must reproduce the clean report
-    (``reports_match`` true), and the fault plan must actually have
-    fired (``reconnects >= 1`` when kills were injected).
-
-  * Only on a trustworthy parallel run (``degraded`` false and
-    ``hardware_threads >= 4``): the perf claims — fan-out ``speedup``
-    above 1.0, positive ``overlap_saved_seconds`` for the streamed and
-    streamed_windowed sections, and the serve_resilience resume overhead
-    within 10% of the uninterrupted wall (with a 50 ms absolute
-    allowance against timer jitter). A
-    degraded run (workers oversubscribe the host) skips these instead
-    of failing on scheduler noise.
-
-Usage: check_bench.py BENCH.json
+  check_bench.py compare [NEW.json]
+      Compares a recording (NEW.json, or a fresh one) with
+      bench/BASELINE.json. A metric is flagged when its median moved from
+      the baseline median by more than the baseline's interquartile range;
+      exits 1 when any flagged metric got worse.
 """
 
+import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASELINE = os.path.join(ROOT, "bench", "BASELINE.json")
+SEEDS = (1, 2, 3, 4, 5)
+SECONDS = 10
 
-def fail(msg):
-    print(f"check_bench: FAIL: {msg}", file=sys.stderr)
-    return 1
+
+def sh(*cmd):
+    return subprocess.run(cmd, cwd=ROOT, check=True, text=True,
+                          stdout=subprocess.PIPE).stdout.strip()
 
 
-def main(argv):
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    with open(argv[1]) as f:
-        bench = json.load(f)
+def cpu_model():
+    with open("/proc/cpuinfo") as f:
+        return next((line.split(":", 1)[1].strip() for line in f
+                     if line.startswith("model name")), "unknown")
 
-    rc = 0
-    events = bench.get("events")
-    stages = bench.get("stage_breakdown", {})
-    if not stages:
-        rc |= fail("no stage_breakdown section (obs layer stopped reporting)")
-    for name, section in stages.items():
-        published = section.get("publish.events")
-        if published != events:
-            rc |= fail(
-                f"{name}: publish.events = {published} but the run ingested "
-                f"{events} — the watermark diverged from ingestion"
-            )
-        lock_wait = section.get("consume.lock_wait_seconds", 0)
-        if lock_wait != 0:
-            rc |= fail(
-                f"{name}: consume.lock_wait_seconds = {lock_wait}; the "
-                "publish path must not take a lock"
-            )
 
-    syncp = bench.get("syncp")
-    if not syncp:
-        rc |= fail("no syncp section (sync-preserving lane stopped reporting)")
-    else:
-        if syncp.get("streamed_matches_batch") is not True:
-            rc |= fail("syncp: streamed run did not reproduce the batch report")
-        races = syncp.get("races", -1)
-        candidates = syncp.get("candidate_pairs", -1)
-        if races < 0 or candidates < 0:
-            rc |= fail("syncp: races/candidate_pairs missing")
-        elif races > candidates:
-            rc |= fail(
-                f"syncp: {races} race(s) from only {candidates} candidate "
-                "pair(s) — a race must come from an admitted candidate"
-            )
-        if candidates > 0 and syncp.get("closure_iterations", 0) <= 0:
-            rc |= fail(
-                f"syncp: {candidates} candidate(s) but no closure "
-                "iterations — the exact decision procedure never ran"
-            )
+def record():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    kinds = {0: spec["end_to_end"], 1: spec["per_layer"]}
+    runs = {}  # (workload, metric) -> values
+    for seed in SEEDS:
+        for w in spec["workloads"]:
+            for trace in (0, 1):
+                out = sh(sys.executable, "perfbench/run.py", "--workload",
+                         w["name"], "--seed", str(seed), "--seconds",
+                         str(SECONDS), "--trace", str(trace))
+                res = json.loads(out.splitlines()[-1])
+                if not res["correct"] or res["failed"]:
+                    sys.exit(f"{w['name']} seed {seed} trace {trace}: "
+                             f"correct={res['correct']} failed={res['failed']}")
+                for m in kinds[trace]:
+                    runs.setdefault((w["name"], m["name"]), []).append(
+                        res["metrics"][m["name"]]["value"])
+                print(f"{w['name']} seed {seed} trace {trace}: ok",
+                      file=sys.stderr)
+    dirty = sh("git", "status", "--porcelain", "--untracked-files=no")
+    sha = sh("git", "rev-parse", "HEAD") + ("-dirty" if dirty else "")
+    out = {"host": {"nproc": os.cpu_count(), "cpu": cpu_model(),
+                    "git_sha": sha}, "seconds": SECONDS,
+           "seeds": list(SEEDS), "workloads": {}}
+    for trace, metrics in kinds.items():
+        for w in spec["workloads"]:
+            for m in metrics:
+                vals = runs[(w["name"], m["name"])]
+                q1, med, q3 = statistics.quantiles(vals, n=4,
+                                                   method="inclusive")
+                out["workloads"].setdefault(w["name"], {})[m["name"]] = {
+                    "unit": m["unit"], "better": m["better"],
+                    "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
+                    "runs": vals}
+    return out
 
-    serve = bench.get("serve_resilience")
-    if not serve:
-        rc |= fail("no serve_resilience section (fault-tolerance lane "
-                   "stopped reporting)")
-    else:
-        if serve.get("reports_match") is not True:
-            rc |= fail("serve_resilience: the kill-injected run's report "
-                       "diverged from the uninterrupted one")
-        kills = serve.get("kills", 0)
-        reconnects = serve.get("reconnects", -1)
-        if kills > 0 and reconnects < 1:
-            rc |= fail(
-                f"serve_resilience: {kills} injected kill(s) but "
-                f"{reconnects} reconnect(s) — the fault plan never fired"
-            )
 
-    degraded = bench.get("degraded", True)
-    hw = bench.get("hardware_threads", 0)
-    if degraded or hw < 4:
-        print(
-            f"check_bench: skipping speedup assertions "
-            f"(degraded={degraded}, hardware_threads={hw})"
-        )
-    else:
-        if bench.get("speedup", 0) <= 1.0:
-            rc |= fail(f"speedup {bench.get('speedup')} <= 1.0 on a "
-                       f"{hw}-thread host")
-        for name in ("streamed", "streamed_windowed"):
-            saved = bench.get(name, {}).get("overlap_saved_seconds")
-            if saved is None or saved <= 0:
-                rc |= fail(f"{name}: overlap_saved_seconds = {saved}, "
-                           "expected > 0 on a multi-core host")
-        if serve:
-            clean = serve.get("clean_wall_seconds", 0)
-            faulty = serve.get("faulty_wall_seconds", 0)
-            ratio = serve.get("resume_overhead_ratio", 0)
-            # Resume must be noise against the analysis: 10% relative, with
-            # a 50 ms absolute allowance so short clean walls don't turn
-            # timer jitter into a failure.
-            if clean > 0 and ratio > 1.10 and (faulty - clean) > 0.05:
-                rc |= fail(
-                    f"serve_resilience: resume overhead ratio {ratio:.3f} "
-                    f"(clean {clean:.3f}s, faulty {faulty:.3f}s) exceeds "
-                    "the 10% budget on a non-degraded host"
-                )
+def compare(base, new):
+    worse = 0
+    for wname, metrics in base["workloads"].items():
+        for name, b in metrics.items():
+            n = new["workloads"][wname][name]["median"]
+            delta = n - b["median"]
+            verdict = "within spread"
+            if abs(delta) > b["iqr"]:
+                is_worse = (delta > 0) == (b["better"] == "lower")
+                verdict = "WORSE" if is_worse else "better"
+                worse += is_worse
+            print(f"{wname:14} {name:26} {b['median']:12.4g} "
+                  f"[{b['q1']:.4g}, {b['q3']:.4g}] -> {n:12.4g} {b['unit']:5}"
+                  f" {verdict}")
+    print(f"check_bench: {worse} metric(s) worse than the baseline spread")
+    return 1 if worse else 0
 
-    if rc == 0:
-        print("check_bench: OK")
-    return rc
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("command", choices=("record", "compare"))
+    p.add_argument("file", nargs="?", help="record: OUT.json; "
+                   "compare: NEW.json")
+    a = p.parse_args()
+    if a.command == "record":
+        result = record()  # Before opening: a failed run keeps the file.
+        with open(a.file or BASELINE, "w") as f:
+            f.write(json.dumps(result, indent=1) + "\n")
+        return 0
+    with open(BASELINE) as f:
+        base = json.load(f)
+    if not a.file:
+        return compare(base, record())
+    with open(a.file) as f:
+        return compare(base, json.load(f))
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

@@ -9,7 +9,8 @@
 /// The paper's conclusion lists "use of epoch based optimizations for
 /// improving memory requirements" as future work; this detector implements
 /// the optimization for the HB side and serves as the reference point for
-/// what the optimization buys (bench_detectors).
+/// what the optimization buys (perfbench's bin_large workload runs it
+/// beside HB, WCP and Eraser and reports each lane's ns/event).
 ///
 /// Most variables have totally ordered access histories, so a single epoch
 /// c@t replaces the O(T) vector; read histories adaptively promote to a

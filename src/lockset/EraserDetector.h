@@ -9,7 +9,7 @@
 /// paper's taxonomy (§1) contrasts with partial-order methods: fast, low
 /// overhead, but reports spurious races because consistent locking is a
 /// stricter discipline than race freedom. Included as the third detector
-/// family for bench_detectors and the taxonomy tests.
+/// family for perfbench's per-lane costs and the taxonomy tests.
 ///
 /// Per-variable state machine: Virgin → Exclusive(t) → Shared →
 /// SharedModified, with a candidate lockset refined by intersection with

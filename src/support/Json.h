@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The two primitives behind the repo's hand-assembled JSON outputs
-/// (race_cli --json, bench_pipeline's BENCH_pipeline.json): fixed-point
-/// number formatting and string quoting/escaping. Shared so the schemas
-/// the comments promise to keep aligned cannot drift in their encoding.
+/// (race_cli --json, the obs/ timeline export): fixed-point number
+/// formatting and string quoting/escaping. Shared so the outputs cannot
+/// drift in their encoding.
 /// Deliberately not a JSON library — emission sites assemble their own
 /// objects so the schema stays visible at the call site.
 ///

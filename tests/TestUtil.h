@@ -9,6 +9,7 @@
 
 #include "api/AnalysisSession.h"
 #include "detect/DetectorRunner.h"
+#include "gen/Workloads.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
@@ -132,6 +133,30 @@ std::vector<VectorClock> captureTimestamps(const Trace &T) {
     Detector.currentC(T.event(I).Thread, Times.back());
   }
   return Times;
+}
+
+/// A trace of the Table 1 model \p Model with at least \p Events events:
+/// the generator's count is approximate, so rescale until it is a floor.
+inline Trace workloadAtLeast(const char *Model, uint64_t Events) {
+  WorkloadSpec Spec = workloadSpec(Model);
+  double Scale = static_cast<double>(Events) / Spec.Events;
+  Trace T = makeWorkload(Spec, Scale);
+  for (int Try = 0; Try < 4 && T.size() < Events; ++Try) {
+    Scale *= 1.05 * static_cast<double>(Events) / T.size();
+    T = makeWorkload(Spec, Scale);
+  }
+  return T;
+}
+
+/// Whether wall-clock budgets bind in this build: only optimized,
+/// uninstrumented builds measure what the budgets are about.
+inline bool timingBudgetsApply() {
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) ||                     \
+    defined(__SANITIZE_THREAD__)
+  return false;
+#else
+  return true;
+#endif
 }
 
 } // namespace rapid::testutil

@@ -298,6 +298,10 @@ TEST(ObsSessionTest, PartialSnapshotsRaceIngestionSafely) {
       findSample(Final.Telemetry, "publish.events");
   ASSERT_NE(Published, nullptr);
   EXPECT_EQ(Published->Value, T.size());
+  // Consumers wait on the publish watermark without a lock: their only
+  // wait is the park (consume.park_ns), so the retired lock-wait metric
+  // must not come back.
+  EXPECT_EQ(findSample(Final.Telemetry, "consume.lock_wait_ns"), nullptr);
   // Per-lane blocks: stream counters plus the detector's own samples
   // (WCP's queue telemetry must survive lane teardown).
   ASSERT_EQ(Final.Lanes.size(), 2u);
@@ -305,6 +309,8 @@ TEST(ObsSessionTest, PartialSnapshotsRaceIngestionSafely) {
     const MetricSample *Consumed = findSample(L.Telemetry, "batches");
     ASSERT_NE(Consumed, nullptr) << L.DetectorName;
     EXPECT_GT(Consumed->Value, 0u) << L.DetectorName;
+    EXPECT_EQ(findSample(L.Telemetry, "lock_wait_ns"), nullptr)
+        << L.DetectorName;
   }
   const MetricSample *WcpEvents =
       findSample(Final.Lanes[1].Telemetry, "wcp.events_processed");

@@ -21,9 +21,13 @@
 //   6. no token, no resume — a session without a resume token (server
 //      grace window off, or a spill overflow that dropped it) streams on,
 //      but losing its connection is a permanent IoError, never a fresh
-//      session that reports a truncated stream as the whole one.
+//      session that reports a truncated stream as the whole one;
+//   7. resume is cheap — four kills add at most 10% (or 50 ms) to the
+//      wall of a 131k-event stream.
 //
 //===----------------------------------------------------------------------===//
+
+#include "TestUtil.h"
 
 #include "api/AnalysisSession.h"
 #include "gen/Workloads.h"
@@ -31,10 +35,12 @@
 #include "serve/RaceServer.h"
 #include "serve/ReportCanon.h"
 #include "serve/WireClient.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -416,6 +422,47 @@ TEST_F(ServeResumeTest, SpillOverflowDropsTheTokenAndKeepsStreaming) {
   EXPECT_EQ(Payload.substr(9), Want);
   EXPECT_EQ(C.sessionToken(), 0u);
   Server.stop();
+}
+
+// ---- 7. Resume overhead ----------------------------------------------------
+
+TEST_F(ServeResumeTest, FourKillsAddAtMostTenPercentToTheWall) {
+  if (!testutil::timingBudgetsApply())
+    GTEST_SKIP() << "wall-clock budgets bind in optimized builds only";
+  if (std::thread::hardware_concurrency() < 4)
+    GTEST_SKIP() << "the budget needs >= 4 hardware threads (client, IO "
+                    "thread and two ingest workers)";
+  Trace T = testutil::workloadAtLeast("xalan", 1050000 / 8);
+  RaceServerConfig Cfg = baseConfig("overhead");
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  uint64_t CleanReconnects = 0, Reconnects = 0;
+  Timer Clock;
+  const std::string Want =
+      runFaulty(Cfg, T, WireFaultPlan(), &CleanReconnects); // No kills.
+  const double Clean = Clock.seconds();
+  WireFaultPlan Plan;
+  Plan.Seed = faultSeed();
+  Plan.Kills = 4;
+  Plan.MinGapBytes = 8192;
+  Plan.MaxGapBytes = 65536;
+  Clock.reset();
+  const std::string Got = runFaulty(Cfg, T, Plan, &Reconnects);
+  const double Faulty = Clock.seconds();
+  Server.stop();
+
+  ASSERT_FALSE(Want.empty());
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(CleanReconnects, 0u);
+  EXPECT_GE(Reconnects, 1u) << "the fault plan never fired";
+  std::printf("%llu events: clean %.3f s, %d kills %.3f s (%llu "
+              "reconnects)\n",
+              (unsigned long long)T.size(), Clean, Plan.Kills, Faulty,
+              (unsigned long long)Reconnects);
+  // The relative budget binds only above timer jitter (50 ms).
+  EXPECT_FALSE(Faulty > 1.10 * Clean && Faulty - Clean > 0.05)
+      << "clean " << Clean << " s vs faulty " << Faulty << " s";
 }
 
 } // namespace

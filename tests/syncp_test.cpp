@@ -412,7 +412,10 @@ TEST(SyncPTelemetry, CountersSurfaceThroughTheLane) {
       Peak = S.Value;
   }
   EXPECT_GE(Candidates, 1u) << "the x pair must have reached the closure";
+  EXPECT_LE(R.Lanes.front().Report.numDistinctPairs(), Candidates)
+      << "a race must come from a candidate the prefilter admitted";
   EXPECT_NE(Iterations, UINT64_MAX) << "closure_iterations sample missing";
+  EXPECT_GE(Iterations, 1u) << "candidates were decided without a closure";
   ASSERT_NE(Peak, UINT64_MAX) << "ideal_peak sample missing";
   EXPECT_GE(Peak, 3u) << "the x-pair ideal holds t2's critical section";
 }
