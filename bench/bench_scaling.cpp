@@ -70,11 +70,11 @@ int main() {
                   std::to_string(T.size()), nsPerEvent<WcpDetector>(T),
                   nsPerEvent<HbDetector>(T)});
   };
-  for (double N = 1 << 12; N <= 1 << 19; N *= 4)
+  for (double N : {1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 19})
     row("N", 4, 8, N);
-  for (uint32_t Threads = 2; Threads <= 32; Threads *= 2)
+  for (uint32_t Threads : {2, 4, 8, 16, 32})
     row("T", Threads, 8, 1 << 16);
-  for (uint32_t Locks = 2; Locks <= 512; Locks *= 4)
+  for (uint32_t Locks : {2, 4, 16, 64, 256, 512})
     row("L", 4, Locks, 1 << 16);
   Table.print();
   return 0;

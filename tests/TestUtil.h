@@ -9,7 +9,7 @@
 
 #include "api/AnalysisSession.h"
 #include "detect/DetectorRunner.h"
-#include "gen/Workloads.h"
+#include "support/Timer.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
@@ -18,8 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rapid::testutil {
@@ -135,17 +138,24 @@ std::vector<VectorClock> captureTimestamps(const Trace &T) {
   return Times;
 }
 
-/// A trace of the Table 1 model \p Model with at least \p Events events:
-/// the generator's count is approximate, so rescale until it is a floor.
-inline Trace workloadAtLeast(const char *Model, uint64_t Events) {
-  WorkloadSpec Spec = workloadSpec(Model);
-  double Scale = static_cast<double>(Events) / Spec.Events;
-  Trace T = makeWorkload(Spec, Scale);
-  for (int Try = 0; Try < 4 && T.size() < Events; ++Try) {
-    Scale *= 1.05 * static_cast<double>(Events) / T.size();
-    T = makeWorkload(Spec, Scale);
-  }
-  return T;
+/// Median walls, in seconds, of \p A and of \p B over \p Pairs runs of
+/// each, interleaved with the order alternating (A B, B A, ...) so that
+/// drift in the host's speed lands on both sides.
+inline std::pair<double, double> medianWalls(int Pairs,
+                                             const std::function<void()> &A,
+                                             const std::function<void()> &B) {
+  std::vector<double> Walls[2];
+  for (int I = 0; I != Pairs; ++I)
+    for (int Side : {I % 2, 1 - I % 2}) {
+      Timer Clock;
+      (Side == 0 ? A : B)();
+      Walls[Side].push_back(Clock.seconds());
+    }
+  auto Median = [](std::vector<double> &W) {
+    std::nth_element(W.begin(), W.begin() + W.size() / 2, W.end());
+    return W[W.size() / 2];
+  };
+  return {Median(Walls[0]), Median(Walls[1])};
 }
 
 /// Whether wall-clock budgets bind in this build: only optimized,
