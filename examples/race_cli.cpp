@@ -8,13 +8,13 @@
 // as structured statuses.
 //
 // Run `race_cli --help` for the full flag matrix. --stream composes with
-// every mode (sequential, --window, --shards): the session's streaming
-// engine overlaps analysis with ingestion — windows dispatch as their
-// event range arrives; the var-sharded clock pass and shard checks run
-// behind the reader. --json replaces the human-readable output with a
-// machine-readable report (lanes, statuses, timings, telemetry);
-// --dry-run validates the flag combination and exits (the docs CI job
-// uses it to keep every invocation quoted in docs/*.md parseable).
+// both modes (sequential, --window): the session's streaming engine
+// overlaps analysis with ingestion — lanes consume published chunks and
+// windows dispatch as their event range arrives. --json replaces the
+// human-readable output with a machine-readable report (lanes, statuses,
+// timings, telemetry); --dry-run validates the flag combination and
+// exits (the docs CI job uses it to keep every invocation quoted in
+// docs/*.md parseable).
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +51,6 @@ struct Options {
   bool ShowStats = false;
   bool Stream = false;
   bool Json = false;
-  bool Balanced = false;
   bool DryRun = false;
   bool ShowMetrics = false; // --metrics: human-readable telemetry tables.
   bool NoMetrics = false;   // --no-metrics: zero-cost disable.
@@ -59,7 +58,6 @@ struct Options {
   std::string ReportOut;    // --report-out: canonical report destination.
   unsigned Threads = 0; // 0 = hardware concurrency.
   uint64_t Window = 0;  // 0 = unwindowed.
-  uint32_t Shards = 0;  // 0 = no per-variable sharding.
 };
 
 void printHelp() {
@@ -81,22 +79,17 @@ void printHelp() {
       "  --syncp        sync-preserving race prediction (SP-closure;\n"
       "                 finds races WCP provably misses)\n"
       "\n"
-      "modes (pick at most one; default is sequential lanes):\n"
+      "mode (default: sequential lanes over the whole trace):\n"
       "  --window N     windowed baseline: fresh detector per N-event\n"
       "                 window (cross-window races lost by design)\n"
-      "  --shards N     per-variable sharded checks, bit-identical to\n"
-      "                 sequential for any N\n"
-      "  --balanced     with --shards: frequency-balanced shard plan\n"
-      "                 (greedy bin-packing on access counts)\n"
       "\n"
       "execution:\n"
       "  --stream       feed the file through a streaming session so\n"
       "                 analysis overlaps ingestion; composes with every\n"
       "                 mode (sequential lanes consume published chunks,\n"
-      "                 windows dispatch as their range arrives, the\n"
-      "                 var-sharded clock pass + shard checks run behind\n"
-      "                 the reader). Requires a trace file; binary and\n"
-      "                 text traces both publish chunk by chunk\n"
+      "                 windows dispatch as their range arrives).\n"
+      "                 Requires a trace file; binary and text traces\n"
+      "                 both publish chunk by chunk\n"
       "  --threads N    worker threads (0 or default: hardware "
       "concurrency)\n"
       "\n"
@@ -122,11 +115,11 @@ void printHelp() {
       "examples:\n"
       "  race_cli trace.bin --hb --wcp\n"
       "  race_cli trace.bin --stream --window 100000\n"
-      "  race_cli trace.bin --stream --shards 8 --balanced --threads 4\n"
+      "  race_cli trace.bin --stream --window 100000 --threads 4\n"
       "  race_cli trace.bin --stream --metrics\n"
       "  race_cli trace.bin --stream --window 100000 --trace-out run.json\n"
       "  race_cli trace.txt --json --fasttrack\n"
-      "  race_cli trace.bin --wcp --syncp --shards 8\n"
+      "  race_cli trace.bin --wcp --syncp\n"
       "  cat trace.txt | race_cli - --stream --hb --wcp\n"
       "  race_cli trace.txt --report-out report.txt\n",
       stdout);
@@ -181,12 +174,6 @@ std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg,
   J += "  \"events\": " + std::to_string(R.EventsIngested) + ",\n";
   J += "  \"threads_used\": " + std::to_string(R.ThreadsUsed) + ",\n";
   J += "  \"window_events\": " + std::to_string(Cfg.WindowEvents) + ",\n";
-  J += "  \"var_shards\": " + std::to_string(Cfg.VarShards) + ",\n";
-  J += "  \"shard_strategy\": \"" +
-       std::string(Cfg.Strategy == ShardStrategy::FrequencyBalanced
-                       ? "frequency-balanced"
-                       : "modulo") +
-       "\",\n";
   J += "  \"wall_seconds\": " + jsonNum(R.WallSeconds) + ",\n";
   J += "  \"ingest_seconds\": " + jsonNum(R.IngestSeconds) + ",\n";
   J += "  \"lane_seconds_total\": " + jsonNum(R.laneSecondsTotal()) + ",\n";
@@ -234,8 +221,6 @@ int main(int Argc, char **Argv) {
       Opts.Stream = true;
     else if (Arg == "--json")
       Opts.Json = true;
-    else if (Arg == "--balanced")
-      Opts.Balanced = true;
     else if (Arg == "--dry-run")
       Opts.DryRun = true;
     else if (Arg == "--metrics")
@@ -259,9 +244,6 @@ int main(int Argc, char **Argv) {
           static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
     else if (Arg == "--window" && I + 1 < Argc)
       Opts.Window = std::strtoull(Argv[++I], nullptr, 10);
-    else if (Arg == "--shards" && I + 1 < Argc)
-      Opts.Shards =
-          static_cast<uint32_t>(std::strtoul(Argv[++I], nullptr, 10));
     else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       return 1;
@@ -271,14 +253,8 @@ int main(int Argc, char **Argv) {
   if (!Opts.RunHb && !Opts.RunWcp && !Opts.RunFastTrack && !Opts.RunEraser &&
       !Opts.RunSyncP)
     Opts.RunHb = Opts.RunWcp = true;
-  if (Opts.Window > 0 && Opts.Shards > 0) {
-    std::fprintf(stderr, "error: --window and --shards are mutually "
-                         "exclusive (windowed vs per-variable sharding)\n");
-    return 1;
-  }
   // --stream composes with every mode: windowed sessions dispatch each
-  // window as its event range publishes, var-sharded sessions run the
-  // clock pass and shard checks behind ingestion.
+  // window as its event range publishes.
   if (Opts.Stream && Opts.Path.empty() && !Opts.DryRun) {
     std::fprintf(stderr, "error: --stream needs a trace file\n");
     return 1;
@@ -290,10 +266,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "error: reading from '-' (stdin) requires --stream (stdin "
                  "cannot seek)\n");
-    return 1;
-  }
-  if (Opts.Balanced && Opts.Shards == 0) {
-    std::fprintf(stderr, "error: --balanced requires --shards N\n");
     return 1;
   }
   if (!Opts.TraceOut.empty() && !Opts.Stream) {
@@ -317,16 +289,9 @@ int main(int Argc, char **Argv) {
   Cfg.Threads = Opts.Threads;
   Cfg.Metrics = !Opts.NoMetrics;
   Cfg.Timeline = !Opts.TraceOut.empty();
-  if (Opts.Shards > 0) {
-    Cfg.Mode = RunMode::VarSharded;
-    Cfg.VarShards = Opts.Shards;
-    Cfg.Strategy = Opts.Balanced ? ShardStrategy::FrequencyBalanced
-                                 : ShardStrategy::Modulo;
-  } else if (Opts.Window > 0) {
+  if (Opts.Window > 0) {
     Cfg.Mode = RunMode::Windowed;
     Cfg.WindowEvents = Opts.Window;
-  } else {
-    Cfg.Mode = RunMode::Sequential;
   }
   if (Opts.RunHb)
     Cfg.addDetector(DetectorKind::Hb);
@@ -492,12 +457,11 @@ int main(int Argc, char **Argv) {
     LaneFailed = true;
   }
 
-  if (Opts.Stream || Opts.Window > 0 || Opts.Shards > 0) {
-    std::printf("\npipeline: %u thread(s), %llu shard(s), %llu var "
-                "shard(s)/lane%s\n",
-                R.ThreadsUsed, (unsigned long long)R.NumShards,
-                (unsigned long long)R.VarShards,
-                Opts.Stream ? ", streamed" : "");
+  if (Opts.Stream || Opts.Window > 0) {
+    std::printf("\npipeline: %u thread(s)", R.ThreadsUsed);
+    if (Opts.Window > 0)
+      std::printf(", %llu window(s)", (unsigned long long)R.NumShards);
+    std::printf("%s\n", Opts.Stream ? ", streamed" : "");
     double LaneTotal = R.laneSecondsTotal();
     std::printf("lane analysis %.3fs total in %.3fs wall", LaneTotal,
                 R.WallSeconds);

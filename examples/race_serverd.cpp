@@ -62,9 +62,7 @@ struct Options {
   bool RunSyncP = false;
   unsigned Threads = 0;
   uint64_t Window = 0;
-  uint32_t Shards = 0;
   uint64_t StreamBatch = 0;
-  uint64_t DrainBatch = 0;
   uint64_t BudgetLag = 1u << 20;
   uint64_t MaxEvents = 0;
   unsigned IngestThreads = 2;
@@ -90,10 +88,8 @@ void printHelp() {
       "\n"
       "session shape (applies to every accepted session):\n"
       "  --window N        windowed mode, N events per window\n"
-      "  --shards N        per-variable sharded mode, N shards per lane\n"
       "  --threads N       session worker threads (0 = hardware)\n"
       "  --stream-batch N  events per consumer batch\n"
-      "  --drain-batch N   var-sharded drain claim size\n"
       "\n"
       "serving:\n"
       "  --socket PATH     Unix-domain socket to listen on (required)\n"
@@ -154,13 +150,8 @@ int main(int Argc, char **Argv) {
           static_cast<unsigned>(std::strtoul(NeedsValue(I), nullptr, 10));
     else if (Arg == "--window")
       Opts.Window = std::strtoull(NeedsValue(I), nullptr, 10);
-    else if (Arg == "--shards")
-      Opts.Shards =
-          static_cast<uint32_t>(std::strtoul(NeedsValue(I), nullptr, 10));
     else if (Arg == "--stream-batch")
       Opts.StreamBatch = std::strtoull(NeedsValue(I), nullptr, 10);
-    else if (Arg == "--drain-batch")
-      Opts.DrainBatch = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--budget-lag")
       Opts.BudgetLag = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--max-events")
@@ -209,17 +200,12 @@ int main(int Argc, char **Argv) {
   Cfg.RetryAfterMs = static_cast<uint32_t>(Opts.RetryAfterMs);
   AnalysisConfig &S = Cfg.Session;
   S.Threads = Opts.Threads;
-  if (Opts.Shards > 0) {
-    S.Mode = RunMode::VarSharded;
-    S.VarShards = Opts.Shards;
-  } else if (Opts.Window > 0) {
+  if (Opts.Window > 0) {
     S.Mode = RunMode::Windowed;
     S.WindowEvents = Opts.Window;
   }
   if (Opts.StreamBatch)
     S.StreamBatchEvents = Opts.StreamBatch;
-  if (Opts.DrainBatch)
-    S.DrainBatch = Opts.DrainBatch;
   if (Opts.RunHb)
     S.addDetector(DetectorKind::Hb);
   if (Opts.RunWcp)

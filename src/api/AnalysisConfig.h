@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The single declarative configuration object behind every analysis entry
-/// point: detector selection, run mode, thread count, window size, shard
-/// count and shard strategy are one AnalysisConfig with one validate() that
-/// rejects inconsistent combinations up front with a structured Status.
+/// point: detector selection, run mode, thread count, window size and
+/// shard count are one AnalysisConfig with one validate() that rejects
+/// inconsistent combinations up front with a structured Status.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
 /// FastTrack, Eraser) or by custom factory, and selects exactly one run
@@ -22,10 +22,9 @@
 ///               are lost by design); sessions dispatch each window onto
 ///               the thread pool as soon as its event range publishes;
 ///   VarSharded  per-variable sharded checks (bit-identical to
-///               Sequential for any shard count), with the shard
-///               assignment strategy selectable; sessions run the
-///               capture clock pass behind ingestion and shard checks on
-///               the published prefix.
+///               Sequential for any shard count, variable x in shard
+///               x mod N); sessions run the capture clock pass behind
+///               ingestion and shard checks on the published prefix.
 ///
 /// Every mode runs on the one session engine (AnalysisSession); the
 /// one-shot analyzeTrace is a session fed a whole in-memory trace.
@@ -36,7 +35,6 @@
 #define RAPID_API_ANALYSISCONFIG_H
 
 #include "detect/DetectorRunner.h"
-#include "detect/ShardedAccessHistory.h"
 #include "support/Status.h"
 
 #include <string>
@@ -85,19 +83,9 @@ struct AnalysisConfig {
   /// VarSharded mode only: per-variable shards per lane (>= 1 there,
   /// 0 elsewhere).
   uint32_t VarShards = 0;
-  /// VarSharded mode only: how variables map to shards. Modulo streams
-  /// shard checks behind the capture pass; FrequencyBalanced needs the
-  /// full capture counts, so in sessions its shard checks start when the
-  /// clock pass retires (reports are bit-identical either way).
-  ShardStrategy Strategy = ShardStrategy::Modulo;
   /// Streaming sessions: max events a consumer takes per batch — the
   /// granularity of partial-report visibility.
   uint64_t StreamBatchEvents = 8192;
-  /// VarSharded sessions: accesses a shard drain task claims per round.
-  /// Smaller batches release the shard sooner for partial snapshots and
-  /// spread work across the pool; larger ones amortize the claim
-  /// handshake. Reports are bit-identical for any value >= 1.
-  uint64_t DrainBatch = 4096;
   /// Observability (obs/Metrics.h): when false, no metric slots are
   /// registered and every instrument handle on the hot paths is null, so
   /// the disabled cost per update site is one branch on a cached pointer —

@@ -201,13 +201,15 @@ struct VarShardState {
   uint64_t Partitioned = 0;     ///< Accesses split into WorkLists so far.
   uint64_t CapturedEvents = 0;  ///< Trace events the clock pass covered.
   bool Capturing = false;       ///< Detector accepted beginCapture.
-  bool PlanReady = false;       ///< Plan fixed (modulo: at attach;
-                                ///< frequency-balanced: at capture end).
-  ShardPlan Plan;
-  ShardReplay Replay = ShardReplay::FullHistory;
+  ShardPlan Plan;               ///< Fixed at session start.
   std::vector<std::unique_ptr<VarShard>> Shards;
   LaneRuntime *Rt = nullptr; ///< Back-pointer for drain-task telemetry.
 };
+
+/// Accesses a shard drain task claims per round: small enough to release
+/// the shard for partial snapshots and spread work across the pool,
+/// large enough to amortize the LogM claim handshake.
+constexpr uint64_t kDrainBatch = 4096;
 
 } // namespace
 
@@ -474,7 +476,7 @@ void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
       if (K == 0 && Base.empty())
         Base = S.Name;
       if (!S.Error.empty() && Err.empty())
-        Err = "shard " + std::to_string(K) + ": " + S.Error;
+        Err = "window " + std::to_string(K) + ": " + S.Error;
       Merged.mergeFrom(S.Report);
       Seconds += S.Seconds;
       Covered = Ep.Windows[K]->EndIdx;
@@ -576,7 +578,6 @@ void AnalysisSession::Impl::scheduleDrains(VarShardState &VS,
 /// Loops until no work is left, then clears Scheduled and exits — the
 /// capture consumer re-submits when it commits more.
 void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
-  const uint64_t DrainBatch = Cfg.DrainBatch;
   VarShard &Sh = *VS.Shards[S];
   const AccessLog &Log = *VS.Log;
   const ClockBroadcast &Broadcast = Log.clocks();
@@ -589,7 +590,7 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
         return;
       }
       From = Sh.Claimed;
-      End = std::min(Sh.WorkList.size(), From + DrainBatch);
+      End = std::min(Sh.WorkList.size(), From + kDrainBatch);
       Sh.Claimed = End;
     }
     std::string Err;
@@ -637,13 +638,11 @@ void AnalysisSession::Impl::drainVarShard(VarShardState &VS, uint32_t S) {
 /// merge is deferred to the very end.
 void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
                                              VarShardState &VS) {
-  const uint32_t NumShards = std::max<uint32_t>(Cfg.VarShards, 1);
   std::vector<uint32_t> ToSchedule;
   // Consumer-local mirrors of VS fields this thread itself set at attach
   // time (it is their only writer) — no LogM round-trip per chunk.
   AccessLog *Log = nullptr;
   bool Capturing = false;
-  bool PlanReady = false;
 
   // Attach capture, once per session: the log, the broadcast table and
   // the shard checkers are all growable, so the table sizes read here are
@@ -656,31 +655,24 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
       HintVars = Live->numVars();
     }
     auto NewLog = std::make_unique<AccessLog>(HintThreads);
-    ShardReplay Replay = ShardReplay::FullHistory;
     {
       std::lock_guard<std::mutex> G(Rt.SnapM);
       Capturing = Rt.D->beginCapture(*NewLog);
-      if (Capturing)
-        Replay = Rt.D->shardReplay();
     }
-    PlanReady = Capturing && Cfg.Strategy == ShardStrategy::Modulo;
     {
       std::lock_guard<std::mutex> G(VS.LogM);
       VS.LogHolder = std::move(NewLog);
       VS.Log = VS.LogHolder.get();
       VS.Capturing = Capturing;
-      VS.Replay = Replay;
-      VS.PlanReady = PlanReady;
-      VS.Plan = ShardPlan(NumShards);
     }
     Log = VS.Log;
-    if (PlanReady) {
-      for (uint32_t S = 0; S != NumShards; ++S) {
-        VarShard &Sh = *VS.Shards[S];
-        std::lock_guard<std::mutex> G(Sh.SM);
-        Sh.Checker = std::make_unique<ShardChecker>(
-            Replay, VS.Plan.numLocalVars(S, HintVars), HintThreads);
-      }
+    if (!Capturing)
+      return;
+    for (uint32_t S = 0; S != VS.Shards.size(); ++S) {
+      VarShard &Sh = *VS.Shards[S];
+      std::lock_guard<std::mutex> G(Sh.SM);
+      Sh.Checker = std::make_unique<ShardChecker>(
+          VS.Plan.numLocalVars(S, HintVars), HintThreads);
     }
   };
 
@@ -696,7 +688,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         Rt.CapturedAccesses.set(Log->numAccesses());
         Rt.BroadcastClocks.set(Log->clocks().numSnapshots());
       }
-      if (PlanReady) {
+      if (Capturing) {
         for (uint64_t I = VS.Partitioned; I != CommittedNow; ++I) {
           uint32_t S = VS.Plan.shardOf(Log->access(I).Var);
           VarShard &Sh = *VS.Shards[S];
@@ -721,62 +713,16 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
       finishWalkedLane(Rt);
       return;
     }
-    uint32_t FinalThreads, FinalVars;
-    {
-      // Ingestion is over, so these are the final table sizes.
-      std::lock_guard<std::mutex> Lk(M);
-      FinalThreads = Live->numThreads();
-      FinalVars = Live->numVars();
-    }
     {
       std::lock_guard<std::mutex> G(Rt.SnapM);
       Timer Clock;
       Rt.D->finish();
       Rt.Seconds += Clock.seconds();
     }
-    // The clock pass is over; make sure its entire log is committed
-    // (idempotent when the last chunk already was).
-    const uint64_t Committed = Log->commit();
     {
-      std::lock_guard<std::mutex> G(VS.LogM);
-      if (!VS.PlanReady) {
-        // FrequencyBalanced: the plan is a pure function of the full
-        // capture counts, so it is fixed here — shard checks for this
-        // strategy start once the clock pass retires (the modulo plan
-        // needs no counts and streams all along). Counts are sized to the
-        // final tables, so the plan is a pure function of the trace.
-        std::vector<uint64_t> Counts(FinalVars, 0);
-        Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
-                                             uint64_t) {
-          ++Counts[A.Var.value()];
-        });
-        VS.Plan = ShardPlan::balancedByFrequency(NumShards, Counts);
-        VS.PlanReady = true;
-        PlanReady = true;
-        for (uint32_t S = 0; S != NumShards; ++S) {
-          VarShard &Sh = *VS.Shards[S];
-          std::lock_guard<std::mutex> SG(Sh.SM);
-          Sh.Checker = std::make_unique<ShardChecker>(
-              VS.Replay, VS.Plan.numLocalVars(S, FinalVars), FinalThreads);
-        }
-        Log->forEachAccess(0, Committed, [&](const DeferredAccess &A,
-                                             uint64_t I) {
-          VS.Shards[VS.Plan.shardOf(A.Var)]->WorkList.append(
-              static_cast<uint32_t>(I));
-        });
-        VS.Partitioned = Committed;
-      }
-      for (uint32_t S = 0; S != NumShards; ++S) {
-        VarShard &Sh = *VS.Shards[S];
-        if (Sh.Completed != Sh.WorkList.size() && !Sh.Scheduled) {
-          Sh.Scheduled = true;
-          ToSchedule.push_back(S);
-        }
-      }
-    }
-    scheduleDrains(VS, ToSchedule);
-    {
-      // Wait for the drains to retire every shard of this final epoch.
+      // The last chunk committed and partitioned the whole log and
+      // scheduled a drain for every shard with work left; wait for the
+      // drains to retire it.
       std::unique_lock<std::mutex> G(VS.LogM);
       VS.DrainCV.wait(G, [&] {
         for (auto &Sh : VS.Shards)
@@ -789,9 +735,9 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
     // quiescent now (drains exited, no more publication), but the locks
     // are cheap and keep the invariants simple.
     std::string Err;
-    std::vector<std::vector<RaceInstance>> PerShard(NumShards);
+    std::vector<std::vector<RaceInstance>> PerShard(VS.Shards.size());
     double ShardSeconds = 0;
-    for (uint32_t S = 0; S != NumShards; ++S) {
+    for (uint32_t S = 0; S != VS.Shards.size(); ++S) {
       VarShard &Sh = *VS.Shards[S];
       {
         std::lock_guard<std::mutex> G(VS.LogM);
@@ -800,8 +746,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
         ShardSeconds += Sh.Seconds;
       }
       std::lock_guard<std::mutex> SG(Sh.SM);
-      if (Sh.Checker)
-        PerShard[S] = std::move(Sh.Checker->findings());
+      PerShard[S] = std::move(Sh.Checker->findings());
     }
     RaceReport Merged = mergeInTraceOrder(PerShard);
     std::lock_guard<std::mutex> G(Rt.SnapM);
@@ -899,7 +844,8 @@ void AnalysisSession::Impl::start() {
     for (size_t L = 0; L != Lanes.size(); ++L) {
       auto VS = std::make_unique<VarShardState>();
       VS->Rt = Lanes[L].get();
-      for (uint32_t S = 0; S != std::max<uint32_t>(Cfg.VarShards, 1); ++S)
+      VS->Plan = ShardPlan(Cfg.VarShards);
+      for (uint32_t S = 0; S != Cfg.VarShards; ++S)
         VS->Shards.push_back(std::make_unique<VarShard>());
       VarStates.push_back(std::move(VS));
     }
@@ -1037,8 +983,6 @@ void AnalysisSession::Impl::snapshotVarShardLane(VarShardState &VS,
       // copied it under SnapM).
       return;
     }
-    if (!VS.PlanReady || !VS.Log)
-      return; // Clock pass only so far: no checked prefix yet.
     Bound = VS.CapturedEvents;
     for (const std::unique_ptr<VarShard> &Sh : VS.Shards) {
       ShardSeconds += Sh->Seconds;

@@ -26,16 +26,6 @@ namespace rapid {
 
 class AccessLog;
 
-/// How a capture-capable detector's deferred checks are replayed inside a
-/// per-variable shard (detect/ShardedAccessHistory.h). Most detectors
-/// replay through the shared full-history AccessHistory; FastTrack keeps
-/// epoch/last-access state per variable instead, so its shard replay runs
-/// the epoch algorithm.
-enum class ShardReplay : uint8_t {
-  FullHistory,    ///< AccessHistory checkRead/checkWrite + record (HB, WCP).
-  FastTrackEpoch, ///< FastTrack's epoch checks, replayed per variable.
-};
-
 /// Abstract streaming race detector.
 class Detector {
 public:
@@ -47,17 +37,14 @@ public:
   /// Per-variable sharded mode (detect/ShardedAccessHistory.h). A
   /// detector whose race checks partition by variable redirects them into
   /// \p Log — subsequent processEvent calls run only the clock machinery
-  /// and append each read/write with its clocks — and returns true. The
-  /// base class does not support it; such detectors run their lane
-  /// sequentially under sharded pipelines.
+  /// and append each read/write with its clocks — and returns true. Only
+  /// the full-history detectors (HB, WCP) do; every other detector keeps
+  /// the base class's "no" and runs its plain sequential walk in a
+  /// var-sharded session.
   virtual bool beginCapture(AccessLog &Log) {
     (void)Log;
     return false;
   }
-
-  /// Which replay engine the shard phase must use for this detector's
-  /// deferred checks. Only meaningful when beginCapture returned true.
-  virtual ShardReplay shardReplay() const { return ShardReplay::FullHistory; }
 
   /// Called once after the last event; detectors with buffered state may
   /// flush diagnostics here.

@@ -6,56 +6,7 @@
 
 #include "detect/ShardedAccessHistory.h"
 
-#include "vc/Epoch.h"
-
-#include <algorithm>
-#include <numeric>
-
 using namespace rapid;
-
-// ---- ShardPlan --------------------------------------------------------------
-
-ShardPlan ShardPlan::balancedByFrequency(uint32_t NumShards,
-                                         const std::vector<uint64_t> &Counts) {
-  ShardPlan Plan;
-  Plan.NumShards = NumShards == 0 ? 1 : NumShards;
-  const uint32_t NumVars = static_cast<uint32_t>(Counts.size());
-  Plan.Assign.resize(NumVars);
-  Plan.Local.resize(NumVars);
-  Plan.ShardSizes.assign(Plan.NumShards, 0);
-
-  // Longest-processing-time-first: heaviest variables placed first, each
-  // onto the currently lightest shard. Ties break by variable id and by
-  // shard id so the plan is a pure function of the counts.
-  std::vector<uint32_t> Order(NumVars);
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&Counts](uint32_t A, uint32_t B) {
-    if (Counts[A] != Counts[B])
-      return Counts[A] > Counts[B];
-    return A < B;
-  });
-  std::vector<uint64_t> Load(Plan.NumShards, 0);
-  for (uint32_t V : Order) {
-    uint32_t Lightest = 0;
-    for (uint32_t S = 1; S != Plan.NumShards; ++S)
-      if (Load[S] < Load[Lightest])
-        Lightest = S;
-    Plan.Assign[V] = Lightest;
-    Plan.Local[V] = Plan.ShardSizes[Lightest]++;
-    Load[Lightest] += Counts[V];
-  }
-  return Plan;
-}
-
-uint64_t ShardPlan::maxShardLoad(const std::vector<uint64_t> &Counts) const {
-  std::vector<uint64_t> Load(NumShards, 0);
-  for (uint32_t V = 0, E = static_cast<uint32_t>(Counts.size()); V != E; ++V)
-    Load[shardOf(VarId(V))] += Counts[V];
-  uint64_t Max = 0;
-  for (uint64_t L : Load)
-    Max = std::max(Max, L);
-  return Max;
-}
 
 // ---- ClockBroadcast ---------------------------------------------------------
 
@@ -115,156 +66,17 @@ void AccessLog::record(EventIdx Idx, VarId V, ThreadId T, LocId Loc,
   Accesses.append(A);
 }
 
-namespace {
-
-/// FastTrack's per-variable epoch state and checks, replayed inside one
-/// shard. A line-for-line mirror of FastTrackDetector::processEvent's
-/// Read/Write cases (hb/FastTrackDetector.cpp): same shortcuts, same check
-/// order, same promotion rule — so the interleaved merge reproduces the
-/// sequential FastTrack report bit for bit. The clock machinery already
-/// ran in the capture pass; here C_t arrives as the broadcast snapshot.
-class FastTrackShardReplayer {
-public:
-  FastTrackShardReplayer(uint32_t NumLocalVars, uint32_t NumThreads)
-      : NumThreads(NumThreads), Vars(NumLocalVars) {}
-
-  void replay(const DeferredAccess &A, VarId Local, const VectorClock &Ct,
-              std::vector<RaceInstance> &Out) {
-    // Growable like the live detector: variables/threads admitted
-    // mid-stream start in the state up-front construction gives them.
-    if (A.Thread.value() >= NumThreads)
-      NumThreads = A.Thread.value() + 1;
-    if (Local.value() >= Vars.size())
-      Vars.resize(Local.value() + 1);
-    VarState &S = Vars[Local.value()];
-    ThreadId T = A.Thread;
-    Epoch Mine(A.N, T);
-    if (A.IsWrite) {
-      if (S.Write == Mine) {
-        // Same-epoch write: keep the freshest representative.
-        S.WriteLoc = A.Loc;
-        S.WriteIdx = A.Idx;
-        return;
-      }
-      if (!S.Write.lessOrEqual(Ct) && S.Write.Thread != T)
-        report(S.WriteIdx, S.WriteLoc, A, Out);
-      if (S.ReadShared) {
-        for (uint32_t U = 0, E = S.ReadVC.size(); U != E; ++U) {
-          if (U == T.value())
-            continue;
-          ClockValue RU = S.ReadVC.get(ThreadId(U));
-          if (RU != 0 && RU > Ct.get(ThreadId(U)))
-            report(S.ReadInfo[U].Idx, S.ReadInfo[U].Loc, A, Out);
-        }
-      } else if (!S.Read.isNone() && !S.Read.lessOrEqual(Ct) &&
-                 S.Read.Thread != T) {
-        report(S.ReadIdx, S.ReadLoc, A, Out);
-      }
-      S.Write = Mine;
-      S.WriteLoc = A.Loc;
-      S.WriteIdx = A.Idx;
-      return;
-    }
-    // Read: same-epoch shortcut, then the write-read check.
-    if (!S.ReadShared && S.Read == Mine) {
-      S.ReadLoc = A.Loc;
-      S.ReadIdx = A.Idx;
-      return;
-    }
-    if (!S.Write.lessOrEqual(Ct) && S.Write.Thread != T)
-      report(S.WriteIdx, S.WriteLoc, A, Out);
-    if (!S.ReadShared) {
-      if (S.Read.isNone() || S.Read.lessOrEqual(Ct) || S.Read.Thread == T) {
-        S.Read = Mine;
-        S.ReadLoc = A.Loc;
-        S.ReadIdx = A.Idx;
-        return;
-      }
-      S.ReadShared = true;
-      S.ReadVC = VectorClock(NumThreads);
-      S.ReadInfo.assign(NumThreads, ReadLocInfo());
-      S.ReadVC.set(S.Read.Thread, S.Read.Clock);
-      S.ReadInfo[S.Read.Thread.value()] = {S.ReadLoc, S.ReadIdx};
-    }
-    if (S.ReadInfo.size() <= T.value())
-      S.ReadInfo.resize(NumThreads); // Threads admitted after promotion.
-    S.ReadVC.set(T, Mine.Clock);
-    S.ReadInfo[T.value()] = {A.Loc, A.Idx};
-  }
-
-private:
-  struct ReadLocInfo {
-    LocId Loc;
-    EventIdx Idx = 0;
-  };
-  struct VarState {
-    Epoch Write;
-    LocId WriteLoc;
-    EventIdx WriteIdx = 0;
-    Epoch Read;
-    LocId ReadLoc;
-    EventIdx ReadIdx = 0;
-    bool ReadShared = false;
-    VectorClock ReadVC;
-    std::vector<ReadLocInfo> ReadInfo;
-  };
-
-  static void report(EventIdx EarlierIdx, LocId EarlierLoc,
-                     const DeferredAccess &A, std::vector<RaceInstance> &Out) {
-    RaceInstance Inst;
-    Inst.EarlierIdx = EarlierIdx;
-    Inst.LaterIdx = A.Idx;
-    Inst.EarlierLoc = EarlierLoc;
-    Inst.LaterLoc = A.Loc;
-    Inst.Var = A.Var;
-    Out.push_back(Inst);
-  }
-
-  uint32_t NumThreads;
-  std::vector<VarState> Vars;
-};
-
-} // namespace
-
 // ---- ShardChecker -----------------------------------------------------------
-
-/// The selected engine: exactly one of the members is live (selected by
-/// Replay at construction).
-struct ShardChecker::Impl {
-  ShardReplay Replay;
-  std::unique_ptr<AccessHistory> History;       ///< FullHistory engine.
-  std::unique_ptr<FastTrackShardReplayer> Fast; ///< FastTrackEpoch engine.
-
-  Impl(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads)
-      : Replay(Replay) {
-    if (Replay == ShardReplay::FastTrackEpoch)
-      Fast = std::make_unique<FastTrackShardReplayer>(NumLocalVars,
-                                                      NumThreads);
-    else
-      History = std::make_unique<AccessHistory>(NumLocalVars, NumThreads);
-  }
-};
-
-ShardChecker::ShardChecker(ShardReplay Replay, uint32_t NumLocalVars,
-                           uint32_t NumThreads)
-    : I(std::make_unique<Impl>(Replay, NumLocalVars, NumThreads)) {}
-
-ShardChecker::~ShardChecker() = default;
 
 void ShardChecker::replay(const DeferredAccess &A, VarId Local,
                           const VectorClock &Ce, const VectorClock *Hard) {
-  ++Replayed;
-  if (I->Replay == ShardReplay::FastTrackEpoch) {
-    I->Fast->replay(A, Local, Ce, Out);
-    return;
-  }
   size_t Before = Out.size();
   if (A.IsWrite) {
-    I->History->checkWrite(Local, A.Thread, Ce, A.Loc, A.Idx, Out, Hard);
-    I->History->recordWrite(Local, A.Thread, A.N, A.Loc, A.Idx);
+    History.checkWrite(Local, A.Thread, Ce, A.Loc, A.Idx, Out, Hard);
+    History.recordWrite(Local, A.Thread, A.N, A.Loc, A.Idx);
   } else {
-    I->History->checkRead(Local, A.Thread, Ce, A.Loc, A.Idx, Out, Hard);
-    I->History->recordRead(Local, A.Thread, A.N, A.Loc, A.Idx);
+    History.checkRead(Local, A.Thread, Ce, A.Loc, A.Idx, Out, Hard);
+    History.recordRead(Local, A.Thread, A.N, A.Loc, A.Idx);
   }
   // The history only knows local ids; restore the parent variable.
   for (size_t R = Before; R != Out.size(); ++R)

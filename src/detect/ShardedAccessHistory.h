@@ -38,73 +38,33 @@
 #define RAPID_DETECT_SHARDEDACCESSHISTORY_H
 
 #include "detect/AccessHistory.h"
-#include "detect/Detector.h"
 #include "detect/RaceReport.h"
 #include "support/PublishedStore.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace rapid {
 
-/// How variables are assigned to shards.
-enum class ShardStrategy : uint8_t {
-  /// x mod N: stateless, zero setup cost, balanced when accesses are
-  /// spread evenly over the variable space. The default.
-  Modulo,
-  /// Greedy bin-packing on per-variable access counts (longest-processing-
-  /// time-first): heavier variables are placed first, each onto the
-  /// currently lightest shard. Balances skewed traces — a few hot
-  /// variables no longer pile onto one shard — at the cost of one counting
-  /// pass over the access log.
-  FrequencyBalanced,
-};
-
-/// Assignment of variables to shards. Default-constructed plans use the
-/// modulo strategy: variable x lives in shard x mod NumShards, with dense
-/// per-shard local ids x div NumShards. Table-based plans (see
-/// balancedByFrequency) carry an explicit per-variable assignment instead.
-/// Either way every variable lands in exactly one shard with a dense local
-/// id, which is all the shard/merge machinery relies on — the sharded
-/// report stays bit-identical to the sequential one under any plan.
+/// Assignment of variables to shards: variable x lives in shard
+/// x mod NumShards, with dense per-shard local ids x div NumShards. Every
+/// variable lands in exactly one shard with a dense local id, which is all
+/// the shard/merge machinery relies on.
 struct ShardPlan {
   ShardPlan() = default;
   explicit ShardPlan(uint32_t NumShards) : NumShards(NumShards) {}
 
   uint32_t NumShards = 1;
-  /// Table mode (empty = modulo): Assign[x] = shard of x, Local[x] = dense
-  /// local id of x within its shard, ShardSizes[s] = variables in shard s.
-  std::vector<uint32_t> Assign;
-  std::vector<uint32_t> Local;
-  std::vector<uint32_t> ShardSizes;
 
-  uint32_t shardOf(VarId V) const {
-    return Assign.empty() ? V.value() % NumShards : Assign[V.value()];
-  }
-  uint32_t localIdOf(VarId V) const {
-    return Assign.empty() ? V.value() / NumShards : Local[V.value()];
-  }
+  uint32_t shardOf(VarId V) const { return V.value() % NumShards; }
+  uint32_t localIdOf(VarId V) const { return V.value() / NumShards; }
 
   /// Number of variables out of \p NumVars that land in \p Shard.
   uint32_t numLocalVars(uint32_t Shard, uint32_t NumVars) const {
-    if (!Assign.empty())
-      return ShardSizes[Shard];
     if (Shard >= NumVars)
       return 0; // The smallest candidate, x = Shard, is already out of range.
     return (NumVars - Shard - 1) / NumShards + 1;
   }
-
-  /// Builds a frequency-balanced plan over \p Counts (accesses per
-  /// variable; Counts.size() is the variable count). Deterministic:
-  /// variables are placed heaviest-first (ties by id) onto the lightest
-  /// shard (ties by shard id), so equal inputs yield equal plans.
-  static ShardPlan balancedByFrequency(uint32_t NumShards,
-                                       const std::vector<uint64_t> &Counts);
-
-  /// The heaviest shard's total access count under this plan — the
-  /// balance metric the frequency strategy minimizes greedily.
-  uint64_t maxShardLoad(const std::vector<uint64_t> &Counts) const;
 };
 
 /// One deferred read/write: everything its race check needs, with the
@@ -202,12 +162,6 @@ public:
   /// In-place reference to access \p I, stable for the log's lifetime.
   const DeferredAccess &access(uint64_t I) const { return Accesses[I]; }
 
-  /// Applies Fn(access, index) over [From, To).
-  template <typename Fn> void forEachAccess(uint64_t From, uint64_t To,
-                                            Fn &&F) const {
-    Accesses.forRange(From, To, std::forward<Fn>(F));
-  }
-
   /// Publishes everything appended so far to concurrent readers:
   /// snapshots, then accesses. Returns the committed access count.
   uint64_t commit() {
@@ -216,9 +170,6 @@ public:
     Accesses.publish(N);
     return N;
   }
-
-  /// Accesses visible to concurrent readers (last commit()).
-  uint64_t committedAccesses() const { return Accesses.published(); }
 
   const ClockBroadcast &clocks() const { return Clocks; }
 
@@ -239,16 +190,12 @@ private:
 /// histories genuinely split rather than replicate.
 class ShardChecker {
 public:
-  /// \p Replay selects the engine (must match the capturing detector's
-  /// Detector::shardReplay()); \p NumLocalVars is the shard's dense
-  /// local-variable count (ShardPlan::numLocalVars). Both counts are
-  /// sizing hints — the engines grow on first touch, so local ids and
-  /// threads admitted mid-stream replay without a rebuild.
-  ShardChecker(ShardReplay Replay, uint32_t NumLocalVars, uint32_t NumThreads);
-  ~ShardChecker();
-
-  ShardChecker(const ShardChecker &) = delete;
-  ShardChecker &operator=(const ShardChecker &) = delete;
+  /// \p NumLocalVars is the shard's dense local-variable count
+  /// (ShardPlan::numLocalVars). Both counts are sizing hints — the history
+  /// grows on first touch, so local ids and threads admitted mid-stream
+  /// replay without a rebuild.
+  ShardChecker(uint32_t NumLocalVars, uint32_t NumThreads)
+      : History(NumLocalVars, NumThreads) {}
 
   /// Replays one deferred access. \p Local is A.Var's dense local id under
   /// the plan; \p Ce / \p Hard are the snapshots A.Clock / A.Hard resolve
@@ -260,14 +207,9 @@ public:
   std::vector<RaceInstance> &findings() { return Out; }
   const std::vector<RaceInstance> &findings() const { return Out; }
 
-  /// Deferred accesses replayed so far (per-shard drain telemetry).
-  uint64_t numReplayed() const { return Replayed; }
-
 private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
+  AccessHistory History;
   std::vector<RaceInstance> Out;
-  uint64_t Replayed = 0;
 };
 
 /// Interleaves per-shard findings back into parent-trace order and

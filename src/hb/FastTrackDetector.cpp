@@ -6,14 +6,11 @@
 
 #include "hb/FastTrackDetector.h"
 
-#include "detect/ShardedAccessHistory.h"
-
 using namespace rapid;
 
 FastTrackDetector::FastTrackDetector(const Trace &T)
     : NumThreads(T.numThreads()),
       ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
-      ClockEpochs(T.numThreads(), 1),
       LockClocks(T.numLocks(), VectorClock(T.numThreads())),
       Vars(T.numVars()) {
   for (uint32_t I = 0; I < NumThreads; ++I)
@@ -32,7 +29,6 @@ void FastTrackDetector::ensureThread(ThreadId T) {
     return;
   uint32_t Old = static_cast<uint32_t>(ThreadClocks.size());
   ThreadClocks.resize(T.value() + 1);
-  ClockEpochs.resize(T.value() + 1, 1);
   for (uint32_t I = Old; I <= T.value(); ++I)
     ThreadClocks[I].set(ThreadId(I), 1);
 }
@@ -72,34 +68,24 @@ void FastTrackDetector::processEvent(const Event &E, EventIdx Index) {
 
   switch (E.Kind) {
   case EventKind::Acquire:
-    if (Ct.joinWith(LockClocks[E.lock().value()]))
-      ++ClockEpochs[T.value()];
+    Ct.joinWith(LockClocks[E.lock().value()]);
     return;
 
   case EventKind::Release:
     LockClocks[E.lock().value()] = Ct;
     incrementLocal(T);
-    ++ClockEpochs[T.value()];
     return;
 
   case EventKind::Fork:
-    if (ThreadClocks[E.targetThread().value()].joinWith(Ct))
-      ++ClockEpochs[E.targetThread().value()];
+    ThreadClocks[E.targetThread().value()].joinWith(Ct);
     incrementLocal(T);
-    ++ClockEpochs[T.value()];
     return;
 
   case EventKind::Join:
-    if (Ct.joinWith(ThreadClocks[E.targetThread().value()]))
-      ++ClockEpochs[T.value()];
+    Ct.joinWith(ThreadClocks[E.targetThread().value()]);
     return;
 
   case EventKind::Read: {
-    if (Capture) {
-      Capture->record(Index, E.var(), T, E.Loc, /*IsWrite=*/false, Ct.get(T),
-                      Ct, ClockEpochs[T.value()], nullptr);
-      return;
-    }
     VarState &S = varState(E.var());
     Epoch Mine(Ct.get(T), T);
     // Same-epoch shortcut: redundant read. The stored location still
@@ -137,11 +123,6 @@ void FastTrackDetector::processEvent(const Event &E, EventIdx Index) {
   }
 
   case EventKind::Write: {
-    if (Capture) {
-      Capture->record(Index, E.var(), T, E.Loc, /*IsWrite=*/true, Ct.get(T),
-                      Ct, ClockEpochs[T.value()], nullptr);
-      return;
-    }
     VarState &S = varState(E.var());
     Epoch Mine(Ct.get(T), T);
     if (S.Write == Mine) {

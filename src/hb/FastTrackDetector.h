@@ -39,21 +39,9 @@ public:
   void processEvent(const Event &E, EventIdx Index) override;
   std::string name() const override { return "FastTrack"; }
 
-  /// FastTrack's epoch checks partition by variable exactly like the
-  /// full-history detectors' — all they need at an access is C_t, which
-  /// the capture pass snapshots. Only the VarState machinery is deferred;
-  /// the shard phase replays it with ShardReplay::FastTrackEpoch.
-  bool beginCapture(AccessLog &Log) override {
-    Capture = &Log;
-    return true;
-  }
-  ShardReplay shardReplay() const override {
-    return ShardReplay::FastTrackEpoch;
-  }
-
   /// Number of variables whose read history ever needed a full vector
   /// clock (telemetry: the paper's motivation for epochs is that this is
-  /// rare). Zero in capture mode — promotion happens in the shards.
+  /// rare).
   uint64_t numReadVectorPromotions() const { return ReadPromotions; }
 
 private:
@@ -86,13 +74,9 @@ private:
 
   uint32_t NumThreads; ///< High-water thread count (promotion sizing).
   std::vector<VectorClock> ThreadClocks;
-  /// Change epoch of C_t (see HbDetector::ClockEpochs): O(1) snapshot
-  /// dedup in capture mode.
-  std::vector<uint64_t> ClockEpochs;
   std::vector<VectorClock> LockClocks;
   std::vector<VarState> Vars;
   uint64_t ReadPromotions = 0;
-  AccessLog *Capture = nullptr; ///< Non-null in capture mode.
 };
 
 } // namespace rapid

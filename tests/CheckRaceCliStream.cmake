@@ -1,27 +1,21 @@
-# tests/CheckRaceCliStream.cmake - Pin the --stream x --window/--shards matrix.
+# tests/CheckRaceCliStream.cmake - Pin --stream composed with --window.
 #
 # Part of rapidpp (PLDI'17 WCP reproduction).
 #
 # Writes a small racy text trace, then runs race_cli over it with
-# --stream combined with --window and with --shards (the combinations the
-# CLI used to reject), parsing the --json output with string(JSON ...):
-# the run must succeed, report the right mode with streamed=true, and the
-# windowed/var-sharded lanes must carry the expected race counts (the
-# var-sharded run loses nothing; the windowed run with a window cutting
-# the racing accesses apart loses the race — the baseline's defining
-# handicap). Invoked by the race_cli_stream_* ctests; requires
-# -DRACE_CLI=<path> and -DCASE=<window|shards>.
+# --stream combined with --window, parsing the --json output with
+# string(JSON ...): the run must succeed, report the windowed mode with
+# streamed=true, and the lane must lose the race, because the window cuts
+# the racing accesses apart (the baseline's defining handicap). Invoked by
+# the race_cli_stream_window ctest; requires -DRACE_CLI=<path>.
 
 if(NOT RACE_CLI)
   message(FATAL_ERROR "pass -DRACE_CLI=<path to race_cli>")
 endif()
-if(NOT CASE)
-  message(FATAL_ERROR "pass -DCASE=window or -DCASE=shards")
-endif()
 
 # Two unsynchronized writes to x from different threads (a race), plus a
 # lock-protected pair on y (no race). 8 events total.
-set(TRACE "${CMAKE_CURRENT_BINARY_DIR}/stream_case_${CASE}.txt")
+set(TRACE "${CMAKE_CURRENT_BINARY_DIR}/stream_case_window.txt")
 file(WRITE ${TRACE}
 "T0|w(x)|L1
 T1|w(x)|L2
@@ -33,21 +27,13 @@ T1|w(y)|L7
 T1|rel(l)|L8
 ")
 
-if(CASE STREQUAL "window")
-  # Window of 1 event: every fragment holds a single access, so even the
-  # x race disappears — windowed semantics, streamed.
-  execute_process(
-    COMMAND ${RACE_CLI} ${TRACE} --stream --window 1 --hb --json
-    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
-  set(WANT_MODE "windowed")
-  set(WANT_RACES 0)
-else()
-  execute_process(
-    COMMAND ${RACE_CLI} ${TRACE} --stream --shards 4 --hb --json
-    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
-  set(WANT_MODE "var-sharded")
-  set(WANT_RACES 1)
-endif()
+# Window of 1 event: every fragment holds a single access, so even the
+# x race disappears — windowed semantics, streamed.
+execute_process(
+  COMMAND ${RACE_CLI} ${TRACE} --stream --window 1 --hb --json
+  OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
+set(WANT_MODE "windowed")
+set(WANT_RACES 0)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "race_cli exited ${RC}: ${ERR}")
 endif()
@@ -81,4 +67,4 @@ if(NOT CONSUMED EQUAL 8)
   message(FATAL_ERROR "events_consumed = ${CONSUMED}, want 8")
 endif()
 file(REMOVE ${TRACE})
-message(STATUS "race_cli --stream --${CASE}: ok (${WANT_RACES} race(s))")
+message(STATUS "race_cli --stream --window: ok (${WANT_RACES} race(s))")

@@ -210,14 +210,12 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
 // Var-sharded sessions stream too: the capture clock pass runs behind
 // ingestion and shard checks replay published AccessLog prefixes; the
 // merged result must equal both analyzeTrace and plain sequential
-// runDetector, bit for bit, under both shard strategies.
+// runDetector, bit for bit.
 TEST_P(ApiStreamFuzzTest, VarShardedSessionStreamsBitForBit) {
   uint64_t Seed = GetParam();
   Trace T = randomTrace(fuzzParams(Seed ^ 0x1c3f, Seed % 2 == 1));
   AnalysisConfig Cfg = allDetectorConfig(RunMode::VarSharded);
   Cfg.VarShards = 1 + Seed % 7;
-  Cfg.Strategy = Seed % 2 ? ShardStrategy::FrequencyBalanced
-                          : ShardStrategy::Modulo;
   Cfg.StreamBatchEvents = 1 + Seed % 11;
   Cfg.Threads = 1 + Seed % 3;
   AnalysisSession S(Cfg);
@@ -714,13 +712,11 @@ TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchReferences) {
                        std::string("windowed session/") +
                            detectorKindName(K));
     }
-    for (ShardStrategy Strategy :
-         {ShardStrategy::Modulo, ShardStrategy::FrequencyBalanced}) {
+    {
       AnalysisConfig Cfg;
       Cfg.addDetector(K);
       Cfg.Mode = RunMode::VarSharded;
       Cfg.VarShards = 4;
-      Cfg.Strategy = Strategy;
       AnalysisSession S(Cfg);
       ASSERT_TRUE(S.feedTrace(T).ok());
       AnalysisResult R = S.finish();
@@ -775,19 +771,8 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
   }
   {
     AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
-    Cfg.Strategy = ShardStrategy::FrequencyBalanced;
-    expectInvalid(Cfg, "balanced strategy without var-sharding");
-  }
-  {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
     Cfg.StreamBatchEvents = 0;
     expectInvalid(Cfg, "zero stream batch");
-  }
-  {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::VarSharded);
-    Cfg.VarShards = 2;
-    Cfg.DrainBatch = 0;
-    expectInvalid(Cfg, "zero drain batch");
   }
 
   // The same statuses flow through the entry points.
@@ -814,48 +799,94 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
   }
 }
 
-// DrainBatch only paces how the var-sharded drain slices its replay work
-// into pool tasks; any value must leave every lane bit-identical to the
-// sequential walk. Sweep the extremes: per-event draining, a mid-size
-// batch, and one far larger than the trace (single-task drain).
-TEST(ApiSessionTest, DrainBatchSweepIsBitForBit) {
-  Trace T = randomTrace(fuzzParams(29, /*ForkJoin=*/true));
-  for (uint64_t Batch : {uint64_t(1), uint64_t(64), uint64_t(100000)}) {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::VarSharded);
-    Cfg.VarShards = 4;
-    Cfg.Threads = 2;
-    Cfg.DrainBatch = Batch;
-    AnalysisSession S(Cfg);
-    ASSERT_TRUE(S.declareTablesFrom(T).ok());
-    ASSERT_TRUE(S.feed(T.events()).ok());
-    AnalysisResult R = S.finish();
-    ASSERT_TRUE(R.ok()) << R.firstError().str();
-    expectLanesMatchSequential(R, T,
-                               "drain batch " + std::to_string(Batch));
+// A shard drain task claims at most 4096 accesses per round and loops
+// until its work list is empty. One shard over more than 2 x 4096
+// accesses, committed in at most two chunks (one per feed), forces at
+// least three claims on the same shard; the report must still be the
+// sequential walk's, bit for bit, and a partial taken mid-stream an
+// exact prefix of it.
+TEST(ApiSessionTest, MultiRoundDrainIsBitForBit) {
+  RandomTraceParams P = fuzzParams(29, /*ForkJoin=*/true);
+  P.NumThreads = 4;
+  P.OpsPerThread = 4000;
+  Trace T = randomTrace(P);
+  uint64_t Accesses = 0;
+  for (const Event &E : T.events())
+    Accesses += isAccess(E.Kind);
+  ASSERT_GT(Accesses, 2u * 4096u);
+  const DetectorKind Kinds[] = {DetectorKind::Hb, DetectorKind::Wcp};
+  AnalysisConfig Cfg;
+  Cfg.Mode = RunMode::VarSharded;
+  Cfg.VarShards = 1;
+  Cfg.Threads = 2;
+  Cfg.StreamBatchEvents = T.size(); // One chunk per published range.
+  for (DetectorKind K : Kinds)
+    Cfg.addDetector(K);
+  AnalysisSession S(Cfg);
+  ASSERT_TRUE(S.declareTablesFrom(T).ok());
+  const std::vector<Event> &Events = T.events();
+  const size_t Half = Events.size() / 2;
+  ASSERT_TRUE(
+      S.feed(std::vector<Event>(Events.begin(), Events.begin() + Half)).ok());
+  AnalysisResult Mid = S.partialResult();
+  ASSERT_TRUE(
+      S.feed(std::vector<Event>(Events.begin() + Half, Events.end())).ok());
+  AnalysisResult R = S.finish();
+  ASSERT_TRUE(R.ok()) << R.firstError().str();
+  ASSERT_EQ(R.Lanes.size(), std::size(Kinds));
+  for (size_t L = 0; L != R.Lanes.size(); ++L) {
+    std::unique_ptr<Detector> D = makeDetectorFactory(Kinds[L])(T);
+    RunResult Want = runDetector(*D, T);
+    const std::string Label = "multi-round drain/" + Want.DetectorName;
+    EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
+    expectSameReport(R.Lanes[L].Report, Want.Report, T, Label);
+    expectReportIsPrefix(Mid.Lanes[L].Report, R.Lanes[L].Report, Label);
+    uint64_t Rounds = 0;
+    for (const MetricSample &M : R.Lanes[L].Telemetry)
+      if (M.Name == "drain_batches")
+        Rounds = M.Value;
+    EXPECT_GE(Rounds, 3u) << Label;
   }
 }
 
 // A lane that throws mid-stream fails alone with a structured status; the
-// other lanes complete.
+// other lanes complete. Holds in every run mode; a windowed lane's error
+// names the window it failed in.
 TEST(ApiSessionTest, ThrowingLaneFailsAloneInStreamingSessions) {
   Trace T = randomTrace(fuzzParams(7, false));
-  AnalysisConfig Cfg;
-  Cfg.addDetector(DetectorKind::Hb);
-  Cfg.addDetector(
-      [](const Trace &) -> std::unique_ptr<Detector> {
-        throw std::runtime_error("detector exploded");
-      },
-      "Boom");
-  AnalysisSession S(Cfg);
-  ASSERT_TRUE(S.feedTrace(T).ok());
-  AnalysisResult R = S.finish();
-  ASSERT_EQ(R.Lanes.size(), 2u);
-  EXPECT_TRUE(R.Lanes[0].LaneStatus.ok()) << R.Lanes[0].LaneStatus.str();
-  EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u);
-  EXPECT_EQ(R.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError);
-  EXPECT_NE(R.Lanes[1].LaneStatus.Message.find("detector exploded"),
-            std::string::npos);
-  EXPECT_EQ(R.Lanes[1].DetectorName, "Boom");
-  EXPECT_FALSE(R.ok());
-  EXPECT_EQ(R.firstError().Code, StatusCode::AnalysisError);
+  for (RunMode Mode :
+       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
+    const std::string Label = runModeName(Mode);
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    std::string BoomName = "Boom";
+    if (Mode == RunMode::Windowed) {
+      Cfg.WindowEvents = T.size(); // One window: the HB lane keeps its races.
+      BoomName += "[w=" + std::to_string(T.size()) + "]";
+    }
+    if (Mode == RunMode::VarSharded)
+      Cfg.VarShards = 2;
+    Cfg.addDetector(DetectorKind::Hb);
+    Cfg.addDetector(
+        [](const Trace &) -> std::unique_ptr<Detector> {
+          throw std::runtime_error("detector exploded");
+        },
+        "Boom");
+    AnalysisSession S(Cfg);
+    ASSERT_TRUE(S.feedTrace(T).ok()) << Label;
+    AnalysisResult R = S.finish();
+    ASSERT_EQ(R.Lanes.size(), 2u) << Label;
+    EXPECT_TRUE(R.Lanes[0].LaneStatus.ok())
+        << Label << ": " << R.Lanes[0].LaneStatus.str();
+    EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u) << Label;
+    EXPECT_EQ(R.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError) << Label;
+    const std::string &Msg = R.Lanes[1].LaneStatus.Message;
+    EXPECT_NE(Msg.find("detector exploded"), std::string::npos) << Label;
+    if (Mode == RunMode::Windowed) {
+      EXPECT_NE(Msg.find("window 0"), std::string::npos) << Msg;
+    }
+    EXPECT_EQ(R.Lanes[1].DetectorName, BoomName) << Label;
+    EXPECT_FALSE(R.ok()) << Label;
+    EXPECT_EQ(R.firstError().Code, StatusCode::AnalysisError) << Label;
+  }
 }

@@ -163,9 +163,9 @@ TEST(PipelineTest, ThreadCountDoesNotChangeResults) {
 
 TEST(PipelineTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
   // The per-variable sharded lane mode must be invisible in the results:
-  // capture-capable lanes (HB, WCP, and FastTrack via its epoch replayer)
-  // go through the clock pass + shard check + merge machinery, the rest
-  // (Eraser) fall back to a sequential walk, and every lane's report stays
+  // capture-capable lanes (HB, WCP) go through the clock pass + shard
+  // check + merge machinery, the rest (FastTrack, Eraser) fall back to a
+  // sequential walk, and every lane's report stays
   // bit-identical to runDetector for any shard or thread count.
   for (uint64_t Seed : {4u, 9u}) {
     Trace T = mediumRandomTrace(Seed);
