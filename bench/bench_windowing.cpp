@@ -68,7 +68,6 @@ int main() {
       Cfg.addDetector(DetectorKind::Wcp).addDetector(DetectorKind::Hb);
       Cfg.Mode = RunMode::Windowed;
       Cfg.WindowEvents = W;
-      Cfg.Threads = 1; // The windowed baseline stays single-threaded.
       AnalysisResult R = analyzeTrace(Cfg, T);
       if (!R.ok()) {
         std::fprintf(stderr, "error: window %llu: %s\n",

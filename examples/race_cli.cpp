@@ -10,11 +10,11 @@
 // Run `race_cli --help` for the full flag matrix. --stream composes with
 // both modes (sequential, --window): the session's streaming engine
 // overlaps analysis with ingestion — lanes consume published chunks and
-// windows dispatch as their event range arrives. --json replaces the
-// human-readable output with a machine-readable report (lanes, statuses,
-// timings, telemetry); --dry-run validates the flag combination and
-// exits (the docs CI job uses it to keep every invocation quoted in
-// docs/*.md parseable).
+// windowed lanes check each window as its event range arrives. --json
+// replaces the human-readable output with a machine-readable report
+// (lanes, statuses, timings, telemetry); --dry-run validates the flag
+// combination and exits (the docs CI job uses it to keep every invocation
+// quoted in docs/*.md parseable).
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,6 @@
 #include "serve/ReportCanon.h"
 #include "support/Json.h"
 #include "support/TablePrinter.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "trace/TraceStats.h"
 
@@ -56,8 +55,7 @@ struct Options {
   bool NoMetrics = false;   // --no-metrics: zero-cost disable.
   std::string TraceOut;     // --trace-out: Perfetto timeline destination.
   std::string ReportOut;    // --report-out: canonical report destination.
-  unsigned Threads = 0; // 0 = hardware concurrency.
-  uint64_t Window = 0;  // 0 = unwindowed.
+  uint64_t Window = 0;      // 0 = unwindowed.
 };
 
 void printHelp() {
@@ -87,11 +85,9 @@ void printHelp() {
       "  --stream       feed the file through a streaming session so\n"
       "                 analysis overlaps ingestion; composes with every\n"
       "                 mode (sequential lanes consume published chunks,\n"
-      "                 windows dispatch as their range arrives).\n"
+      "                 windowed lanes check each window as it arrives).\n"
       "                 Requires a trace file; binary and text traces\n"
       "                 both publish chunk by chunk\n"
-      "  --threads N    worker threads (0 or default: hardware "
-      "concurrency)\n"
       "\n"
       "output:\n"
       "  --stats        print trace statistics first\n"
@@ -115,7 +111,6 @@ void printHelp() {
       "examples:\n"
       "  race_cli trace.bin --hb --wcp\n"
       "  race_cli trace.bin --stream --window 100000\n"
-      "  race_cli trace.bin --stream --window 100000 --threads 4\n"
       "  race_cli trace.bin --stream --metrics\n"
       "  race_cli trace.bin --stream --window 100000 --trace-out run.json\n"
       "  race_cli trace.txt --json --fasttrack\n"
@@ -177,7 +172,6 @@ std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg,
   J += "  \"wall_seconds\": " + jsonNum(R.WallSeconds) + ",\n";
   J += "  \"ingest_seconds\": " + jsonNum(R.IngestSeconds) + ",\n";
   J += "  \"lane_seconds_total\": " + jsonNum(R.laneSecondsTotal()) + ",\n";
-  J += "  \"tasks_stolen\": " + std::to_string(R.TasksStolen) + ",\n";
   J += "  \"telemetry\": " + renderTelemetryJson(R.Telemetry, "  ") + ",\n";
   J += "  \"lanes\": [";
   for (size_t L = 0; L != R.Lanes.size(); ++L) {
@@ -239,9 +233,6 @@ int main(int Argc, char **Argv) {
       printHelp();
       return 0;
     }
-    else if (Arg == "--threads" && I + 1 < Argc)
-      Opts.Threads =
-          static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
     else if (Arg == "--window" && I + 1 < Argc)
       Opts.Window = std::strtoull(Argv[++I], nullptr, 10);
     else if (Arg.rfind("--", 0) == 0) {
@@ -253,8 +244,8 @@ int main(int Argc, char **Argv) {
   if (!Opts.RunHb && !Opts.RunWcp && !Opts.RunFastTrack && !Opts.RunEraser &&
       !Opts.RunSyncP)
     Opts.RunHb = Opts.RunWcp = true;
-  // --stream composes with every mode: windowed sessions dispatch each
-  // window as its event range publishes.
+  // --stream composes with every mode: windowed lanes check each window
+  // as its event range publishes.
   if (Opts.Stream && Opts.Path.empty() && !Opts.DryRun) {
     std::fprintf(stderr, "error: --stream needs a trace file\n");
     return 1;
@@ -278,15 +269,9 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --metrics and --no-metrics conflict\n");
     return 1;
   }
-  if (Opts.Threads == 0) {
-    // "--threads 0" (or an unparsable count) must not build a zero-worker
-    // pool; clamp to the hardware concurrency the pool would default to.
-    Opts.Threads = ThreadPool::defaultConcurrency();
-  }
 
   // Flags → the one declarative config every mode shares.
   AnalysisConfig Cfg;
-  Cfg.Threads = Opts.Threads;
   Cfg.Metrics = !Opts.NoMetrics;
   Cfg.Timeline = !Opts.TraceOut.empty();
   if (Opts.Window > 0) {
@@ -310,8 +295,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   if (Opts.DryRun) {
-    std::printf("dry-run ok: mode=%s detectors=%zu threads=%u%s\n",
-                runModeName(Cfg.Mode), Cfg.Detectors.size(), Cfg.Threads,
+    std::printf("dry-run ok: mode=%s detectors=%zu%s\n",
+                runModeName(Cfg.Mode), Cfg.Detectors.size(),
                 Opts.Stream ? " streamed" : "");
     return 0;
   }
@@ -460,7 +445,7 @@ int main(int Argc, char **Argv) {
   if (Opts.Stream || Opts.Window > 0) {
     std::printf("\npipeline: %u thread(s)", R.ThreadsUsed);
     if (Opts.Window > 0)
-      std::printf(", %llu window(s)", (unsigned long long)R.NumShards);
+      std::printf(", %llu window(s)", (unsigned long long)R.NumWindows);
     std::printf("%s\n", Opts.Stream ? ", streamed" : "");
     double LaneTotal = R.laneSecondsTotal();
     std::printf("lane analysis %.3fs total in %.3fs wall", LaneTotal,

@@ -60,7 +60,6 @@ struct Options {
   bool RunFastTrack = false;
   bool RunEraser = false;
   bool RunSyncP = false;
-  unsigned Threads = 0;
   uint64_t Window = 0;
   uint64_t StreamBatch = 0;
   uint64_t BudgetLag = 1u << 20;
@@ -88,7 +87,6 @@ void printHelp() {
       "\n"
       "session shape (applies to every accepted session):\n"
       "  --window N        windowed mode, N events per window\n"
-      "  --threads N       session worker threads (0 = hardware)\n"
       "  --stream-batch N  events per consumer batch\n"
       "\n"
       "serving:\n"
@@ -145,9 +143,6 @@ int main(int Argc, char **Argv) {
       Opts.DryRun = true;
     else if (Arg == "--socket")
       Opts.Socket = NeedsValue(I);
-    else if (Arg == "--threads")
-      Opts.Threads =
-          static_cast<unsigned>(std::strtoul(NeedsValue(I), nullptr, 10));
     else if (Arg == "--window")
       Opts.Window = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--stream-batch")
@@ -199,7 +194,6 @@ int main(int Argc, char **Argv) {
   Cfg.RosterMax = static_cast<size_t>(Opts.RosterMax);
   Cfg.RetryAfterMs = static_cast<uint32_t>(Opts.RetryAfterMs);
   AnalysisConfig &S = Cfg.Session;
-  S.Threads = Opts.Threads;
   if (Opts.Window > 0) {
     S.Mode = RunMode::Windowed;
     S.WindowEvents = Opts.Window;

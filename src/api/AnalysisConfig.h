@@ -19,8 +19,8 @@
 ///               concurrently and stream behind ingestion in sessions;
 ///   Windowed    fixed-size event windows, fresh detector per window
 ///               (the handicapped baseline of §4.3 — cross-window races
-///               are lost by design); sessions dispatch each window onto
-///               the thread pool as soon as its event range publishes;
+///               are lost by design); each lane's consumer checks a window
+///               as soon as its event range publishes;
 ///   VarSharded  per-variable sharded checks (bit-identical to
 ///               Sequential for any shard count, variable x in shard
 ///               x mod N); sessions run the capture clock pass behind
@@ -74,9 +74,8 @@ struct AnalysisConfig {
   std::vector<DetectorSpec> Detectors;
   RunMode Mode = RunMode::Sequential;
   /// Worker threads (0 = hardware concurrency) of the session thread pool
-  /// that runs Windowed window tasks / VarSharded shard-check tasks.
-  /// Sequential sessions have no pool: they run one consumer thread per
-  /// lane whatever this says.
+  /// that runs VarSharded shard-check tasks. The other modes have no pool:
+  /// they run one consumer thread per lane whatever this says.
   unsigned Threads = 0;
   /// Windowed mode only: events per window (must be > 0 there, 0 elsewhere).
   uint64_t WindowEvents = 0;

@@ -59,9 +59,10 @@ struct AnalysisResult {
   double WallSeconds = 0;
   /// Producer-side ingestion time (feed/feedFile work, including parse).
   double IngestSeconds = 0;
-  uint64_t NumShards = 1;   ///< Windowed mode: window count.
+  uint64_t NumWindows = 1;  ///< Windowed mode: window count.
   uint64_t VarShards = 0;   ///< Var-sharded mode: shards per lane.
-  uint64_t TasksStolen = 0; ///< Windowed/VarSharded: pool steals.
+  uint64_t TasksStolen = 0; ///< Var-sharded mode: pool steals.
+  /// Lane consumer threads; var-sharded sessions: the pool width.
   unsigned ThreadsUsed = 1;
   /// True for partialResult() snapshots: lanes are mid-stream, reports
   /// cover a prefix of the ingested events and finish() has not run.

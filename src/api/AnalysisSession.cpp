@@ -14,25 +14,25 @@
 // trace/id tables, validation and detector construction; it is never taken
 // on a consumer's per-event path. All per-lane state shared with
 // partialResult() sits behind a per-lane snapshot mutex; the lane's
-// consumed watermark is atomic as well, so progress() never takes it.
+// taken watermark is atomic as well, so progress() never takes it.
 //
-// Every run mode streams:
+// Every run mode streams, with one consumer thread per lane running the
+// shared wait/chunk loop (walkLane) over published ranges in place:
 //
-//   Sequential   one consumer thread per lane, each running its detector
-//                over published ranges in place (sequentialConsumer, the
-//                plain walkLane);
-//   Windowed     one window-builder consumer cuts completed windows out of
-//                the published prefix (trace/IncrementalWindowSplitter)
-//                and dispatches a fresh detector per lane × window onto
-//                the session ThreadPool; reports merge deterministically
-//                in window order as they retire (windowedConsumer);
+//   Sequential   the lane's detector walks each range (sequentialConsumer);
+//   Windowed     the lane pushes each range through its own
+//                trace/IncrementalWindowSplitter and checks every window
+//                inline the moment it completes — a fresh detector per
+//                window, its report merged into the lane's running report
+//                in window order (windowedConsumer, checkWindow);
 //   VarSharded   one capture consumer per lane runs the clock pass behind
 //                ingestion; the captured AccessLog is itself published by
 //                watermark, and per-shard drain tasks on the pool replay
 //                committed accesses in place (detect/ShardChecker); only
 //                the final trace-order merge waits for finish()
-//                (varShardConsumer: walkLane plus a per-chunk commit and
-//                partition hook; drainVarShard).
+//                (varShardConsumer: the detector walk plus a per-chunk
+//                commit and partition step; drainVarShard). It is the only
+//                mode with a ThreadPool.
 //
 // Mid-stream table growth (text inputs intern lazily; push feeds may
 // declare late) is free: detector state is growable end to end —
@@ -48,8 +48,8 @@
 //
 // Lock order. The session mutex M nests SnapM inside (M → SnapM). The
 // var-sharded lane log mutex LogM also nests SnapM (LogM → SnapM). Shard
-// mutexes (SM), window-epoch mutexes (EM) and the store's internal wake
-// mutex are leaves. M is never held together with LogM/SM/EM.
+// mutexes (SM) and the store's internal wake mutex are leaves. M is never
+// held together with LogM/SM.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +71,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 using namespace rapid;
@@ -109,17 +110,20 @@ struct LaneRuntime {
   DetectorFactory Make;
 
   std::mutex SnapM;
-  std::unique_ptr<Detector> D;
-  std::string Name;      ///< Resolved once the detector first exists.
-  RaceReport Final;      ///< Set by the consumer at drain time.
+  std::unique_ptr<Detector> D; ///< Null in windowed lanes.
+  std::string Name;      ///< Resolved by the first detector built.
+  /// Set by the consumer at drain time; a windowed lane's running merge
+  /// of its retired windows.
+  RaceReport Final;
   Status LaneStatus;
   double Seconds = 0;    ///< Processing time, excluding waits.
+  uint64_t Consumed = 0; ///< Events the lane's report covers.
   bool Done = false;
-  /// Events processed. Written under SnapM like the fields above, but
-  /// atomic so progress() reads it without SnapM — a consumer holds SnapM
-  /// for a whole batch, and the serving layer's lag check must not wait
-  /// on a slow (or blocked) lane.
-  std::atomic<uint64_t> Consumed{0};
+  /// Events the lane has taken from the store: Consumed plus, in a
+  /// windowed lane, the pending window. Atomic so progress() reads it
+  /// without SnapM — the serving layer's lag check must not wait on a
+  /// slow (or blocked) lane.
+  std::atomic<uint64_t> Taken{0};
 
   // Cached instrument handles (obs/Metrics.h; null when metrics are off)
   // plus the lane's timeline track. Written once at session start, then
@@ -127,8 +131,7 @@ struct LaneRuntime {
   Counter ConsumeNs;       ///< Detector processing time.
   Counter ParkNs;          ///< Time parked waiting for published events.
   Counter Batches;         ///< Published ranges processed (in place).
-  Counter WindowsChecked;  ///< Windowed: lane × window tasks completed.
-  Counter WindowCheckNs;   ///< Windowed: time inside window tasks.
+  Counter WindowsChecked;  ///< Windowed: windows checked.
   Counter DrainNs;         ///< Var-sharded: shard replay time.
   Counter DrainBatches;    ///< Var-sharded: drain rounds replayed.
   Gauge CapturedAccesses;  ///< Var-sharded: deferred accesses logged.
@@ -136,36 +139,6 @@ struct LaneRuntime {
   HighWater BatchEventsPeak; ///< Largest batch copied.
   HighWater LagEventsPeak;   ///< Peak published-minus-consumed lag.
   uint32_t Track = TraceRecorder::NoTrack;
-};
-
-// ---- Windowed-mode streaming state ------------------------------------------
-
-/// One lane's outcome for one window, filled by its pool task.
-struct WindowSlot {
-  RaceReport Report;
-  std::string Name; ///< Detector's name() (window 0 resolves the lane's).
-  std::string Error;
-  double Seconds = 0;
-  bool Done = false;
-};
-
-/// One completed window plus its per-lane result slots.
-struct WindowEntry {
-  std::shared_ptr<const TraceWindow> W;
-  uint64_t EndIdx = 0; ///< Parent events covered: [0, EndIdx) after merge.
-  std::vector<WindowSlot> Slots;
-};
-
-/// The window-builder's run state: every window cut so far plus task
-/// accounting. (Historically one of several per run — table growth used
-/// to orphan the epoch and start a fresh one; with growable detector
-/// state there is exactly one per session.)
-struct WindowEpoch {
-  std::mutex EM;
-  std::condition_variable DoneCV;
-  std::vector<std::unique_ptr<WindowEntry>> Windows; ///< Appended in order.
-  uint64_t TasksLaunched = 0;
-  uint64_t TasksDone = 0;
 };
 
 // ---- Var-sharded-mode streaming state ---------------------------------------
@@ -243,13 +216,6 @@ struct AnalysisSession::Impl {
 
   std::vector<std::unique_ptr<LaneRuntime>> Lanes;
   std::vector<std::unique_ptr<VarShardState>> VarStates; ///< VarSharded only.
-  std::shared_ptr<WindowEpoch> WinEpoch; ///< Windowed only; ptr under M.
-  uint64_t FinalNumWindows = 0;          ///< Set at windowed finalize.
-  /// Windowed only: the builder's consumed watermark. LaneRuntime::
-  /// Consumed is only written at finalize in this mode (window tasks
-  /// retire out of order), so progress() reads this instead — otherwise
-  /// a parked-on-lag serving client would never resume.
-  std::atomic<uint64_t> WinBuilt{0};
   std::vector<std::thread> Consumers;
 
   // ---- Observability (obs/) -------------------------------------------------
@@ -264,28 +230,25 @@ struct AnalysisSession::Impl {
   Counter PublishBatches;
   Gauge PublishedGauge;     ///< The published watermark.
   HighWater PublishBatchPeak;
-  Counter ConsumerParkNs;   ///< Windowed: the builder's park time.
-  Counter WindowsDispatched;
-  Gauge WindowsRetired;
   uint32_t IngestTrack = TraceRecorder::NoTrack;
-  uint32_t BuilderTrack = TraceRecorder::NoTrack;
-  /// Lane × window tasks (Windowed) / shard drain tasks (VarSharded).
+  /// Shard drain tasks (VarSharded only; no other mode has a pool).
   /// Declared last so its destructor drains in-flight tasks before the
   /// state they reference dies.
   std::unique_ptr<ThreadPool> Pool;
 
   void start();
-  template <typename BuiltFn, typename ChunkFn>
-  void walkLane(LaneRuntime &Rt, const char *Span, BuiltFn &&OnBuilt,
-                ChunkFn &&AfterChunk);
+  template <typename StartFn, typename RangeFn>
+  void walkLane(LaneRuntime &Rt, const char *Span, StartFn &&Start,
+                RangeFn &&Range);
+  void walkDetector(LaneRuntime &Rt, uint64_t From, uint64_t End);
   void sequentialConsumer(LaneRuntime &Rt);
-  void windowedConsumer();
-  void dispatchWindow(const std::shared_ptr<WindowEpoch> &Ep, TraceWindow &&W);
-  void finalizeWindowedLanes(WindowEpoch &Ep);
+  void windowedConsumer(LaneRuntime &Rt);
+  void checkWindow(LaneRuntime &Rt, uint64_t K, const TraceWindow &W);
   void varShardConsumer(LaneRuntime &Rt, VarShardState &VS);
   void drainVarShard(VarShardState &VS, uint32_t S);
   void scheduleDrains(VarShardState &VS, std::vector<uint32_t> &ToSchedule);
-  void buildDetectorLocked(LaneRuntime &Rt);
+  void buildDetector(LaneRuntime &Rt);
+  void finishWalkedLane(LaneRuntime &Rt);
   void registerObservability();
   void stopConsumers();
   Status ingestGate();
@@ -293,27 +256,31 @@ struct AnalysisSession::Impl {
   bool validateNewLockedInner();
   void publishLocked();
   AnalysisResult snapshotLanes(bool Partial);
-  void snapshotWindowedLane(size_t L, LaneReport &Lane);
   void snapshotVarShardLane(VarShardState &VS, LaneReport &Lane);
 };
 
-/// Builds \p Rt's detector against the current tables. Caller holds M;
-/// takes SnapM (M → SnapM is the session's one lock order).
-void AnalysisSession::Impl::buildDetectorLocked(LaneRuntime &Rt) {
+/// Builds \p Rt's detector against the current tables. Takes M, then
+/// SnapM (M → SnapM is the session's one lock order).
+void AnalysisSession::Impl::buildDetector(LaneRuntime &Rt) {
+  std::lock_guard<std::mutex> Lk(M);
   std::lock_guard<std::mutex> G(Rt.SnapM);
   Rt.D = Rt.Make(*Live);
   Rt.Name = Rt.Label.empty() ? Rt.D->name() : Rt.Label;
 }
 
-namespace {
-
-/// Retires a walked lane: the detector's finish() and final report.
-void finishWalkedLane(LaneRuntime &Rt) {
+/// Retires a walked lane: the detector's finish() and final report. A
+/// zero-event session still gets its detector here (runDetector on an
+/// empty trace constructs one too).
+void AnalysisSession::Impl::finishWalkedLane(LaneRuntime &Rt) {
+  if (!Rt.D)
+    buildDetector(Rt);
   std::lock_guard<std::mutex> G(Rt.SnapM);
   Rt.D->finish();
   Rt.Final = Rt.D->report();
   Rt.Done = true;
 }
+
+namespace {
 
 /// Runs one lane consumer's \p Body; an escaping exception fails that
 /// lane (its status carries the message), never the session.
@@ -328,232 +295,142 @@ template <typename Fn> void runLane(LaneRuntime &Rt, Fn &&Body) {
 
 } // namespace
 
-/// The in-place walk every per-lane consumer shares: wait for the
-/// watermark, then run \p Rt's detector over the published range in place
-/// — no session lock, no batch copy — until ingestion stops and the
-/// prefix is drained. Processing is chunked (Cfg.StreamBatchEvents) so
-/// SnapM is released regularly for partialResult(). The detector is built
-/// once, against whatever id tables exist when the lane first has work
-/// (taking M only for that one construction), and \p OnBuilt runs right
-/// after, outside every lock; growable detector state admits ids declared
-/// later, so table growth never restarts the lane (bit-for-bit with
-/// runDetector; see the header comment). \p AfterChunk(End) runs after
-/// each chunk, outside SnapM, inside the chunk's \p Span timeline span.
-/// A zero-event session still gets its detector, built at the end without
-/// OnBuilt (runDetector on an empty trace constructs one too).
-template <typename BuiltFn, typename ChunkFn>
+/// The wait/chunk loop every lane consumer shares: wait for the
+/// watermark, then hand each published range to \p Range(From, End) in
+/// chunks of at most Cfg.StreamBatchEvents — read in place, no session
+/// lock, no batch copy — until ingestion stops and the prefix is drained.
+/// \p Range runs outside every lock and takes SnapM itself, so chunking
+/// releases SnapM regularly for partialResult(); each chunk is one \p Span
+/// timeline span. \p Start runs once, outside every lock, when the lane
+/// first has work: lanes build their detector (or splitter) against
+/// whatever id tables exist then, and growable detector state admits ids
+/// declared later, so table growth never restarts the lane (bit-for-bit
+/// with runDetector; see the header comment).
+template <typename StartFn, typename RangeFn>
 void AnalysisSession::Impl::walkLane(LaneRuntime &Rt, const char *Span,
-                                     BuiltFn &&OnBuilt, ChunkFn &&AfterChunk) {
+                                     StartFn &&Start, RangeFn &&Range) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
-  uint64_t Consumed = 0;
+  uint64_t Taken = 0;
   auto Stopped = [this] {
     return IngestDone.load(std::memory_order_seq_cst);
   };
   for (;;) {
-    const uint64_t To = Store.waitPublished(Consumed, Rt.ParkNs, Stopped);
-    if (To == Consumed)
+    const uint64_t To = Store.waitPublished(Taken, Rt.ParkNs, Stopped);
+    if (To == Taken)
       break; // Stopped and fully drained.
-    if (!Rt.D) {
-      {
-        std::lock_guard<std::mutex> Lk(M);
-        buildDetectorLocked(Rt);
-      }
-      OnBuilt();
-    }
-    while (Consumed != To) {
-      const uint64_t From = Consumed;
+    if (Taken == 0)
+      Start();
+    while (Taken != To) {
+      const uint64_t From = Taken;
       const uint64_t End = std::min(To, From + Batch);
       Rt.Batches.add();
       Rt.BatchEventsPeak.observe(End - From);
       Rt.LagEventsPeak.observe(Store.published() - From);
       int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-      {
-        std::lock_guard<std::mutex> G(Rt.SnapM);
-        Timer Clock;
-        Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-          Rt.D->processEvent(E, I);
-        });
-        double Sec = Clock.seconds();
-        Rt.Seconds += Sec;
-        Rt.ConsumeNs.add(toNs(Sec));
-        Rt.Consumed.store(End, std::memory_order_relaxed);
-      }
-      Consumed = End;
-      AfterChunk(End);
+      Range(From, End);
+      Rt.Taken.store(End, std::memory_order_relaxed);
+      Taken = End;
       if (Rec) {
         Rec->span(Rt.Track, Span, SpanStart, Rec->nowUs() - SpanStart);
         Rec->counter("lag:" + Rt.Fallback, Rec->nowUs(), To - End);
       }
     }
   }
-  std::lock_guard<std::mutex> Lk(M);
-  if (!Rt.D)
-    buildDetectorLocked(Rt);
+}
+
+/// Runs \p Rt's detector over published events [From, End) in place.
+void AnalysisSession::Impl::walkDetector(LaneRuntime &Rt, uint64_t From,
+                                         uint64_t End) {
+  std::lock_guard<std::mutex> G(Rt.SnapM);
+  Timer Clock;
+  Store.forRange(From, End, [&](const Event &E, uint64_t I) {
+    Rt.D->processEvent(E, I);
+  });
+  double Sec = Clock.seconds();
+  Rt.Seconds += Sec;
+  Rt.ConsumeNs.add(toNs(Sec));
+  Rt.Consumed = End;
 }
 
 /// One lane of the sequential streaming mode: the plain walk.
 void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
   runLane(Rt, [&] {
-    walkLane(Rt, "consume", [] {}, [](uint64_t) {});
+    walkLane(
+        Rt, "consume", [&] { buildDetector(Rt); },
+        [&](uint64_t From, uint64_t End) { walkDetector(Rt, From, End); });
     finishWalkedLane(Rt);
   });
 }
 
 // ---- Windowed streaming -----------------------------------------------------
 
-/// Appends \p W to the epoch and launches one analysis task per lane: a
-/// fresh detector over the fragment (the windowed baseline's defining
-/// move), results written into the window's slots. Tasks hold the epoch
-/// alive via shared_ptr, so in-flight stragglers stay valid even if the
-/// session is torn down around them.
-void AnalysisSession::Impl::dispatchWindow(
-    const std::shared_ptr<WindowEpoch> &Ep, TraceWindow &&W) {
-  auto Entry = std::make_unique<WindowEntry>();
-  Entry->W = std::make_shared<const TraceWindow>(std::move(W));
-  Entry->EndIdx = Entry->W->Original.empty() ? 0 : Entry->W->Original.back() + 1;
-  Entry->Slots.resize(Lanes.size());
-  WindowEntry *E = Entry.get();
-  size_t WinIdx;
-  {
-    std::lock_guard<std::mutex> G(Ep->EM);
-    WinIdx = Ep->Windows.size();
-    Ep->Windows.push_back(std::move(Entry));
-    Ep->TasksLaunched += Lanes.size();
-  }
-  WindowsDispatched.add();
-  for (size_t L = 0; L != Lanes.size(); ++L) {
-    Pool->submit([this, Ep, E, L, WinIdx] {
-      LaneRuntime &Rt = *Lanes[L];
-      RaceReport Report;
-      std::string Name;
-      std::string Err;
-      double Seconds = 0;
-      int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-      guardedTask(Err, [&] {
-        Timer Clock;
-        std::unique_ptr<Detector> D = Rt.Make(E->W->Fragment);
-        Name = D->name();
-        Report = runDetectorOnWindow(*D, *E->W);
-        Seconds = Clock.seconds();
-      });
-      Rt.WindowsChecked.add();
-      Rt.WindowCheckNs.add(toNs(Seconds));
-      if (Rec) {
-        // On the lane's track (spans of concurrent windows of one lane
-        // may overlap there — see docs/OBSERVABILITY.md); the pool
-        // worker's own track carries the enclosing "task" span.
-        Rec->span(Rt.Track, "check:w" + std::to_string(WinIdx), SpanStart,
-                  Rec->nowUs() - SpanStart);
-      }
-      std::lock_guard<std::mutex> G(Ep->EM);
-      WindowSlot &S = E->Slots[L];
-      S.Report = std::move(Report);
-      S.Name = std::move(Name);
-      S.Error = std::move(Err);
-      S.Seconds = Seconds;
-      S.Done = true;
-      ++Ep->TasksDone;
-      Ep->DoneCV.notify_all();
-    });
-  }
-}
-
-/// Merges the retired windows into each lane's final report in window
-/// order (the first failing window labels the lane's error). Runs on the
-/// builder thread after every task of the final epoch completed.
-void AnalysisSession::Impl::finalizeWindowedLanes(WindowEpoch &Ep) {
-  FinalNumWindows = Ep.Windows.size();
-  WindowsRetired.set(FinalNumWindows);
-  for (size_t L = 0; L != Lanes.size(); ++L) {
-    LaneRuntime &Rt = *Lanes[L];
-    RaceReport Merged;
-    std::string Err;
-    std::string Base = Rt.Label;
-    double Seconds = 0;
-    uint64_t Covered = 0;
-    for (size_t K = 0; K != Ep.Windows.size(); ++K) {
-      WindowSlot &S = Ep.Windows[K]->Slots[L];
-      if (K == 0 && Base.empty())
-        Base = S.Name;
-      if (!S.Error.empty() && Err.empty())
-        Err = "window " + std::to_string(K) + ": " + S.Error;
-      Merged.mergeFrom(S.Report);
-      Seconds += S.Seconds;
-      Covered = Ep.Windows[K]->EndIdx;
-    }
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    Rt.Name = Base + "[w=" + std::to_string(Cfg.WindowEvents) + "]";
-    Rt.Seconds = Seconds;
-    Rt.Final = std::move(Merged); // Kept even on error.
-    if (!Err.empty())
-      Rt.LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
-    else
-      Rt.Consumed.store(Covered, std::memory_order_relaxed);
-    Rt.Done = true;
-  }
-}
-
-/// The windowed mode's one consumer: replays the published prefix through
-/// an incremental window splitter and dispatches each completed window the
-/// moment its last event publishes — no per-window global state, so
-/// analysis starts while ingestion is still appending. The splitter and
-/// the per-window detectors tolerate ids beyond the tables they were
-/// built against (growable state), so table growth never re-cuts windows.
-void AnalysisSession::Impl::windowedConsumer() {
-  uint64_t Consumed = 0;
-  std::shared_ptr<WindowEpoch> Ep;
-  std::unique_ptr<IncrementalWindowSplitter> Split;
-  auto Stopped = [this] {
-    return IngestDone.load(std::memory_order_seq_cst);
-  };
+/// Checks window \p K of \p Rt's lane with a fresh detector over the
+/// fragment (the windowed baseline's defining move) and merges the result
+/// into the lane's running report. Windows arrive in order, so the merge
+/// is deterministic and every snapshot is the retired-window prefix. The
+/// first failing window labels the lane's error; later windows still
+/// merge.
+void AnalysisSession::Impl::checkWindow(LaneRuntime &Rt, uint64_t K,
+                                        const TraceWindow &W) {
+  RaceReport Report;
+  std::string Name;
   std::string Err;
-  bool Ok = guardedTask(Err, [&] {
-    for (;;) {
-      const uint64_t To = Store.waitPublished(Consumed, ConsumerParkNs,
-                                              Stopped);
-      if (!Ep) {
-        // First wake: fix the epoch and the splitter. Under M so the
-        // splitter's table copy is at least as fresh as every published
-        // event it will see (publication happens with M held).
-        std::lock_guard<std::mutex> Lk(M);
-        Ep = std::make_shared<WindowEpoch>();
-        WinEpoch = Ep;
-        Split = std::make_unique<IncrementalWindowSplitter>(*Live,
-                                                            Cfg.WindowEvents);
-      }
-      if (To != Consumed) {
-        int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-        Store.forRange(Consumed, To, [&](const Event &E, uint64_t I) {
-          if (std::optional<TraceWindow> W = Split->push(E, I))
-            dispatchWindow(Ep, std::move(*W));
-        });
-        Consumed = To;
-        WinBuilt.store(To, std::memory_order_relaxed);
-        if (Rec)
-          Rec->span(BuilderTrack, "build", SpanStart,
-                    Rec->nowUs() - SpanStart);
-        continue;
-      }
-      // Stopped and fully drained: flush the trailing partial window,
-      // wait out the in-flight tasks, merge.
-      if (std::optional<TraceWindow> W = Split->flush())
-        dispatchWindow(Ep, std::move(*W));
-      {
-        std::unique_lock<std::mutex> ELk(Ep->EM);
-        Ep->DoneCV.wait(ELk,
-                        [&] { return Ep->TasksDone == Ep->TasksLaunched; });
-      }
-      finalizeWindowedLanes(*Ep);
-      return;
-    }
+  int64_t SpanStart = Rec ? Rec->nowUs() : 0;
+  Timer Clock;
+  guardedTask(Err, [&] {
+    std::unique_ptr<Detector> D = Rt.Make(W.Fragment);
+    Name = D->name();
+    Report = runDetectorOnWindow(*D, W);
   });
-  if (Ok)
-    return;
-  for (auto &Rt : Lanes) {
-    std::lock_guard<std::mutex> G(Rt->SnapM);
-    Rt->LaneStatus = Status(StatusCode::AnalysisError, Err);
-    Rt->Done = true;
-  }
+  const double Sec = Clock.seconds();
+  Rt.ConsumeNs.add(toNs(Sec));
+  Rt.WindowsChecked.add();
+  if (Rec)
+    Rec->span(Rt.Track, "check:w" + std::to_string(K), SpanStart,
+              Rec->nowUs() - SpanStart);
+  std::lock_guard<std::mutex> G(Rt.SnapM);
+  if (K == 0)
+    Rt.Name = (Rt.Label.empty() ? Name : Rt.Label) + "[w=" +
+              std::to_string(Cfg.WindowEvents) + "]";
+  if (!Err.empty() && Rt.LaneStatus.ok())
+    Rt.LaneStatus = Status(StatusCode::AnalysisError,
+                           "window " + std::to_string(K) + ": " + Err);
+  Rt.Final.mergeFrom(Report);
+  Rt.Seconds += Sec;
+  Rt.Consumed = W.Original.back() + 1;
+}
+
+/// One lane of the windowed mode: the shared walk pushes each published
+/// range through the lane's own window splitter, and each window is
+/// checked the moment its last event arrives. The splitter and the
+/// per-window detectors tolerate ids beyond the tables they were built
+/// against (growable state), so table growth never re-cuts windows.
+void AnalysisSession::Impl::windowedConsumer(LaneRuntime &Rt) {
+  std::optional<IncrementalWindowSplitter> Split;
+  uint64_t NumWindows = 0;
+  runLane(Rt, [&] {
+    walkLane(
+        Rt, "split",
+        [&] {
+          // Under M, so the splitter's table copy is at least as fresh as
+          // every published event it will see.
+          std::lock_guard<std::mutex> Lk(M);
+          Split.emplace(*Live, Cfg.WindowEvents);
+        },
+        [&](uint64_t From, uint64_t End) {
+          Store.forRange(From, End, [&](const Event &E, uint64_t I) {
+            if (std::optional<TraceWindow> W = Split->push(E, I))
+              checkWindow(Rt, NumWindows++, *W);
+          });
+        });
+    if (Split)
+      if (std::optional<TraceWindow> W = Split->flush())
+        checkWindow(Rt, NumWindows++, *W);
+    std::lock_guard<std::mutex> G(Rt.SnapM);
+    if (NumWindows == 0) // A zero-event session.
+      Rt.Name = Rt.Label + "[w=" + std::to_string(Cfg.WindowEvents) + "]";
+    Rt.Done = true;
+  });
 }
 
 // ---- Var-sharded streaming --------------------------------------------------
@@ -705,7 +582,16 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
   };
 
   runLane(Rt, [&] {
-    walkLane(Rt, "capture", AttachCapture, CommitChunk);
+    walkLane(
+        Rt, "capture",
+        [&] {
+          buildDetector(Rt);
+          AttachCapture();
+        },
+        [&](uint64_t From, uint64_t End) {
+          walkDetector(Rt, From, End);
+          CommitChunk(End);
+        });
     if (!Capturing) {
       // Plain-walk lane (no capture support) — or a zero-event session
       // whose detector never attached; either way the walk already
@@ -776,16 +662,8 @@ void AnalysisSession::Impl::registerObservability() {
   PublishBatches = Root.counter("publish.batches");
   PublishBatchPeak = Root.highWater("publish.batch_events_peak");
   PublishedGauge = Root.gauge("publish.events");
-  if (Cfg.Mode == RunMode::Windowed) {
-    ConsumerParkNs = Root.counter("consume.park_ns");
-    WindowsDispatched = Root.counter("window.dispatched");
-    WindowsRetired = Root.gauge("window.retired");
-  }
-  if (Rec) {
+  if (Rec)
     IngestTrack = Rec->track("ingest");
-    if (Cfg.Mode == RunMode::Windowed)
-      BuilderTrack = Rec->track("window-builder");
-  }
   for (size_t L = 0; L != Lanes.size(); ++L) {
     LaneRuntime &Rt = *Lanes[L];
     MetricsScope S(Reg.get(), "lane." + std::to_string(L) + ".");
@@ -794,10 +672,8 @@ void AnalysisSession::Impl::registerObservability() {
     Rt.Batches = S.counter("batches");
     Rt.BatchEventsPeak = S.highWater("batch_events_peak");
     Rt.LagEventsPeak = S.highWater("lag_events_peak");
-    if (Cfg.Mode == RunMode::Windowed) {
+    if (Cfg.Mode == RunMode::Windowed)
       Rt.WindowsChecked = S.counter("windows_checked");
-      Rt.WindowCheckNs = S.counter("window_check_ns");
-    }
     if (Cfg.Mode == RunMode::VarSharded) {
       Rt.DrainNs = S.counter("drain_ns");
       Rt.DrainBatches = S.counter("drain_batches");
@@ -833,9 +709,8 @@ void AnalysisSession::Impl::start() {
       Consumers.emplace_back([this, R = Rt.get()] { sequentialConsumer(*R); });
     break;
   case RunMode::Windowed:
-    Pool = std::make_unique<ThreadPool>(Cfg.Threads);
-    Pool->attachTelemetry(MetricsScope(Reg.get(), "pool."), Rec.get());
-    Consumers.emplace_back([this] { windowedConsumer(); });
+    for (auto &Rt : Lanes)
+      Consumers.emplace_back([this, R = Rt.get()] { windowedConsumer(*R); });
     break;
   case RunMode::VarSharded:
     Pool = std::make_unique<ThreadPool>(Cfg.Threads);
@@ -935,38 +810,6 @@ void AnalysisSession::Impl::publishLocked() {
     Rec->counter("published", Rec->nowUs(), Validated);
 }
 
-/// Mid-stream view of a windowed lane: the longest prefix of consecutive
-/// retired windows, merged in window order — never a torn merge, because
-/// a window either contributes whole or not at all.
-void AnalysisSession::Impl::snapshotWindowedLane(size_t L, LaneReport &Lane) {
-  std::shared_ptr<WindowEpoch> Ep;
-  {
-    std::lock_guard<std::mutex> Lk(M);
-    Ep = WinEpoch;
-  }
-  if (!Ep)
-    return;
-  std::lock_guard<std::mutex> G(Ep->EM);
-  std::string Base;
-  for (const std::unique_ptr<WindowEntry> &W : Ep->Windows) {
-    const WindowSlot &S = W->Slots[L];
-    if (!S.Done)
-      break;
-    if (Base.empty())
-      Base = S.Name;
-    if (!S.Error.empty()) {
-      Lane.LaneStatus = Status(StatusCode::AnalysisError, S.Error);
-      break;
-    }
-    Lane.Report.mergeFrom(S.Report);
-    Lane.Seconds += S.Seconds;
-    Lane.EventsConsumed = W->EndIdx;
-  }
-  if (!Base.empty())
-    Lane.DetectorName =
-        Base + "[w=" + std::to_string(Cfg.WindowEvents) + "]";
-}
-
 /// Mid-stream view of a streamed var-sharded lane: merges every finding
 /// whose later event lies below the *fully checked* frontier — the
 /// smallest trace index any shard has yet to replay past — so the report
@@ -1022,22 +865,17 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
       Lane.DetectorName = Rt.Name.empty() ? Rt.Fallback : Rt.Name;
       Lane.LaneStatus = Rt.LaneStatus;
       Lane.Seconds = Rt.Seconds;
-      Lane.EventsConsumed = Rt.Consumed.load(std::memory_order_relaxed);
+      Lane.EventsConsumed = Rt.Consumed;
       Done = Rt.Done;
-      if (Done)
-        Lane.Report = Rt.Final;
-      else if (Rt.D)
+      if (Rt.D && !Done)
         Lane.Report = Rt.D->report(); // Mid-stream copy: races so far.
+      else
+        Lane.Report = Rt.Final;
       if (Metrics && Rt.D)
         Rt.D->telemetry(DetectorTel);
     }
-    if (!Done && Cfg.Mode == RunMode::Windowed) {
-      Lane.Seconds = 0;
-      Lane.EventsConsumed = 0;
-      snapshotWindowedLane(L, Lane);
-    } else if (!Done && Cfg.Mode == RunMode::VarSharded) {
+    if (!Done && Cfg.Mode == RunMode::VarSharded)
       snapshotVarShardLane(*VarStates[L], Lane);
-    }
     if (Metrics) {
       Lane.Telemetry =
           Reg->snapshotPrefix("lane." + std::to_string(L) + ".");
@@ -1053,7 +891,7 @@ AnalysisResult AnalysisSession::Impl::snapshotLanes(bool Partial) {
   }
   if (Metrics) {
     // Session-level block: everything that is not a lane.<i>.* metric
-    // (ingest/publish/pool/window/consume scopes).
+    // (ingest/publish/pool scopes).
     R.Telemetry = Reg->snapshot();
     R.Telemetry.erase(
         std::remove_if(R.Telemetry.begin(), R.Telemetry.end(),
@@ -1262,12 +1100,8 @@ AnalysisSession::Progress AnalysisSession::progress() const {
   // stuck inside a batch (holding its SnapM) never stalls this read. M
   // above is only ever held for bounded producer-side work.
   uint64_t Min = P.Published;
-  if (I->Cfg.Mode == RunMode::Windowed) {
-    Min = std::min(Min, I->WinBuilt.load(std::memory_order_relaxed));
-  } else {
-    for (auto &Rt : I->Lanes)
-      Min = std::min(Min, Rt->Consumed.load(std::memory_order_relaxed));
-  }
+  for (auto &Rt : I->Lanes)
+    Min = std::min(Min, Rt->Taken.load(std::memory_order_relaxed));
   P.MinLaneConsumed = Min;
   return P;
 }
@@ -1319,31 +1153,29 @@ AnalysisResult AnalysisSession::finish() {
   I->stopConsumers();
 
   AnalysisResult R = I->snapshotLanes(/*Partial=*/false);
+  R.Overall = I->SessionStatus;
+  R.EventsIngested = I->Store.published();
+  R.ThreadsUsed = std::max(NumConsumers, 1u);
   switch (I->Cfg.Mode) {
   case RunMode::Sequential:
-    R.ThreadsUsed = std::max(NumConsumers, 1u);
     break;
   case RunMode::Windowed:
-    // NumShards is the window count and ThreadsUsed the pool width. No
-    // pool exists when the config failed validation (start() bailed
-    // before creating one).
-    R.NumShards = I->FinalNumWindows;
-    if (I->Pool) {
-      R.ThreadsUsed = I->Pool->numThreads();
-      R.TasksStolen = I->Pool->tasksStolen();
-    }
+    // Every window but the last holds exactly WindowEvents events. The
+    // size is 0 only in a config that failed validation.
+    if (I->Cfg.WindowEvents)
+      R.NumWindows = (R.EventsIngested + I->Cfg.WindowEvents - 1) /
+                     I->Cfg.WindowEvents;
     break;
   case RunMode::VarSharded:
-    R.NumShards = 1;
     R.VarShards = I->Cfg.VarShards;
+    // No pool exists when the config failed validation (start() bailed
+    // before creating one).
     if (I->Pool) {
       R.ThreadsUsed = I->Pool->numThreads();
       R.TasksStolen = I->Pool->tasksStolen();
     }
     break;
   }
-  R.Overall = I->SessionStatus;
-  R.EventsIngested = I->Store.published();
   R.WallSeconds = I->Wall.seconds();
   R.IngestSeconds = I->IngestSeconds;
   return R;

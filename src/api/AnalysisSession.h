@@ -25,10 +25,10 @@
 ///
 ///   Sequential   one consumer thread per lane runs runDetector's walk,
 ///                spread over time;
-///   Windowed     each window dispatches onto the session's thread pool
-///                (a fresh detector per lane × window — no global state)
-///                the moment its event range publishes, and window
-///                reports merge deterministically in window order;
+///   Windowed     one consumer thread per lane cuts windows out of the
+///                published prefix and checks each (a fresh detector per
+///                window — no global state) the moment its event range
+///                publishes; window reports merge in window order;
 ///   VarSharded   the capture clock pass runs behind ingestion and
 ///                per-shard check tasks replay published AccessLog
 ///                prefixes concurrently; only the final trace-order
@@ -132,7 +132,8 @@ public:
 
   /// Producer/consumer watermarks for backpressure decisions (the serving
   /// layer parks a connection whose Published - MinLaneConsumed lag grows
-  /// past its budget). Cheap; safe to call concurrently with feeds and
+  /// past its budget). A lane's consumed watermark counts the events it
+  /// has taken: a windowed lane's retired windows plus its pending one. Cheap; safe to call concurrently with feeds and
   /// consumers, like partialResult(). Never waits on a lane: a consumer
   /// blocked inside its detector does not block progress().
   struct Progress {
@@ -153,11 +154,11 @@ public:
   /// feeds and with the consumer threads.
   AnalysisResult partialResult();
 
-  /// Ends ingestion, drains and joins the lanes (windowed sessions flush
-  /// the trailing partial window and retire in-flight window tasks;
-  /// var-sharded sessions finish the clock pass, drain the shard checks
-  /// and merge in trace order), and returns the unified result. A second
-  /// finish() returns InvalidState; feeds after finish() are rejected.
+  /// Ends ingestion, drains and joins the lanes (windowed lanes check the
+  /// trailing partial window; var-sharded sessions finish the clock pass,
+  /// drain the shard checks and merge in trace order), and returns the
+  /// unified result. A second finish() returns InvalidState; feeds after
+  /// finish() are rejected.
   AnalysisResult finish();
 
   /// The ingested trace (for rendering reports). Stable once finish()
@@ -165,7 +166,7 @@ public:
   const Trace &trace() const;
 
   /// The session timeline as Chrome trace_event JSON (one track per lane
-  /// consumer / pool worker / the ingest producer, spans per pipeline
+  /// consumer / var-sharded pool worker / the ingest producer, spans per
   /// stage, counter tracks for the published watermark, lane lag and pool
   /// queue depth) — open it in ui.perfetto.dev or chrome://tracing.
   /// Empty string unless AnalysisConfig::Timeline is set. Best called

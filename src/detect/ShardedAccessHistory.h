@@ -47,23 +47,23 @@
 namespace rapid {
 
 /// Assignment of variables to shards: variable x lives in shard
-/// x mod NumShards, with dense per-shard local ids x div NumShards. Every
+/// x mod Shards, with dense per-shard local ids x div Shards. Every
 /// variable lands in exactly one shard with a dense local id, which is all
 /// the shard/merge machinery relies on.
 struct ShardPlan {
   ShardPlan() = default;
-  explicit ShardPlan(uint32_t NumShards) : NumShards(NumShards) {}
+  explicit ShardPlan(uint32_t Shards) : Shards(Shards) {}
 
-  uint32_t NumShards = 1;
+  uint32_t Shards = 1;
 
-  uint32_t shardOf(VarId V) const { return V.value() % NumShards; }
-  uint32_t localIdOf(VarId V) const { return V.value() / NumShards; }
+  uint32_t shardOf(VarId V) const { return V.value() % Shards; }
+  uint32_t localIdOf(VarId V) const { return V.value() / Shards; }
 
   /// Number of variables out of \p NumVars that land in \p Shard.
   uint32_t numLocalVars(uint32_t Shard, uint32_t NumVars) const {
     if (Shard >= NumVars)
       return 0; // The smallest candidate, x = Shard, is already out of range.
-    return (NumVars - Shard - 1) / NumShards + 1;
+    return (NumVars - Shard - 1) / Shards + 1;
   }
 };
 
@@ -186,7 +186,7 @@ private:
 /// stable copies instead of references into a concurrently growing
 /// broadcast table. Findings accumulate in discovery order. The checker
 /// builds a private history over only its shard's variables, addressed by
-/// dense local ids, so per-shard memory is NumVars/NumShards — the
+/// dense local ids, so per-shard memory is NumVars/Shards — the
 /// histories genuinely split rather than replicate.
 class ShardChecker {
 public:

@@ -94,8 +94,8 @@ inline RaceReport windowedReference(const DetectorFactory &Make,
 }
 
 /// Analyzes \p T with \p Make as the only lane of a windowed analyzeTrace
-/// run (\p W events per window, one pool worker — the windowed baseline
-/// stays single-threaded). Fails the current test when the run fails.
+/// run (\p W events per window). Fails the current test when the run
+/// fails.
 inline LaneReport analyzeWindowed(const DetectorFactory &Make,
                                   const Trace &T, uint64_t W) {
   AnalysisConfig Cfg;

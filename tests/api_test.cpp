@@ -56,6 +56,33 @@ AnalysisConfig allDetectorConfig(RunMode Mode) {
   return Cfg;
 }
 
+/// A latch for lanes that must stall: BlockingHb's processEvent marks the
+/// gate entered, then blocks until the test opens it.
+struct Gate {
+  std::mutex M;
+  std::condition_variable CV;
+  bool Entered = false;
+  bool Open = false;
+};
+
+class BlockingHb : public HbDetector {
+public:
+  BlockingHb(const Trace &T, std::shared_ptr<Gate> G)
+      : HbDetector(T), G(std::move(G)) {}
+  void processEvent(const Event &E, EventIdx I) override {
+    {
+      std::unique_lock<std::mutex> Lk(G->M);
+      G->Entered = true;
+      G->CV.notify_all();
+      G->CV.wait(Lk, [&] { return G->Open; });
+    }
+    HbDetector::processEvent(E, I);
+  }
+
+private:
+  std::shared_ptr<Gate> G;
+};
+
 /// Varied trace shapes, mirroring the differential harness.
 RandomTraceParams fuzzParams(uint64_t Seed, bool ForkJoin) {
   RandomTraceParams P;
@@ -159,7 +186,7 @@ TEST_P(ApiStreamFuzzTest, SessionPushBatchesMatchBatchBitForBit) {
                              "push seed " + std::to_string(GetParam()));
 }
 
-// Windowed sessions stream: windows dispatch onto the pool as their event
+// Windowed sessions stream: each lane checks a window as its event
 // range publishes, and the merged result must equal the classic windowed
 // loop bit for bit (window count and names as analyzeTrace reports them)
 // — with every mid-stream partial a prefix of the final report (no torn
@@ -188,7 +215,7 @@ TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
   ASSERT_TRUE(R.ok()) << R.firstError().str();
   AnalysisResult Want = analyzeTrace(Cfg, T);
   ASSERT_TRUE(Want.ok()) << Want.firstError().str();
-  EXPECT_EQ(R.NumShards, Want.NumShards) << "window count";
+  EXPECT_EQ(R.NumWindows, Want.NumWindows) << "window count";
   ASSERT_EQ(R.Lanes.size(), Want.Lanes.size());
   for (size_t L = 0; L != R.Lanes.size(); ++L) {
     std::string Label = "windowed seed " + std::to_string(Seed) + "/" +
@@ -299,11 +326,12 @@ TEST(ApiSessionTest, LateDeclarationsGrowLanesAndStayBitForBit) {
   EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 1u);
 }
 
-// Late declarations in the pool-backed modes: tables grow after a lane
-// already consumed events. Growable detector state admits the new ids in
-// place — the windowed builder keeps its window set, the capture pass
-// keeps its log and checkers — so no lane restarts and the final report
-// still matches analyzeTrace over the final trace, bit for bit.
+// Late declarations in the windowed and var-sharded modes: tables grow
+// after a lane already consumed events. Growable detector state admits the
+// new ids in place — a windowed lane keeps its window splitter, the
+// capture pass keeps its log and checkers — so no lane restarts and the
+// final report still matches analyzeTrace over the final trace, bit for
+// bit.
 TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
   for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
     AnalysisConfig Cfg = allDetectorConfig(Mode);
@@ -361,7 +389,8 @@ TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
 // hammers partialResult(). Every snapshot must be well-formed — lanes ok,
 // races confined to the consumed prefix, instance counts monotone — and a
 // prefix of the final report. Run under TSan in CI, this also pins the
-// publication protocol data-race-free for the pool-backed modes.
+// publication protocol data-race-free for the windowed and var-sharded
+// modes.
 TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
   for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
     Trace T = randomTrace(fuzzParams(41, true));
@@ -582,30 +611,7 @@ TEST(ApiSessionTest, PartialReportsSurfaceRacesMidStream) {
 // consumer holding the lane's snapshot lock for the whole batch) until
 // the test opens the gate.
 TEST(ApiSessionTest, ProgressDoesNotWaitOnABlockedLane) {
-  struct Gate {
-    std::mutex M;
-    std::condition_variable CV;
-    bool Entered = false;
-    bool Open = false;
-  };
   auto G = std::make_shared<Gate>();
-  class BlockingHb : public HbDetector {
-  public:
-    BlockingHb(const Trace &T, std::shared_ptr<Gate> G)
-        : HbDetector(T), G(std::move(G)) {}
-    void processEvent(const Event &E, EventIdx I) override {
-      {
-        std::unique_lock<std::mutex> Lk(G->M);
-        G->Entered = true;
-        G->CV.notify_all();
-        G->CV.wait(Lk, [&] { return G->Open; });
-      }
-      HbDetector::processEvent(E, I);
-    }
-
-  private:
-    std::shared_ptr<Gate> G;
-  };
   AnalysisConfig Cfg;
   Cfg.addDetector(
       [G](const Trace &T) { return std::make_unique<BlockingHb>(T, G); },
@@ -637,6 +643,64 @@ TEST(ApiSessionTest, ProgressDoesNotWaitOnABlockedLane) {
   AnalysisResult R = S.finish();
   ASSERT_TRUE(R.ok()) << R.firstError().str();
   EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size());
+}
+
+// Windowed back-pressure: progress() reports the events each lane has
+// taken, which is at most its retired windows plus one pending window.
+// With the lane's first window blocked inside its detector, the slowest
+// lane's watermark must stay behind the published one, so the serving
+// layer's lag budget bounds windowed sessions too.
+TEST(ApiSessionTest, WindowedProgressWaitsForTheBlockedWindow) {
+  TraceBuilder B;
+  for (int I = 0; I != 200; ++I) {
+    B.acquire("T0", "l").write("T0", "x").release("T0", "l");
+    B.read("T1", "x").write("T1", "y");
+  }
+  Trace T = testutil::takeValid(B);
+  ASSERT_EQ(T.size(), 1000u);
+
+  auto G = std::make_shared<Gate>();
+  AnalysisConfig Cfg;
+  Cfg.Mode = RunMode::Windowed;
+  Cfg.WindowEvents = 4;
+  Cfg.addDetector(
+      [G](const Trace &W) { return std::make_unique<BlockingHb>(W, G); },
+      "blocking-HB");
+  AnalysisSession S(Cfg);
+  ASSERT_TRUE(S.feedTrace(T).ok());
+  {
+    std::unique_lock<std::mutex> Lk(G->M);
+    ASSERT_TRUE(G->CV.wait_for(Lk, std::chrono::seconds(10),
+                               [&] { return G->Entered; }))
+        << "the lane never started";
+  }
+
+  uint64_t MaxConsumed = 0;
+  const auto Until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (std::chrono::steady_clock::now() < Until) {
+    const AnalysisSession::Progress P = S.progress();
+    EXPECT_EQ(P.Published, T.size());
+    MaxConsumed = std::max(MaxConsumed, P.MinLaneConsumed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  {
+    std::lock_guard<std::mutex> Lk(G->M);
+    G->Open = true;
+  }
+  G->CV.notify_all();
+  EXPECT_LT(MaxConsumed, T.size());
+
+  AnalysisResult R = S.finish();
+  ASSERT_TRUE(R.ok()) << R.firstError().str();
+  EXPECT_EQ(R.ThreadsUsed, 1u);
+  EXPECT_EQ(R.TasksStolen, 0u);
+  ASSERT_EQ(R.Lanes.size(), 1u);
+  EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size());
+  expectSameReport(R.Lanes[0].Report,
+                   testutil::windowedReference(
+                       makeDetectorFactory(DetectorKind::Hb), T, 4),
+                   T, "blocked windowed lane");
 }
 
 // ---- Session protocol: structured state errors ------------------------------
@@ -706,7 +770,7 @@ TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchReferences) {
       ASSERT_TRUE(R.ok()) << R.firstError().str();
       EXPECT_EQ(R.Lanes[0].DetectorName,
                 std::string(detectorKindName(K)) + "[w=64]");
-      EXPECT_GT(R.NumShards, 1u);
+      EXPECT_GT(R.NumWindows, 1u);
       expectSameReport(R.Lanes[0].Report,
                        testutil::windowedReference(Make, T, 64), T,
                        std::string("windowed session/") +
