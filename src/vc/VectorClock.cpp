@@ -10,61 +10,108 @@
 
 using namespace rapid;
 
-bool VectorClock::joinWith(const VectorClock &Other) {
-  // Components beyond Other's physical size are 0 in Other, so only the
-  // overlap needs the max; beyond our own size we adopt Other's values.
-  if (Other.Values.size() > Values.size())
-    Values.resize(Other.Values.size(), 0);
-  const ClockValue *Src = Other.Values.data();
-  ClockValue *Dst = Values.data();
-  bool Changed = false;
-  for (size_t I = 0, E = Other.Values.size(); I != E; ++I) {
-    if (Src[I] > Dst[I]) {
-      Dst[I] = Src[I];
-      Changed = true;
-    }
+VectorClock::VectorClock(const VectorClock &Other) {
+  if (Other.Size > Capacity)
+    growTo(Other.Size);
+  std::copy_n(Other.Values, Other.Size, Values);
+  Size = Other.Size;
+}
+
+VectorClock::VectorClock(VectorClock &&Other) noexcept {
+  if (Other.onHeap()) {
+    Values = Other.Values;
+    Capacity = Other.Capacity;
+    Other.Values = Other.Inline;
+    Other.Capacity = kInlineThreads;
+  } else {
+    std::copy_n(Other.Inline, Other.Size, Inline);
   }
-  return Changed;
+  Size = Other.Size;
+  Other.Size = 0;
+}
+
+VectorClock &VectorClock::operator=(const VectorClock &Other) {
+  if (this == &Other)
+    return *this;
+  // A buffer that fits is kept: a clock re-assigned per event (queue
+  // entries, lock clocks) allocates at most once.
+  if (Other.Size > Capacity) {
+    Size = 0; // Nothing to carry over into the new buffer.
+    growTo(Other.Size);
+  }
+  std::copy_n(Other.Values, Other.Size, Values);
+  Size = Other.Size;
+  return *this;
+}
+
+VectorClock &VectorClock::operator=(VectorClock &&Other) noexcept {
+  if (this == &Other)
+    return *this;
+  if (Other.onHeap()) {
+    if (onHeap())
+      delete[] Values;
+    Values = Other.Values;
+    Capacity = Other.Capacity;
+    Other.Values = Other.Inline;
+    Other.Capacity = kInlineThreads;
+  } else {
+    // Other's components fit inline, so they fit in any buffer of ours.
+    std::copy_n(Other.Inline, Other.Size, Values);
+  }
+  Size = Other.Size;
+  Other.Size = 0;
+  return *this;
+}
+
+void VectorClock::growTo(uint32_t NewSize) {
+  if (NewSize > Capacity) {
+    const uint32_t NewCapacity = std::max(NewSize, 2 * Capacity);
+    ClockValue *Buffer = new ClockValue[NewCapacity];
+    std::copy_n(Values, Size, Buffer);
+    if (onHeap())
+      delete[] Values;
+    Values = Buffer;
+    Capacity = NewCapacity;
+  }
+  std::fill(Values + Size, Values + NewSize, 0);
+  Size = NewSize;
 }
 
 bool VectorClock::lessOrEqual(const VectorClock &Other) const {
-  const ClockValue *A = Values.data();
-  const ClockValue *B = Other.Values.data();
-  const size_t Mine = Values.size();
-  const size_t Common = std::min(Mine, Other.Values.size());
-  for (size_t I = 0; I != Common; ++I)
+  const ClockValue *A = Values;
+  const ClockValue *B = Other.Values;
+  const uint32_t Common = std::min(Size, Other.Size);
+  for (uint32_t I = 0; I != Common; ++I)
     if (A[I] > B[I])
       return false;
   // Our tail past Other's physical size compares against implicit zeros.
-  for (size_t I = Common; I != Mine; ++I)
+  for (uint32_t I = Common; I != Size; ++I)
     if (A[I] != 0)
       return false;
   return true;
 }
 
 bool VectorClock::operator==(const VectorClock &Other) const {
-  const ClockValue *A = Values.data();
-  const ClockValue *B = Other.Values.data();
-  const size_t Common = std::min(Values.size(), Other.Values.size());
-  for (size_t I = 0; I != Common; ++I)
+  const ClockValue *A = Values;
+  const ClockValue *B = Other.Values;
+  const uint32_t Common = std::min(Size, Other.Size);
+  for (uint32_t I = 0; I != Common; ++I)
     if (A[I] != B[I])
       return false;
-  for (size_t I = Common, E = Values.size(); I < E; ++I)
+  for (uint32_t I = Common; I < Size; ++I)
     if (A[I] != 0)
       return false;
-  for (size_t I = Common, E = Other.Values.size(); I < E; ++I)
+  for (uint32_t I = Common; I < Other.Size; ++I)
     if (B[I] != 0)
       return false;
   return true;
 }
 
-void VectorClock::clear() {
-  std::fill(Values.begin(), Values.end(), 0);
-}
+void VectorClock::clear() { std::fill(Values, Values + Size, 0); }
 
 std::string VectorClock::str() const {
   std::string Out = "[";
-  for (size_t I = 0, E = Values.size(); I != E; ++I) {
+  for (uint32_t I = 0; I != Size; ++I) {
     if (I != 0)
       Out += ", ";
     Out += std::to_string(Values[I]);

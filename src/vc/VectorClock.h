@@ -20,10 +20,13 @@
 /// This is what lets detector state grow mid-stream: a detector built
 /// against a trace prefix with fewer threads keeps analyzing, bit-for-bit
 /// with a detector built against the final tables, because every clock it
-/// owns behaves as if it had always been wide enough. Runs whose tables
-/// are declared up front (feedTrace, binary headers) size their clocks
-/// once and never hit the growth paths, so the hot loop still does no
-/// allocation.
+/// owns behaves as if it had always been wide enough.
+///
+/// The first kInlineThreads components live inside the object; only a
+/// clock physically wider than that spills to a heap buffer, which it
+/// keeps (copy-assignment reuses it). So creating, copying and joining
+/// clocks of traces with at most kInlineThreads threads never allocates;
+/// wider traces allocate once per clock that outgrows the inline storage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +38,6 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace rapid {
 
@@ -46,25 +48,37 @@ using ClockValue = uint32_t;
 /// beyond the physical size are implicitly 0.
 class VectorClock {
 public:
+  /// Components stored inside the object before a clock spills to the
+  /// heap.
+  static constexpr uint32_t kInlineThreads = 8;
+
   /// The ⊥ clock, physically sized for \p NumThreads threads (all
   /// components zero; the size is a capacity hint, not a semantic bound).
-  explicit VectorClock(uint32_t NumThreads = 0) : Values(NumThreads, 0) {}
+  explicit VectorClock(uint32_t NumThreads = 0) { grow(NumThreads); }
+  VectorClock(const VectorClock &Other);
+  VectorClock(VectorClock &&Other) noexcept;
+  VectorClock &operator=(const VectorClock &Other);
+  VectorClock &operator=(VectorClock &&Other) noexcept;
+  ~VectorClock() {
+    if (onHeap())
+      delete[] Values;
+  }
 
   /// Physical size: the number of explicitly stored components.
-  uint32_t size() const { return static_cast<uint32_t>(Values.size()); }
+  uint32_t size() const { return Size; }
 
   /// Component read: V(t). Components past the physical size are 0.
   ClockValue get(ThreadId T) const {
-    return T.value() < Values.size() ? Values[T.value()] : 0;
+    return T.value() < Size ? Values[T.value()] : 0;
   }
 
   /// Component assignment: V[t := n]. Grows the physical representation on
   /// demand; assigning 0 past the end is the identity.
   void set(ThreadId T, ClockValue N) {
-    if (T.value() >= Values.size()) {
+    if (T.value() >= Size) {
       if (N == 0)
         return;
-      Values.resize(T.value() + 1, 0);
+      grow(T.value() + 1);
     }
     Values[T.value()] = N;
   }
@@ -73,12 +87,26 @@ public:
   /// size when Other is wider. Returns true iff any component changed —
   /// the hook detectors use to keep their clock epochs (and with them the
   /// ClockBroadcast snapshot dedup) precise without a content compare.
-  bool joinWith(const VectorClock &Other);
+  bool joinWith(const VectorClock &Other) {
+    // Components beyond Other's physical size are 0 in Other, so only the
+    // overlap needs the max; beyond our own size we adopt Other's values.
+    grow(Other.Size);
+    const ClockValue *Src = Other.Values;
+    ClockValue *Dst = Values;
+    bool Changed = false;
+    for (uint32_t I = 0, E = Other.Size; I != E; ++I) {
+      if (Src[I] > Dst[I]) {
+        Dst[I] = Src[I];
+        Changed = true;
+      }
+    }
+    return Changed;
+  }
 
   /// Pointwise comparison: *this ⊑ Other, with implicit-zero tails.
   bool lessOrEqual(const VectorClock &Other) const;
 
-  /// Resets every component to zero (⊥). Keeps the physical capacity.
+  /// Resets every component to zero (⊥). Keeps the physical size.
   void clear();
 
   /// Semantic equality: equal on every thread id, so physical sizes may
@@ -93,11 +121,26 @@ public:
 
   /// Direct access for the hot loops (DetectorRunner, queues). Only the
   /// physical components are addressable.
-  const ClockValue *data() const { return Values.data(); }
-  ClockValue *data() { return Values.data(); }
+  const ClockValue *data() const { return Values; }
+  ClockValue *data() { return Values; }
 
 private:
-  std::vector<ClockValue> Values;
+  bool onHeap() const { return Values != Inline; }
+  /// Raises the physical size to \p NewSize (if larger), zero-filling the
+  /// new components; spills to (a larger) heap buffer when they do not
+  /// fit.
+  void grow(uint32_t NewSize) {
+    if (NewSize > Size)
+      growTo(NewSize);
+  }
+  void growTo(uint32_t NewSize);
+
+  ClockValue *Values = Inline; ///< Inline, or a heap buffer of Capacity.
+  uint32_t Size = 0;
+  uint32_t Capacity = kInlineThreads;
+  /// The storage of a clock not on the heap. Only [0, Size) is ever
+  /// written before it is read, so it is left uninitialized.
+  ClockValue Inline[kInlineThreads];
 };
 
 /// Returns A ⊔ B as a fresh clock.

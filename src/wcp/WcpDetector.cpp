@@ -16,8 +16,10 @@ using namespace rapid;
 WcpDetector::WcpDetector(const Trace &T)
     : NumThreads(T.numThreads()),
       Threads(T.numThreads(), WcpThreadState(T.numThreads())),
-      Locks(T.numLocks(), WcpLockState(T.numThreads())),
       History(T.numVars(), T.numThreads()) {
+  Locks.reserve(T.numLocks());
+  for (uint32_t I = 0; I < T.numLocks(); ++I)
+    Locks.emplace_back(NumThreads);
   // Initialization (§3.2): N_t = 1, P_t = ⊥, H_t = K_t = ⊥[t := N_t].
   for (uint32_t I = 0; I < NumThreads; ++I) {
     Threads[I].H.set(ThreadId(I), 1);
@@ -91,7 +93,7 @@ void WcpDetector::ensureThread(ThreadId T) {
 
 void WcpDetector::ensureLock(LockId L) {
   if (L.value() >= Locks.size())
-    Locks.resize(L.value() + 1, WcpLockState());
+    Locks.resize(L.value() + 1);
 }
 
 void WcpDetector::collectLockGarbage(WcpLockState &LS) {
@@ -111,22 +113,11 @@ void WcpDetector::collectLockGarbage(WcpLockState &LS) {
     if (!E.HasRelease ||
         !E.ReleaseTime.lessOrEqual(Threads[E.Thread.value()].P))
       break;
-    LS.Entries.pop_front();
+    LS.Entries.popFront();
     ++LS.Base;
+    --RetainedEntries;
     QueuedCopies -= 2; // A collected entry always carries its release.
   }
-}
-
-const PerThreadReleaseClocks *WcpDetector::readRelease(LockId L,
-                                                       VarId X) const {
-  auto It = ReadReleases.find(lockVarKey(L, X));
-  return It == ReadReleases.end() ? nullptr : &It->second;
-}
-
-const PerThreadReleaseClocks *WcpDetector::writeRelease(LockId L,
-                                                        VarId X) const {
-  auto It = WriteReleases.find(lockVarKey(L, X));
-  return It == WriteReleases.end() ? nullptr : &It->second;
 }
 
 void WcpDetector::bumpAbstract(int64_t Delta) {
@@ -155,40 +146,45 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   // First contact with ℓ: this thread's abstract queues become live, and
   // all pending entries of other threads now count against them.
   if (!LS.touched(T.value())) {
-    LS.setTouched(T.value());
+    LS.threadOf(T.value()).Touched = true;
     uint64_t Pending = 0;
     for (uint64_t I = LS.Base; I < LS.logicalEnd(); ++I) {
       const WcpQueueEntry &E = LS.entry(I);
       if (E.Thread != T)
         Pending += E.HasRelease ? 2 : 1;
     }
-    LS.liveCountOf(T.value()) = Pending;
+    LS.PerThread[T.value()].Live = Pending;
     bumpLive(static_cast<int64_t>(Pending));
   }
 
   // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t. One shared entry
   // stands for all T-1 abstract copies.
-  WcpQueueEntry Entry;
-  Entry.AcquireTime = TS.P;
-  Entry.AcquireTime.set(T, TS.N); // Materialize C_t = P_t[t := N_t].
-  Entry.Thread = T;
   uint64_t LogicalIdx = LS.logicalEnd();
-  LS.Entries.push_back(std::move(Entry));
+  WcpQueueEntry &Entry = LS.Entries.pushBack(TS.P, T);
+  Entry.AcquireTime.set(T, TS.N); // Materialize C_t = P_t[t := N_t].
   ++QueuedCopies;
+  Stats.MaxRetainedQueueEntries =
+      std::max(Stats.MaxRetainedQueueEntries, ++RetainedEntries);
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  // Touchers beyond Touched's physical size don't exist, so its size
-  // bounds the live accounting loop.
-  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.Touched.size()); U < E;
+  // Touchers beyond the per-thread array's physical size don't exist, so
+  // its size bounds the live accounting loop.
+  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.PerThread.size()); U < E;
        ++U) {
-    if (U != T.value() && LS.Touched[U]) {
-      ++LS.liveCountOf(U);
+    if (U != T.value() && LS.PerThread[U].Touched) {
+      ++LS.PerThread[U].Live;
       bumpLive(1);
     }
   }
   Stats.MaxSharedQueueEntries = std::max(
       Stats.MaxSharedQueueEntries, static_cast<uint64_t>(LS.Entries.size()));
 
-  TS.CsStack.push_back(WcpCsFrame{L, LogicalIdx, {}, {}});
+  if (TS.Depth == TS.CsStack.size())
+    TS.CsStack.emplace_back();
+  WcpCsFrame &Frame = TS.CsStack[TS.Depth++];
+  Frame.Lock = L;
+  Frame.EntryLogicalIdx = LogicalIdx;
+  Frame.ReadVars.clear();
+  Frame.WriteVars.clear();
 }
 
 void WcpDetector::handleRelease(ThreadId T, LockId L) {
@@ -200,7 +196,7 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   // predecessors of this release. C_t changes as P_t grows, so the guard
   // is re-evaluated every iteration, exactly like the pseudocode's while.
   uint64_t &Cur = LS.cursorOf(T.value());
-  uint64_t &MyLive = LS.liveCountOf(T.value());
+  uint64_t &MyLive = LS.PerThread[T.value()].Live;
   for (;;) {
     // Entries by T itself are not part of T's abstract queues (Line 3
     // enqueues only to other threads).
@@ -226,16 +222,20 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   // Lines 7-8: Rule (a) bookkeeping. Publish H_t into L^r/L^w for every
   // variable this critical section read (R) or wrote (W). Hand-over-hand
   // locking means the released section need not be the innermost one.
-  size_t FrameIdx = TS.CsStack.size();
-  for (size_t K = TS.CsStack.size(); K-- > 0;) {
+  size_t FrameIdx = TS.Depth;
+  for (size_t K = TS.Depth; K-- > 0;) {
     if (TS.CsStack[K].Lock == L) {
       FrameIdx = K;
       break;
     }
   }
-  assert(FrameIdx < TS.CsStack.size() && "release without open section");
-  WcpCsFrame Frame = std::move(TS.CsStack[FrameIdx]);
-  TS.CsStack.erase(TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx));
+  assert(FrameIdx < TS.Depth && "release without open section");
+  // Retire the frame: rotate it to the end of the open frames (the ones
+  // above it keep their order) and shrink Depth past it.
+  std::rotate(TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx),
+              TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx) + 1,
+              TS.CsStack.begin() + TS.Depth);
+  WcpCsFrame &Frame = TS.CsStack[--TS.Depth];
 
   auto dedupe = [](std::vector<uint32_t> &Vars) {
     std::sort(Vars.begin(), Vars.end());
@@ -244,9 +244,9 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   dedupe(Frame.ReadVars);
   dedupe(Frame.WriteVars);
   for (uint32_t X : Frame.ReadVars)
-    ReadReleases[lockVarKey(L, VarId(X))].add(T.value(), TS.H);
+    LS.Releases.cell(VarId(X)).Read.add(T.value(), TS.H);
   for (uint32_t X : Frame.WriteVars)
-    WriteReleases[lockVarKey(L, VarId(X))].add(T.value(), TS.H);
+    LS.Releases.cell(VarId(X)).Write.add(T.value(), TS.H);
 
   // Line 9: this release becomes the last release of ℓ.
   LS.H = TS.H;
@@ -260,10 +260,10 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   Own.HasRelease = true;
   ++QueuedCopies;
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.Touched.size()); U < E;
+  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.PerThread.size()); U < E;
        ++U) {
-    if (U != T.value() && LS.Touched[U]) {
-      ++LS.liveCountOf(U);
+    if (U != T.value() && LS.PerThread[U].Touched) {
+      ++LS.PerThread[U].Live;
       bumpLive(1);
     }
   }
@@ -279,16 +279,16 @@ void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
   WcpThreadState &TS = Threads[T.value()];
   // Line 11: Rule (a). For every enclosing critical section over ℓ,
   // releases of ℓ (by other threads) whose sections *wrote* x precede
-  // this read: P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}.
-  for (WcpCsFrame &Frame : TS.CsStack) {
-    if (const PerThreadReleaseClocks *LW = writeRelease(Frame.Lock, X))
-      if (LW->joinIntoExcluding(TS.P, T.value()))
+  // this read: P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}. The access belongs to the R set
+  // of *every* open section (sections may overlap without nesting, so
+  // bubbling on release would be wrong).
+  for (uint32_t K = 0; K != TS.Depth; ++K) {
+    WcpCsFrame &Frame = TS.CsStack[K];
+    if (const WcpVarReleases *C = Locks[Frame.Lock.value()].Releases.find(X))
+      if (C->Write.joinIntoExcluding(TS.P, T.value()))
         ++TS.PEpoch;
-  }
-  // The access belongs to the R set of *every* open section (sections may
-  // overlap without nesting, so bubbling on release would be wrong).
-  for (WcpCsFrame &Frame : TS.CsStack)
     Frame.ReadVars.push_back(X.value());
+  }
 
   // Race check (§3.2): W_x ⊑ C_e, with C_e = P_t[t := N_t]. The history
   // check reads only other threads' components, so P_t stands in for C_e.
@@ -310,16 +310,17 @@ void WcpDetector::handleWrite(ThreadId T, VarId X, LocId Loc,
   // Line 12: Rule (a). Releases of enclosing locks (by other threads)
   // whose sections read *or* wrote x precede this write:
   // P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}).
-  for (WcpCsFrame &Frame : TS.CsStack) {
-    if (const PerThreadReleaseClocks *LR = readRelease(Frame.Lock, X))
-      if (LR->joinIntoExcluding(TS.P, T.value()))
+  for (uint32_t K = 0; K != TS.Depth; ++K) {
+    WcpCsFrame &Frame = TS.CsStack[K];
+    if (const WcpVarReleases *C =
+            Locks[Frame.Lock.value()].Releases.find(X)) {
+      if (C->Read.joinIntoExcluding(TS.P, T.value()))
         ++TS.PEpoch;
-    if (const PerThreadReleaseClocks *LW = writeRelease(Frame.Lock, X))
-      if (LW->joinIntoExcluding(TS.P, T.value()))
+      if (C->Write.joinIntoExcluding(TS.P, T.value()))
         ++TS.PEpoch;
-  }
-  for (WcpCsFrame &Frame : TS.CsStack)
+    }
     Frame.WriteVars.push_back(X.value());
+  }
 
   // Race check (§3.2): R_x ⊔ W_x ⊑ C_e.
   if (Capture) {

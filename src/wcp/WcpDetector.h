@@ -68,6 +68,8 @@ public:
                    Stats.MaxLiveQueueEntries});
     Out.push_back({"wcp.queue_peak_shared", MetricKind::HighWater,
                    Stats.MaxSharedQueueEntries});
+    Out.push_back({"wcp.queue_retained", MetricKind::HighWater,
+                   Stats.MaxRetainedQueueEntries});
     Out.push_back({"wcp.events_processed", MetricKind::Counter,
                    EventsProcessed});
   }
@@ -96,10 +98,6 @@ private:
   bool frontLeqCt(const VectorClock &Front, const WcpThreadState &TS,
                   ThreadId T) const;
 
-  /// Looks up L^r/L^w for (ℓ, x); returns nullptr if absent.
-  const PerThreadReleaseClocks *readRelease(LockId L, VarId X) const;
-  const PerThreadReleaseClocks *writeRelease(LockId L, VarId X) const;
-
   void bumpAbstract(int64_t Delta);
   void bumpLive(int64_t Delta);
 
@@ -118,9 +116,6 @@ private:
   uint32_t NumThreads; ///< High-water thread count (telemetry sizing).
   std::vector<WcpThreadState> Threads;
   std::vector<WcpLockState> Locks;
-  /// L^r_{ℓ,x} / L^w_{ℓ,x}, split per releasing thread (see WcpState.h).
-  std::unordered_map<uint64_t, PerThreadReleaseClocks> ReadReleases;
-  std::unordered_map<uint64_t, PerThreadReleaseClocks> WriteReleases;
   AccessHistory History;
   std::vector<RaceInstance> Scratch;
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.
@@ -132,6 +127,8 @@ private:
   /// copy per entry plus a Rel copy once its section closed. A thread
   /// admitted mid-stream is credited this much (ensureThread).
   int64_t QueuedCopies = 0;
+  /// Entries held in all locks' shared buffers.
+  uint64_t RetainedEntries = 0;
   WcpStats Stats;
 };
 

@@ -147,3 +147,57 @@ TEST(ClosureOptionsTest, StrictPremiseIsContainedInInclusive) {
     }
   }
 }
+
+// Theorem 2 on wide traces. The suite above draws 2-5 threads, so every
+// clock it compares stays within VectorClock's inline storage; these
+// traces have 9-12 threads, so the detector's clocks, queue entries and
+// rule-(a) cells all live on the heap path.
+namespace {
+
+RandomTraceParams wideParamsForSeed(uint64_t Seed, bool ForkJoin) {
+  RandomTraceParams P;
+  P.Seed = Seed;
+  P.NumThreads = 9 + Seed % 4; // 9..12 threads
+  P.NumLocks = 1 + Seed % 4;
+  P.NumVars = 2 + Seed % 5;
+  P.OpsPerThread = 10 + (Seed * 7) % 20;
+  P.MaxLockNesting = 1 + Seed % 3;
+  P.WithForkJoin = ForkJoin;
+  return P;
+}
+
+class WideEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+} // namespace
+
+TEST_P(WideEquivalenceTest, Theorem2TimestampsMatchClosure) {
+  for (bool ForkJoin : {false, true}) {
+    Trace T = randomTrace(wideParamsForSeed(GetParam(), ForkJoin));
+    ASSERT_TRUE(validateTrace(T).ok());
+    ASSERT_GT(T.numThreads(), VectorClock::kInlineThreads);
+    ClosureEngine Ref(T);
+    std::vector<VectorClock> C =
+        testutil::captureTimestamps<WcpDetector>(T);
+    for (EventIdx B = 0; B != T.size(); ++B) {
+      for (EventIdx A = 0; A != B; ++A) {
+        ASSERT_EQ(C[A].lessOrEqual(C[B]), Ref.ordered(OrderKind::WCP, A, B))
+            << "fork/join=" << ForkJoin << " seed=" << GetParam() << "\n a="
+            << T.eventStr(A) << " (#" << A << ")\n b=" << T.eventStr(B)
+            << " (#" << B << ")\n Ca=" << C[A].str() << " Cb=" << C[B].str();
+      }
+    }
+  }
+}
+
+TEST_P(WideEquivalenceTest, WcpRaceInstancesAgreeWithClosure) {
+  Trace T = randomTrace(wideParamsForSeed(GetParam() ^ 0x1234, false));
+  ClosureEngine Ref(T);
+  RaceReport R = testutil::run<WcpDetector>(T);
+  for (const RaceInstance &I : R.instances())
+    EXPECT_TRUE(Ref.isRace(OrderKind::WCP, I.EarlierIdx, I.LaterIdx))
+        << I.str(T);
+  EXPECT_EQ(R.numDistinctPairs() > 0, !Ref.races(OrderKind::WCP).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(WideTraces, WideEquivalenceTest,
+                         ::testing::Range<uint64_t>(1, 17));

@@ -28,6 +28,7 @@
 #include "gen/RandomTraceGen.h"
 #include "gen/Workloads.h"
 #include "support/Prng.h"
+#include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
 
@@ -275,5 +276,61 @@ TEST(WcpQueueStressGrowthTest, LateThreadDeclarationStaysBitForBit) {
     ASSERT_GT(T.size(), 0u);
     expectGrowthRoundHolds(T, Seed, Seed ^ 0x51515,
                            "wcp-queue-stress seed " + std::to_string(Seed));
+  }
+}
+
+// Threads declared mid-stream past VectorClock's inline width: each new
+// thread is forked by the newest one after it has worked a while, so
+// thread k is first named about k/12 of the way into the trace and every
+// lane's clocks spill from inline to heap storage while it is consuming.
+namespace {
+
+Trace staggeredThreadsTrace(uint64_t Seed, uint32_t Threads) {
+  constexpr uint32_t Locks = 3, Vars = 4, StepsPerThread = 24;
+  Prng Rng(Seed);
+  TraceBuilder B;
+  auto name = [](uint32_t T) { return "t" + std::to_string(T); };
+  uint32_t Running = 1;
+  std::vector<int> Holder(Locks, -1);
+  std::vector<std::vector<uint32_t>> Held(Threads);
+  for (uint32_t Step = 0; Step != Threads * StepsPerThread; ++Step) {
+    if (Step % StepsPerThread == StepsPerThread - 1 && Running < Threads) {
+      B.fork(name(Running - 1), name(Running));
+      ++Running;
+      continue;
+    }
+    const uint32_t T = static_cast<uint32_t>(Rng.nextBelow(Running));
+    const uint64_t Op = Rng.nextBelow(10);
+    const uint32_t L = static_cast<uint32_t>(Rng.nextBelow(Locks));
+    if (Op < 2 && Holder[L] == -1) {
+      B.acquire(name(T), "l" + std::to_string(L));
+      Holder[L] = static_cast<int>(T);
+      Held[T].push_back(L);
+    } else if (Op < 4 && !Held[T].empty()) {
+      B.release(name(T), "l" + std::to_string(Held[T].back()));
+      Holder[Held[T].back()] = -1;
+      Held[T].pop_back();
+    } else {
+      const std::string X = "x" + std::to_string(Rng.nextBelow(Vars));
+      if (Rng.chance(1, 2))
+        B.write(name(T), X);
+      else
+        B.read(name(T), X);
+    }
+  }
+  for (uint32_t T = 0; T != Threads; ++T)
+    for (; !Held[T].empty(); Held[T].pop_back())
+      B.release(name(T), "l" + std::to_string(Held[T].back()));
+  return testutil::takeValid(B);
+}
+
+} // namespace
+
+TEST(WideGrowthTest, ThreadsDeclaredPastInlineWidthStayBitForBit) {
+  for (uint64_t Seed : {1u, 2u, 3u, 4u}) {
+    Trace T = staggeredThreadsTrace(Seed, 12);
+    ASSERT_GT(T.numThreads(), VectorClock::kInlineThreads);
+    expectGrowthRoundHolds(T, Seed, Seed ^ 0x9e37,
+                           "staggered seed " + std::to_string(Seed));
   }
 }

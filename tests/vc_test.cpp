@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 using namespace rapid;
 
 TEST(VectorClockTest, BottomIsLeastElement) {
@@ -170,3 +174,138 @@ TEST(EpochTest, ComparesAgainstOwnComponent) {
   EXPECT_FALSE(Epoch(6, ThreadId(1)).lessOrEqual(V));
   EXPECT_FALSE(Epoch(1, ThreadId(2)).lessOrEqual(V));
 }
+
+// Inline/heap boundary: random operation sequences over clocks of
+// physical sizes 0-17 (the inline limit is 8), each mirrored on a plain
+// std::vector model with the documented physical-size rules, so clocks
+// spill to the heap and shrink back through assignment in both
+// directions.
+namespace {
+
+using Model = std::vector<uint32_t>;
+
+uint32_t modelGet(const Model &M, uint32_t T) {
+  return T < M.size() ? M[T] : 0;
+}
+
+bool modelJoin(Model &Dst, const Model &Src) {
+  if (Src.size() > Dst.size())
+    Dst.resize(Src.size(), 0);
+  bool Changed = false;
+  for (size_t I = 0; I != Src.size(); ++I) {
+    if (Src[I] > Dst[I]) {
+      Dst[I] = Src[I];
+      Changed = true;
+    }
+  }
+  return Changed;
+}
+
+bool modelLessOrEqual(const Model &A, const Model &B) {
+  for (size_t I = 0; I != A.size(); ++I)
+    if (A[I] > modelGet(B, static_cast<uint32_t>(I)))
+      return false;
+  return true;
+}
+
+void expectMatches(const VectorClock &V, const Model &M,
+                   const std::string &Where) {
+  ASSERT_EQ(V.size(), M.size()) << Where;
+  for (uint32_t T = 0; T != 20; ++T)
+    ASSERT_EQ(V.get(ThreadId(T)), modelGet(M, T)) << Where << " t=" << T;
+  for (uint32_t I = 0; I != V.size(); ++I)
+    ASSERT_EQ(V.data()[I], M[I]) << Where << " data()[" << I << "]";
+}
+
+class VectorClockInlineBoundaryTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+} // namespace
+
+TEST_P(VectorClockInlineBoundaryTest, MatchesVectorModelAcrossInlineLimit) {
+  static_assert(VectorClock::kInlineThreads == 8,
+                "sizes below are chosen around an inline limit of 8");
+  Prng Rng(GetParam());
+  constexpr size_t Slots = 4;
+  std::vector<VectorClock> Clocks;
+  std::vector<Model> Models;
+  for (size_t I = 0; I != Slots; ++I) {
+    const uint32_t N = static_cast<uint32_t>(Rng.nextBelow(18));
+    Clocks.emplace_back(N);
+    Models.emplace_back(N, 0);
+  }
+  for (int Step = 0; Step != 400; ++Step) {
+    const size_t A = Rng.nextBelow(Slots), B = Rng.nextBelow(Slots);
+    const std::string Where = "seed " + std::to_string(GetParam()) +
+                              " step " + std::to_string(Step);
+    switch (Rng.nextBelow(8)) {
+    case 0: { // set, sometimes to zero, up to component 16 (size 17).
+      const uint32_t T = static_cast<uint32_t>(Rng.nextBelow(17));
+      const ClockValue N =
+          Rng.chance(1, 4) ? 0 : static_cast<ClockValue>(Rng.nextBelow(50));
+      Clocks[A].set(ThreadId(T), N);
+      if (T < Models[A].size() || N != 0) {
+        if (T >= Models[A].size())
+          Models[A].resize(T + 1, 0);
+        Models[A][T] = N;
+      }
+      break;
+    }
+    case 1: {
+      const bool Changed = Clocks[A].joinWith(Clocks[B]);
+      ASSERT_EQ(Changed, modelJoin(Models[A], Models[B])) << Where;
+      break;
+    }
+    case 2: { // Copy construction.
+      VectorClock Copy(Clocks[B]);
+      expectMatches(Copy, Models[B], Where + " copy");
+      Clocks[A] = Copy;
+      Models[A] = Models[B];
+      break;
+    }
+    case 3: // Copy assignment (A == B is a self-assignment).
+      Clocks[A] = Clocks[B];
+      Models[A] = Models[B];
+      break;
+    case 4: { // Move construction and move assignment.
+      VectorClock Source(Clocks[B]);
+      VectorClock Moved(std::move(Source));
+      expectMatches(Moved, Models[B], Where + " move-construct");
+      Source = Clocks[A]; // A moved-from clock is assignable again.
+      expectMatches(Source, Models[A], Where + " reuse");
+      Clocks[A] = std::move(Moved);
+      Models[A] = Models[B];
+      break;
+    }
+    case 5: { // Self-assignment through an alias.
+      VectorClock &Alias = Clocks[A];
+      Clocks[A] = Alias;
+      break;
+    }
+    case 6: // A fresh clock of a random size 0-17.
+      Models[A].assign(Rng.nextBelow(18), 0);
+      Clocks[A] = VectorClock(static_cast<uint32_t>(Models[A].size()));
+      break;
+    case 7:
+      Clocks[A].clear();
+      std::fill(Models[A].begin(), Models[A].end(), 0);
+      break;
+    }
+    for (size_t I = 0; I != Slots; ++I) {
+      expectMatches(Clocks[I], Models[I], Where + " slot " +
+                                              std::to_string(I));
+      for (size_t J = 0; J != Slots; ++J) {
+        ASSERT_EQ(Clocks[I].lessOrEqual(Clocks[J]),
+                  modelLessOrEqual(Models[I], Models[J]))
+            << Where;
+        ASSERT_EQ(Clocks[I] == Clocks[J],
+                  modelLessOrEqual(Models[I], Models[J]) &&
+                      modelLessOrEqual(Models[J], Models[I]))
+            << Where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VectorClockInlineBoundaryTest,
+                         ::testing::Range<uint64_t>(1, 41));

@@ -9,11 +9,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "detect/DetectorRunner.h"
 #include "gen/PaperTraces.h"
+#include "gen/Workloads.h"
 #include "trace/TraceBuilder.h"
 #include "wcp/WcpDetector.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 using namespace rapid;
 
@@ -289,4 +293,50 @@ TEST(WcpWindowedTest, DetectorIsRestartablePerFragment) {
   EXPECT_EQ(Whole.Report.numDistinctPairs(), Full.numDistinctPairs());
   LaneReport Tiny = testutil::analyzeWindowed(Make, T, 3);
   EXPECT_LE(Tiny.Report.numDistinctPairs(), Full.numDistinctPairs());
+}
+
+// Table 1 column 11 pinned: each model's WCP queue telemetry and WCP race
+// pair count at bench_table1's default scale (0.03 for models above 100k
+// events). A change to how WCP stores its state must leave the paper's
+// telemetry exactly as it is.
+TEST(WcpStatsTest, Table1TelemetryIsPinned) {
+  struct Row {
+    const char *Model;
+    uint64_t Events, Abstract, Live, Shared, WcpPairs;
+  };
+  const Row Rows[] = {
+      {"account", 74, 26, 5, 2, 4},
+      {"airline", 54, 0, 0, 0, 4},
+      {"array", 40, 10, 3, 2, 0},
+      {"boundedbuffer", 198, 6, 6, 3, 2},
+      {"bubblesort", 2402, 412, 412, 33, 6},
+      {"bufwriter", 4798, 1294, 98, 299, 2},
+      {"critical", 38, 0, 0, 0, 8},
+      {"mergesort", 1800, 118, 118, 16, 3},
+      {"pingpong", 68, 0, 0, 0, 7},
+      {"moldyn", 2982, 32, 32, 7, 44},
+      {"montecarlo", 7208, 96, 96, 16, 5},
+      {"raytracer", 16002, 12822, 56, 1066, 3},
+      {"derby", 5400, 7732, 14, 38, 23},
+      {"eclipse", 36430, 234489, 1325, 12, 66},
+      {"ftpserver", 48988, 196600, 1220, 38, 36},
+      {"jigsaw", 5806, 30042, 588, 64, 14},
+      {"lusearch", 11324, 29764, 136, 70, 160},
+      {"xalan", 12604, 30498, 106, 24, 18},
+  };
+  const std::vector<WorkloadSpec> Specs = table1Workloads();
+  ASSERT_EQ(Specs.size(), std::size(Rows));
+  for (size_t I = 0; I != Specs.size(); ++I) {
+    const WorkloadSpec &Spec = Specs[I];
+    const Row &Want = Rows[I];
+    ASSERT_EQ(Spec.Name, Want.Model);
+    Trace T = makeWorkload(Spec, Spec.Events > 100000 ? 0.03 : 1.0);
+    WcpDetector D(T);
+    RunResult R = runDetector(D, T);
+    EXPECT_EQ(T.size(), Want.Events) << Want.Model;
+    EXPECT_EQ(D.stats().MaxAbstractQueueEntries, Want.Abstract) << Want.Model;
+    EXPECT_EQ(D.stats().MaxLiveQueueEntries, Want.Live) << Want.Model;
+    EXPECT_EQ(D.stats().MaxSharedQueueEntries, Want.Shared) << Want.Model;
+    EXPECT_EQ(R.Report.numDistinctPairs(), Want.WcpPairs) << Want.Model;
+  }
 }
