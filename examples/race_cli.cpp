@@ -7,10 +7,9 @@
 // mode goes through the same validated entry point, and failures surface
 // as structured statuses.
 //
-// Run `race_cli --help` for the full flag matrix. --stream composes with
-// both modes (sequential, --window): the session's streaming engine
-// overlaps analysis with ingestion — lanes consume published chunks and
-// windowed lanes check each window as its event range arrives. --json
+// Run `race_cli --help` for the full flag matrix. --stream feeds the file
+// through the session's streaming engine, which overlaps analysis with
+// ingestion — lanes consume published chunks as they arrive. --json
 // replaces the human-readable output with a machine-readable report
 // (lanes, statuses, timings, telemetry); --dry-run validates the flag
 // combination and exits (the docs CI job uses it to keep every invocation
@@ -55,7 +54,6 @@ struct Options {
   bool NoMetrics = false;   // --no-metrics: zero-cost disable.
   std::string TraceOut;     // --trace-out: Perfetto timeline destination.
   std::string ReportOut;    // --report-out: canonical report destination.
-  uint64_t Window = 0;      // 0 = unwindowed.
 };
 
 void printHelp() {
@@ -77,17 +75,11 @@ void printHelp() {
       "  --syncp        sync-preserving race prediction (SP-closure;\n"
       "                 finds races WCP provably misses)\n"
       "\n"
-      "mode (default: sequential lanes over the whole trace):\n"
-      "  --window N     windowed baseline: fresh detector per N-event\n"
-      "                 window (cross-window races lost by design)\n"
-      "\n"
-      "execution:\n"
+      "execution (one sequential lane per detector over the whole trace):\n"
       "  --stream       feed the file through a streaming session so\n"
-      "                 analysis overlaps ingestion; composes with every\n"
-      "                 mode (sequential lanes consume published chunks,\n"
-      "                 windowed lanes check each window as it arrives).\n"
-      "                 Requires a trace file; binary and text traces\n"
-      "                 both publish chunk by chunk\n"
+      "                 analysis overlaps ingestion: lanes consume\n"
+      "                 published chunks. Requires a trace file; binary\n"
+      "                 and text traces both publish chunk by chunk\n"
       "\n"
       "output:\n"
       "  --stats        print trace statistics first\n"
@@ -110,9 +102,8 @@ void printHelp() {
       "\n"
       "examples:\n"
       "  race_cli trace.bin --hb --wcp\n"
-      "  race_cli trace.bin --stream --window 100000\n"
       "  race_cli trace.bin --stream --metrics\n"
-      "  race_cli trace.bin --stream --window 100000 --trace-out run.json\n"
+      "  race_cli trace.bin --stream --trace-out run.json\n"
       "  race_cli trace.txt --json --fasttrack\n"
       "  race_cli trace.bin --wcp --syncp\n"
       "  cat trace.txt | race_cli - --stream --hb --wcp\n"
@@ -168,7 +159,6 @@ std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg,
        ",\n";
   J += "  \"events\": " + std::to_string(R.EventsIngested) + ",\n";
   J += "  \"threads_used\": " + std::to_string(R.ThreadsUsed) + ",\n";
-  J += "  \"window_events\": " + std::to_string(Cfg.WindowEvents) + ",\n";
   J += "  \"wall_seconds\": " + jsonNum(R.WallSeconds) + ",\n";
   J += "  \"ingest_seconds\": " + jsonNum(R.IngestSeconds) + ",\n";
   J += "  \"lane_seconds_total\": " + jsonNum(R.laneSecondsTotal()) + ",\n";
@@ -233,8 +223,6 @@ int main(int Argc, char **Argv) {
       printHelp();
       return 0;
     }
-    else if (Arg == "--window" && I + 1 < Argc)
-      Opts.Window = std::strtoull(Argv[++I], nullptr, 10);
     else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       return 1;
@@ -244,16 +232,13 @@ int main(int Argc, char **Argv) {
   if (!Opts.RunHb && !Opts.RunWcp && !Opts.RunFastTrack && !Opts.RunEraser &&
       !Opts.RunSyncP)
     Opts.RunHb = Opts.RunWcp = true;
-  // --stream composes with every mode: windowed lanes check each window
-  // as its event range publishes.
   if (Opts.Stream && Opts.Path.empty() && !Opts.DryRun) {
     std::fprintf(stderr, "error: --stream needs a trace file\n");
     return 1;
   }
   if (Opts.Path == "-" && !Opts.Stream) {
-    // Stdin cannot seek: the batch loaders (and the windowed baseline's
-    // whole-trace cut) need a rewindable file, so '-' only composes with
-    // the streaming session.
+    // Stdin cannot seek: the batch loaders need a rewindable file, so '-'
+    // only composes with the streaming session.
     std::fprintf(stderr,
                  "error: reading from '-' (stdin) requires --stream (stdin "
                  "cannot seek)\n");
@@ -270,14 +255,10 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  // Flags → the one declarative config every mode shares.
+  // Flags → the one declarative config.
   AnalysisConfig Cfg;
   Cfg.Metrics = !Opts.NoMetrics;
   Cfg.Timeline = !Opts.TraceOut.empty();
-  if (Opts.Window > 0) {
-    Cfg.Mode = RunMode::Windowed;
-    Cfg.WindowEvents = Opts.Window;
-  }
   if (Opts.RunHb)
     Cfg.addDetector(DetectorKind::Hb);
   // WCP's queue peaks (paper §4, Table 1 column 11) now ride the lane's
@@ -396,11 +377,9 @@ int main(int Argc, char **Argv) {
                 L.Report.str(T).c_str());
   }
   Table.print();
-  // Whole-trace WCP runs expose the paper's queue telemetry via the
-  // lane's Telemetry block; windowed runs use a fresh detector per
-  // window, so no whole-run peak exists — skip it there. (Absent when
-  // --no-metrics.)
-  if (Opts.RunWcp && Opts.Window == 0) {
+  // WCP runs expose the paper's queue telemetry via the lane's Telemetry
+  // block. (Absent when --no-metrics.)
+  if (Opts.RunWcp) {
     for (const LaneReport &L : R.Lanes) {
       uint64_t Abstract = 0;
       if (!findSample(L.Telemetry, "wcp.queue_peak_abstract", Abstract))
@@ -442,11 +421,8 @@ int main(int Argc, char **Argv) {
     LaneFailed = true;
   }
 
-  if (Opts.Stream || Opts.Window > 0) {
-    std::printf("\npipeline: %u thread(s)", R.ThreadsUsed);
-    if (Opts.Window > 0)
-      std::printf(", %llu window(s)", (unsigned long long)R.NumWindows);
-    std::printf("%s\n", Opts.Stream ? ", streamed" : "");
+  if (Opts.Stream) {
+    std::printf("\npipeline: %u thread(s), streamed\n", R.ThreadsUsed);
     double LaneTotal = R.laneSecondsTotal();
     std::printf("lane analysis %.3fs total in %.3fs wall", LaneTotal,
                 R.WallSeconds);

@@ -18,10 +18,14 @@
 #include "serve/RaceServer.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -60,8 +64,7 @@ struct Options {
   bool RunFastTrack = false;
   bool RunEraser = false;
   bool RunSyncP = false;
-  uint64_t Window = 0;
-  uint64_t StreamBatch = 0;
+  uint64_t StreamBatch = 0; ///< 0 = the session default.
   uint64_t BudgetLag = 1u << 20;
   uint64_t MaxEvents = 0;
   unsigned IngestThreads = 2;
@@ -86,8 +89,7 @@ void printHelp() {
       "  --hb / --wcp / --fasttrack / --eraser / --syncp\n"
       "\n"
       "session shape (applies to every accepted session):\n"
-      "  --window N        windowed mode, N events per window\n"
-      "  --stream-batch N  events per consumer batch\n"
+      "  --stream-batch N  events per consumer batch (>= 1)\n"
       "\n"
       "serving:\n"
       "  --socket PATH     Unix-domain socket to listen on (required)\n"
@@ -125,6 +127,22 @@ int main(int Argc, char **Argv) {
     }
     return Argv[++I];
   };
+  // Numeric flags take a complete unsigned decimal in [Min, Max]: no sign,
+  // no suffix, no trailing text, no overflow.
+  auto NeedsUnsigned = [&](int &I, uint64_t Min = 0,
+                           uint64_t Max = UINT64_MAX) -> uint64_t {
+    const char *Flag = Argv[I];
+    const char *Text = NeedsValue(I);
+    const char *TextEnd = Text + std::strlen(Text);
+    uint64_t V = 0;
+    std::from_chars_result R = std::from_chars(Text, TextEnd, V);
+    if (R.ec != std::errc() || R.ptr != TextEnd || V < Min || V > Max) {
+      std::fprintf(stderr, "error: %s needs an unsigned integer%s\n", Flag,
+                   Min ? (" >= " + std::to_string(Min)).c_str() : "");
+      std::exit(1);
+    }
+    return V;
+  };
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--hb")
@@ -143,30 +161,27 @@ int main(int Argc, char **Argv) {
       Opts.DryRun = true;
     else if (Arg == "--socket")
       Opts.Socket = NeedsValue(I);
-    else if (Arg == "--window")
-      Opts.Window = std::strtoull(NeedsValue(I), nullptr, 10);
     else if (Arg == "--stream-batch")
-      Opts.StreamBatch = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.StreamBatch = NeedsUnsigned(I, 1);
     else if (Arg == "--budget-lag")
-      Opts.BudgetLag = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.BudgetLag = NeedsUnsigned(I);
     else if (Arg == "--max-events")
-      Opts.MaxEvents = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.MaxEvents = NeedsUnsigned(I);
     else if (Arg == "--ingest-threads")
       Opts.IngestThreads =
-          static_cast<unsigned>(std::strtoul(NeedsValue(I), nullptr, 10));
+          static_cast<unsigned>(NeedsUnsigned(I, 0, UINT_MAX));
     else if (Arg == "--max-sessions")
-      Opts.MaxSessions = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.MaxSessions = NeedsUnsigned(I);
     else if (Arg == "--resume-grace-ms")
-      Opts.ResumeGraceMs = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.ResumeGraceMs = NeedsUnsigned(I);
     else if (Arg == "--idle-timeout-ms")
-      Opts.IdleTimeoutMs = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.IdleTimeoutMs = NeedsUnsigned(I);
     else if (Arg == "--roster-max")
-      Opts.RosterMax = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.RosterMax = NeedsUnsigned(I);
     else if (Arg == "--retry-after-ms")
-      Opts.RetryAfterMs = std::strtoull(NeedsValue(I), nullptr, 10);
+      Opts.RetryAfterMs = NeedsUnsigned(I, 0, UINT32_MAX);
     else if (Arg == "--debug-slow-us")
-      Opts.DebugSlowUs =
-          static_cast<unsigned>(std::strtoul(NeedsValue(I), nullptr, 10));
+      Opts.DebugSlowUs = static_cast<unsigned>(NeedsUnsigned(I, 0, UINT_MAX));
     else if (Arg == "--help" || Arg == "-h") {
       printHelp();
       return 0;
@@ -194,10 +209,6 @@ int main(int Argc, char **Argv) {
   Cfg.RosterMax = static_cast<size_t>(Opts.RosterMax);
   Cfg.RetryAfterMs = static_cast<uint32_t>(Opts.RetryAfterMs);
   AnalysisConfig &S = Cfg.Session;
-  if (Opts.Window > 0) {
-    S.Mode = RunMode::Windowed;
-    S.WindowEvents = Opts.Window;
-  }
   if (Opts.StreamBatch)
     S.StreamBatchEvents = Opts.StreamBatch;
   if (Opts.RunHb)

@@ -11,11 +11,12 @@ every push:
      must resolve to an existing file;
   2. quoted `race_cli ...` and `race_serverd ...` invocations whose
      flags no longer parse — every invocation found in code blocks or
-     inline code spans (fenced lines ending in `\\` continue on the next
-     line) is re-executed with `--dry-run` appended (both tools validate
-     the flag combination and exit without reading a trace or opening a
-     socket), so a renamed or removed flag fails the job the moment a doc
-     still advertises it.
+     inline code spans of README.md, docs/*.md and the agent skills
+     (.claude/skills/*/SKILL.md) (fenced lines ending in `\\` continue on
+     the next line) is re-executed with `--dry-run` appended (both tools
+     validate the flag combination and exit without reading a trace or
+     opening a socket), so a renamed or removed flag fails the job the
+     moment a doc still advertises it.
 
 Usage: scripts/check_docs.py [--cli PATH_TO_RACE_CLI]
                              [--serverd PATH_TO_RACE_SERVERD]
@@ -49,13 +50,15 @@ def doc_files(root: pathlib.Path):
 
 
 def user_doc_files(root: pathlib.Path):
-    """The user-facing docs whose quoted invocations must stay runnable.
-    (CHANGES.md and the PR-log files mention historical flags in prose —
-    links there are still checked, commands are not.)"""
+    """The user-facing docs whose quoted invocations must stay runnable,
+    the skills' build-and-drive notes included. (CHANGES.md and the PR-log
+    files mention historical flags in prose — links there are still
+    checked, commands are not.)"""
     readme = root / "README.md"
     if readme.exists():
         yield readme
     yield from sorted((root / "docs").glob("*.md"))
+    yield from sorted((root / ".claude" / "skills").glob("*/SKILL.md"))
 
 
 def check_links(root: pathlib.Path) -> list:
@@ -94,6 +97,22 @@ def doc_lines(md: pathlib.Path):
         yield lineno, line, in_fence
 
 
+def invocations(region: str):
+    """Yields (tool, args) for every invocation in region. A tool path
+    that is an option's value (`check_docs.py --cli build/race_cli`) names
+    the binary rather than running it, so it is skipped."""
+    pos = 0
+    while (m := CMD_RE.search(region, pos)):
+        token_start = max(region.rfind(" ", 0, m.start()),
+                          region.rfind("\t", 0, m.start())) + 1
+        before = region[:token_start].split()
+        if before and before[-1].startswith("-"):
+            pos = m.end(1)
+            continue
+        yield m.group(1), m.group(2)
+        pos = m.end()
+
+
 def extract_commands(root: pathlib.Path):
     """Yields (file, lineno, tool, argv, error) for every quoted
     race_cli / race_serverd invocation."""
@@ -103,7 +122,7 @@ def extract_commands(root: pathlib.Path):
             # that merely *names* the tool is not executed.
             regions = [line] if in_fence else re.findall(r"`([^`]*)`", line)
             for region in regions:
-                for tool, args in CMD_RE.findall(region):
+                for tool, args in invocations(region):
                     args = args.strip().rstrip(".,;:")
                     if not args:
                         continue

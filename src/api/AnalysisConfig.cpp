@@ -55,8 +55,6 @@ const char *rapid::runModeName(RunMode M) {
   switch (M) {
   case RunMode::Sequential:
     return "sequential";
-  case RunMode::Windowed:
-    return "windowed";
   case RunMode::VarSharded:
     return "var-sharded";
   }
@@ -97,12 +95,6 @@ Status AnalysisConfig::validate() const {
                      detectorKindName(S.Kind) +
                      "' but also carries a custom factory");
   }
-  if (Mode == RunMode::Windowed && WindowEvents == 0)
-    return Invalid("windowed mode requires WindowEvents > 0");
-  if (Mode != RunMode::Windowed && WindowEvents != 0)
-    return Invalid(std::string("WindowEvents is only meaningful in windowed "
-                               "mode (mode is ") +
-                   runModeName(Mode) + ")");
   if (Mode == RunMode::VarSharded && VarShards == 0)
     return Invalid("var-sharded mode requires VarShards >= 1");
   if (Mode != RunMode::VarSharded && VarShards != 0)

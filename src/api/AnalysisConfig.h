@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The single declarative configuration object behind every analysis entry
-/// point: detector selection, run mode, thread count, window size and
-/// shard count are one AnalysisConfig with one validate() that rejects
-/// inconsistent combinations up front with a structured Status.
+/// point: detector selection, run mode, thread count and shard count are
+/// one AnalysisConfig with one validate() that rejects inconsistent
+/// combinations up front with a structured Status.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
 /// FastTrack, Eraser) or by custom factory, and selects exactly one run
@@ -17,10 +17,6 @@
 ///   Sequential  one independent full-trace walk per detector lane (the
 ///               paper's unwindowed single-pass mode); lanes run
 ///               concurrently and stream behind ingestion in sessions;
-///   Windowed    fixed-size event windows, fresh detector per window
-///               (the handicapped baseline of §4.3 — cross-window races
-///               are lost by design); each lane's consumer checks a window
-///               as soon as its event range publishes;
 ///   VarSharded  per-variable sharded checks (bit-identical to
 ///               Sequential for any shard count, variable x in shard
 ///               x mod N); sessions run the capture clock pass behind
@@ -54,9 +50,9 @@ const char *detectorKindName(DetectorKind K);
 DetectorFactory makeDetectorFactory(DetectorKind K);
 
 /// How the analysis walks the trace. See the file comment for semantics.
-enum class RunMode : uint8_t { Sequential, Windowed, VarSharded };
+enum class RunMode : uint8_t { Sequential, VarSharded };
 
-/// Stable lowercase name: "sequential", "windowed", "var-sharded".
+/// Stable lowercase name: "sequential", "var-sharded".
 const char *runModeName(RunMode M);
 
 /// One detector lane of a config: a built-in kind, or a custom factory.
@@ -77,8 +73,6 @@ struct AnalysisConfig {
   /// that runs VarSharded shard-check tasks. The other modes have no pool:
   /// they run one consumer thread per lane whatever this says.
   unsigned Threads = 0;
-  /// Windowed mode only: events per window (must be > 0 there, 0 elsewhere).
-  uint64_t WindowEvents = 0;
   /// VarSharded mode only: per-variable shards per lane (>= 1 there,
   /// 0 elsewhere).
   uint32_t VarShards = 0;
@@ -92,7 +86,7 @@ struct AnalysisConfig {
   bool Metrics = true;
   /// Observability (obs/TraceRecorder.h): record per-stage spans and
   /// counter samples for AnalysisSession::exportTimeline(). Off by
-  /// default — timelines buffer one span per batch/window/drain and are
+  /// default — timelines buffer one span per batch/drain and are
   /// only worth paying for when someone will open the trace.
   bool Timeline = false;
 

@@ -25,7 +25,7 @@ namespace rapid {
 
 /// One detector lane's outcome.
 struct LaneReport {
-  /// Resolved display name ("WCP", "HB[w=1000]", or the config override).
+  /// Resolved display name ("WCP", "HB", or the config override).
   std::string DetectorName;
   RaceReport Report;
   /// Failure of this lane only; other lanes are unaffected. When set, the
@@ -37,10 +37,9 @@ struct LaneReport {
   double Seconds = 0;
   /// Events this lane has processed (== EventsIngested on completion;
   /// smaller in partial snapshots). What "processed" means per mode:
-  /// sequential — events the detector walked; windowed — events
-  /// covered by the retired-window prefix merged into Report; var-sharded
-  /// — events the capture clock pass walked (Report covers the possibly
-  /// smaller fully-checked frontier mid-stream).
+  /// sequential — events the detector walked; var-sharded — events the
+  /// capture clock pass walked (Report covers the possibly smaller
+  /// fully-checked frontier mid-stream).
   uint64_t EventsConsumed = 0;
   /// This lane's metrics (names relative to the lane: "consume_ns",
   /// "batches", "lag_events_peak", ...) plus whatever the detector itself
@@ -59,7 +58,6 @@ struct AnalysisResult {
   double WallSeconds = 0;
   /// Producer-side ingestion time (feed/feedFile work, including parse).
   double IngestSeconds = 0;
-  uint64_t NumWindows = 1;  ///< Windowed mode: window count.
   uint64_t VarShards = 0;   ///< Var-sharded mode: shards per lane.
   uint64_t TasksStolen = 0; ///< Var-sharded mode: pool steals.
   /// Lane consumer threads; var-sharded sessions: the pool width.

@@ -20,11 +20,6 @@
 // shared wait/chunk loop (walkLane) over published ranges in place:
 //
 //   Sequential   the lane's detector walks each range (sequentialConsumer);
-//   Windowed     the lane pushes each range through its own
-//                trace/IncrementalWindowSplitter and checks every window
-//                inline the moment it completes — a fresh detector per
-//                window, its report merged into the lane's running report
-//                in window order (windowedConsumer, checkWindow);
 //   VarSharded   one capture consumer per lane runs the clock pass behind
 //                ingestion; the captured AccessLog is itself published by
 //                watermark, and per-shard drain tasks on the pool replay
@@ -65,13 +60,11 @@
 #include "support/Timer.h"
 #include "trace/EventStore.h"
 #include "trace/TraceValidator.h"
-#include "trace/Window.h"
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 using namespace rapid;
@@ -110,19 +103,16 @@ struct LaneRuntime {
   DetectorFactory Make;
 
   std::mutex SnapM;
-  std::unique_ptr<Detector> D; ///< Null in windowed lanes.
-  std::string Name;      ///< Resolved by the first detector built.
-  /// Set by the consumer at drain time; a windowed lane's running merge
-  /// of its retired windows.
-  RaceReport Final;
+  std::unique_ptr<Detector> D;
+  std::string Name;      ///< Resolved when the detector is built.
+  RaceReport Final;      ///< Set by the consumer at drain time.
   Status LaneStatus;
   double Seconds = 0;    ///< Processing time, excluding waits.
   uint64_t Consumed = 0; ///< Events the lane's report covers.
   bool Done = false;
-  /// Events the lane has taken from the store: Consumed plus, in a
-  /// windowed lane, the pending window. Atomic so progress() reads it
-  /// without SnapM — the serving layer's lag check must not wait on a
-  /// slow (or blocked) lane.
+  /// Events the lane has taken from the store. Atomic so progress()
+  /// reads it without SnapM — the serving layer's lag check must not wait
+  /// on a slow (or blocked) lane.
   std::atomic<uint64_t> Taken{0};
 
   // Cached instrument handles (obs/Metrics.h; null when metrics are off)
@@ -131,7 +121,6 @@ struct LaneRuntime {
   Counter ConsumeNs;       ///< Detector processing time.
   Counter ParkNs;          ///< Time parked waiting for published events.
   Counter Batches;         ///< Published ranges processed (in place).
-  Counter WindowsChecked;  ///< Windowed: windows checked.
   Counter DrainNs;         ///< Var-sharded: shard replay time.
   Counter DrainBatches;    ///< Var-sharded: drain rounds replayed.
   Gauge CapturedAccesses;  ///< Var-sharded: deferred accesses logged.
@@ -242,8 +231,6 @@ struct AnalysisSession::Impl {
                 RangeFn &&Range);
   void walkDetector(LaneRuntime &Rt, uint64_t From, uint64_t End);
   void sequentialConsumer(LaneRuntime &Rt);
-  void windowedConsumer(LaneRuntime &Rt);
-  void checkWindow(LaneRuntime &Rt, uint64_t K, const TraceWindow &W);
   void varShardConsumer(LaneRuntime &Rt, VarShardState &VS);
   void drainVarShard(VarShardState &VS, uint32_t S);
   void scheduleDrains(VarShardState &VS, std::vector<uint32_t> &ToSchedule);
@@ -302,10 +289,10 @@ template <typename Fn> void runLane(LaneRuntime &Rt, Fn &&Body) {
 /// \p Range runs outside every lock and takes SnapM itself, so chunking
 /// releases SnapM regularly for partialResult(); each chunk is one \p Span
 /// timeline span. \p Start runs once, outside every lock, when the lane
-/// first has work: lanes build their detector (or splitter) against
-/// whatever id tables exist then, and growable detector state admits ids
-/// declared later, so table growth never restarts the lane (bit-for-bit
-/// with runDetector; see the header comment).
+/// first has work: lanes build their detector against whatever id tables
+/// exist then, and growable detector state admits ids declared later, so
+/// table growth never restarts the lane (bit-for-bit with runDetector;
+/// see the header comment).
 template <typename StartFn, typename RangeFn>
 void AnalysisSession::Impl::walkLane(LaneRuntime &Rt, const char *Span,
                                      StartFn &&Start, RangeFn &&Range) {
@@ -359,77 +346,6 @@ void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
         Rt, "consume", [&] { buildDetector(Rt); },
         [&](uint64_t From, uint64_t End) { walkDetector(Rt, From, End); });
     finishWalkedLane(Rt);
-  });
-}
-
-// ---- Windowed streaming -----------------------------------------------------
-
-/// Checks window \p K of \p Rt's lane with a fresh detector over the
-/// fragment (the windowed baseline's defining move) and merges the result
-/// into the lane's running report. Windows arrive in order, so the merge
-/// is deterministic and every snapshot is the retired-window prefix. The
-/// first failing window labels the lane's error; later windows still
-/// merge.
-void AnalysisSession::Impl::checkWindow(LaneRuntime &Rt, uint64_t K,
-                                        const TraceWindow &W) {
-  RaceReport Report;
-  std::string Name;
-  std::string Err;
-  int64_t SpanStart = Rec ? Rec->nowUs() : 0;
-  Timer Clock;
-  guardedTask(Err, [&] {
-    std::unique_ptr<Detector> D = Rt.Make(W.Fragment);
-    Name = D->name();
-    Report = runDetectorOnWindow(*D, W);
-  });
-  const double Sec = Clock.seconds();
-  Rt.ConsumeNs.add(toNs(Sec));
-  Rt.WindowsChecked.add();
-  if (Rec)
-    Rec->span(Rt.Track, "check:w" + std::to_string(K), SpanStart,
-              Rec->nowUs() - SpanStart);
-  std::lock_guard<std::mutex> G(Rt.SnapM);
-  if (K == 0)
-    Rt.Name = (Rt.Label.empty() ? Name : Rt.Label) + "[w=" +
-              std::to_string(Cfg.WindowEvents) + "]";
-  if (!Err.empty() && Rt.LaneStatus.ok())
-    Rt.LaneStatus = Status(StatusCode::AnalysisError,
-                           "window " + std::to_string(K) + ": " + Err);
-  Rt.Final.mergeFrom(Report);
-  Rt.Seconds += Sec;
-  Rt.Consumed = W.Original.back() + 1;
-}
-
-/// One lane of the windowed mode: the shared walk pushes each published
-/// range through the lane's own window splitter, and each window is
-/// checked the moment its last event arrives. The splitter and the
-/// per-window detectors tolerate ids beyond the tables they were built
-/// against (growable state), so table growth never re-cuts windows.
-void AnalysisSession::Impl::windowedConsumer(LaneRuntime &Rt) {
-  std::optional<IncrementalWindowSplitter> Split;
-  uint64_t NumWindows = 0;
-  runLane(Rt, [&] {
-    walkLane(
-        Rt, "split",
-        [&] {
-          // Under M, so the splitter's table copy is at least as fresh as
-          // every published event it will see.
-          std::lock_guard<std::mutex> Lk(M);
-          Split.emplace(*Live, Cfg.WindowEvents);
-        },
-        [&](uint64_t From, uint64_t End) {
-          Store.forRange(From, End, [&](const Event &E, uint64_t I) {
-            if (std::optional<TraceWindow> W = Split->push(E, I))
-              checkWindow(Rt, NumWindows++, *W);
-          });
-        });
-    if (Split)
-      if (std::optional<TraceWindow> W = Split->flush())
-        checkWindow(Rt, NumWindows++, *W);
-    std::lock_guard<std::mutex> G(Rt.SnapM);
-    if (NumWindows == 0) // A zero-event session.
-      Rt.Name = Rt.Label + "[w=" + std::to_string(Cfg.WindowEvents) + "]";
-    Rt.Done = true;
   });
 }
 
@@ -672,8 +588,6 @@ void AnalysisSession::Impl::registerObservability() {
     Rt.Batches = S.counter("batches");
     Rt.BatchEventsPeak = S.highWater("batch_events_peak");
     Rt.LagEventsPeak = S.highWater("lag_events_peak");
-    if (Cfg.Mode == RunMode::Windowed)
-      Rt.WindowsChecked = S.counter("windows_checked");
     if (Cfg.Mode == RunMode::VarSharded) {
       Rt.DrainNs = S.counter("drain_ns");
       Rt.DrainBatches = S.counter("drain_batches");
@@ -707,10 +621,6 @@ void AnalysisSession::Impl::start() {
   case RunMode::Sequential:
     for (auto &Rt : Lanes)
       Consumers.emplace_back([this, R = Rt.get()] { sequentialConsumer(*R); });
-    break;
-  case RunMode::Windowed:
-    for (auto &Rt : Lanes)
-      Consumers.emplace_back([this, R = Rt.get()] { windowedConsumer(*R); });
     break;
   case RunMode::VarSharded:
     Pool = std::make_unique<ThreadPool>(Cfg.Threads);
@@ -1158,13 +1068,6 @@ AnalysisResult AnalysisSession::finish() {
   R.ThreadsUsed = std::max(NumConsumers, 1u);
   switch (I->Cfg.Mode) {
   case RunMode::Sequential:
-    break;
-  case RunMode::Windowed:
-    // Every window but the last holds exactly WindowEvents events. The
-    // size is 0 only in a config that failed validation.
-    if (I->Cfg.WindowEvents)
-      R.NumWindows = (R.EventsIngested + I->Cfg.WindowEvents - 1) /
-                     I->Cfg.WindowEvents;
     break;
   case RunMode::VarSharded:
     R.VarShards = I->Cfg.VarShards;

@@ -25,10 +25,6 @@
 ///
 ///   Sequential   one consumer thread per lane runs runDetector's walk,
 ///                spread over time;
-///   Windowed     one consumer thread per lane cuts windows out of the
-///                published prefix and checks each (a fresh detector per
-///                window — no global state) the moment its event range
-///                publishes; window reports merge in window order;
 ///   VarSharded   the capture clock pass runs behind ingestion and
 ///                per-shard check tasks replay published AccessLog
 ///                prefixes concurrently; only the final trace-order
@@ -58,8 +54,8 @@
 /// thread. partialResult() may be called concurrently with the producer
 /// and with the consumers (e.g. from a monitoring thread); each snapshot
 /// is internally consistent — a lane never reports progress or races
-/// beyond the snapshot's EventsIngested, and windowed/var-sharded
-/// snapshots are torn-merge free (always an exact prefix of the final
+/// beyond the snapshot's EventsIngested, and var-sharded snapshots are
+/// torn-merge free (always an exact prefix of the final
 /// report). Errors are structured Statuses throughout — feeding a
 /// finished session, double finish, unknown ids and IO/parse failures all
 /// come back as codes, not strings to grep.
@@ -133,7 +129,7 @@ public:
   /// Producer/consumer watermarks for backpressure decisions (the serving
   /// layer parks a connection whose Published - MinLaneConsumed lag grows
   /// past its budget). A lane's consumed watermark counts the events it
-  /// has taken: a windowed lane's retired windows plus its pending one. Cheap; safe to call concurrently with feeds and
+  /// has taken. Cheap; safe to call concurrently with feeds and
   /// consumers, like partialResult(). Never waits on a lane: a consumer
   /// blocked inside its detector does not block progress().
   struct Progress {
@@ -144,19 +140,17 @@ public:
   Progress progress() const;
 
   /// Mid-stream snapshot: per-lane races discovered so far and events
-  /// consumed. Every mode reports live progress — sequential
-  /// lanes return their detector's report so far; windowed
-  /// lanes the merge of the retired-window prefix (EventsConsumed counts
-  /// the events those windows cover); var-sharded lanes the merged
-  /// findings below the fully checked frontier (EventsConsumed tracks the
-  /// capture clock pass). A snapshot is always an exact prefix of the
+  /// consumed. Every mode reports live progress — sequential lanes return
+  /// their detector's report so far; var-sharded lanes the merged findings
+  /// below the fully checked frontier (EventsConsumed tracks the capture
+  /// clock pass). A snapshot is always an exact prefix of the
   /// final report — never a torn merge. Safe to call concurrently with
   /// feeds and with the consumer threads.
   AnalysisResult partialResult();
 
-  /// Ends ingestion, drains and joins the lanes (windowed lanes check the
-  /// trailing partial window; var-sharded sessions finish the clock pass,
-  /// drain the shard checks and merge in trace order), and returns the
+  /// Ends ingestion, drains and joins the lanes (var-sharded sessions
+  /// finish the clock pass, drain the shard checks and merge in trace
+  /// order), and returns the
   /// unified result. A second finish() returns InvalidState; feeds after
   /// finish() are rejected.
   AnalysisResult finish();

@@ -3,8 +3,7 @@
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
 // runDetector is the timed full-trace walk the tests pin every session
-// mode against; runDetectorOnWindow is the windowed mode's per-window unit
-// of work.
+// mode against; runDetectorWindowed is the windowed baseline's loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,16 +29,22 @@ RunResult rapid::runDetector(Detector &D, const Trace &T) {
   return Result;
 }
 
-RaceReport rapid::runDetectorOnWindow(Detector &D, const TraceWindow &W) {
-  const std::vector<Event> &Events = W.Fragment.events();
-  for (EventIdx I = 0, E = Events.size(); I != E; ++I)
-    D.processEvent(Events[I], I);
-  D.finish();
-  RaceReport Translated;
-  for (RaceInstance Inst : D.report().instances()) {
-    Inst.EarlierIdx = W.Original[Inst.EarlierIdx];
-    Inst.LaterIdx = W.Original[Inst.LaterIdx];
-    Translated.addRace(Inst);
+RaceReport rapid::runDetectorWindowed(const DetectorFactory &Make,
+                                      const Trace &T, uint64_t WindowSize) {
+  RaceReport Merged;
+  for (TraceWindow &W : splitIntoWindows(T, WindowSize)) {
+    std::unique_ptr<Detector> D = Make(W.Fragment);
+    const std::vector<Event> &Events = W.Fragment.events();
+    for (EventIdx I = 0, E = Events.size(); I != E; ++I)
+      D->processEvent(Events[I], I);
+    D->finish();
+    RaceReport Translated;
+    for (RaceInstance Inst : D->report().instances()) {
+      Inst.EarlierIdx = W.Original[Inst.EarlierIdx];
+      Inst.LaterIdx = W.Original[Inst.LaterIdx];
+      Translated.addRace(Inst);
+    }
+    Merged.mergeFrom(Translated);
   }
-  return Translated;
+  return Merged;
 }

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// Drives a streaming detector over a full trace (the unwindowed mode the
-/// paper insists on) or over one window fragment (the handicapped mode
-/// other sound tools are forced into, §1/§4), timing the analysis.
+/// paper insists on) or window by window (the handicapped mode other
+/// sound tools are forced into, §1/§4).
 ///
 /// runDetector is the primitive walk every run mode is pinned against in
-/// the tests. Multi-lane, windowed and var-sharded runs go through the
-/// session API (api/AnalysisSession.h: an AnalysisConfig plus
-/// analyzeTrace or an AnalysisSession).
+/// the tests. Multi-lane and var-sharded runs go through the session API
+/// (api/AnalysisSession.h: an AnalysisConfig plus analyzeTrace or an
+/// AnalysisSession).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,17 +36,18 @@ struct RunResult {
 /// Runs \p D over all of \p T in trace order.
 RunResult runDetector(Detector &D, const Trace &T);
 
-struct TraceWindow;
-
-/// Walks \p D over the fragment of \p W and returns its report with race
-/// indices translated back to the parent trace — the per-window unit of
-/// work of the session's windowed mode.
-RaceReport runDetectorOnWindow(Detector &D, const TraceWindow &W);
-
 /// Builds one lane's detector for a trace. Windowed runs call it once per
 /// window, mirroring how windowed tools restart their analysis per
 /// fragment.
 using DetectorFactory = std::function<std::unique_ptr<Detector>(const Trace &)>;
+
+/// The §4.3 windowed baseline: splits \p T into \p WindowSize-event
+/// windows (trace/Window.h), walks each with a fresh detector from
+/// \p Make, and merges the reports in window order with race indices
+/// translated back to \p T. Races whose endpoints fall in different
+/// windows are lost by design. \p WindowSize must be positive.
+RaceReport runDetectorWindowed(const DetectorFactory &Make, const Trace &T,
+                               uint64_t WindowSize);
 
 } // namespace rapid
 

@@ -12,9 +12,9 @@
 /// ui.perfetto.dev and chrome://tracing open directly.
 ///
 /// Recording granularity is one span per *batch* of work (a published
-/// chunk, a consumed batch, a window check, a shard drain round), not per
-/// event, so a full streamed run records thousands of spans, not
-/// millions; appends take one short mutex hold. The recorder is created
+/// chunk, a consumed batch, a shard drain round), not per event, so a
+/// full streamed run records thousands of spans, not millions; appends
+/// take one short mutex hold. The recorder is created
 /// only when AnalysisConfig::Timeline is set — a null recorder pointer is
 /// the disabled path, same discipline as obs/Metrics.h.
 ///

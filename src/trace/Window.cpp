@@ -11,85 +11,45 @@
 
 using namespace rapid;
 
-IncrementalWindowSplitter::IncrementalWindowSplitter(const Trace &Tables,
-                                                     uint64_t WindowSize)
-    : WindowSize(WindowSize),
-      PendingAcq(Tables.numLocks(),
-                 std::make_pair<EventIdx, Event>(UINT64_MAX, Event())) {
-  assert(WindowSize > 0 && "window size must be positive");
-  this->Tables.adoptTables(Tables);
-}
-
-void IncrementalWindowSplitter::open() {
-  Pending = TraceWindow();
-  Pending.Fragment.adoptTables(Tables);
-  Pending.Fragment.reserve(WindowSize);
-
-  // Locks held when a window opens are re-established by replaying their
-  // original acquire events at the head of the fragment. Without this,
-  // the tail of a critical section cut by the boundary would look
-  // unprotected and the fragment would *invent* races — windowed tools
-  // carry lock context across fragments for exactly this reason.
-  std::vector<const std::pair<EventIdx, Event> *> Held;
-  for (const std::pair<EventIdx, Event> &A : PendingAcq)
-    if (A.first != UINT64_MAX)
-      Held.push_back(&A);
-  std::sort(Held.begin(), Held.end(),
-            [](const std::pair<EventIdx, Event> *A,
-               const std::pair<EventIdx, Event> *B) {
-              return A->first < B->first;
-            });
-  for (const std::pair<EventIdx, Event> *A : Held) {
-    Pending.Original.push_back(A->first);
-    Pending.Fragment.append(A->second);
-  }
-  InWindow = 0;
-  Open = true;
-}
-
-std::optional<TraceWindow> IncrementalWindowSplitter::push(const Event &E,
-                                                           EventIdx I) {
-  if (!Open)
-    open();
-  if (E.Kind == EventKind::Acquire || E.Kind == EventKind::Release) {
-    // Locks declared after construction (streaming producers grow their
-    // tables mid-stream) extend the held-lock table on first touch.
-    if (E.lock().value() >= PendingAcq.size())
-      PendingAcq.resize(E.lock().value() + 1,
-                        std::make_pair<EventIdx, Event>(UINT64_MAX, Event()));
-    PendingAcq[E.lock().value()] =
-        E.Kind == EventKind::Acquire
-            ? std::make_pair(I, E)
-            : std::make_pair<EventIdx, Event>(UINT64_MAX, Event());
-  }
-  Pending.Original.push_back(I);
-  Pending.Fragment.append(E);
-  if (++InWindow != WindowSize)
-    return std::nullopt;
-  Open = false;
-  return std::move(Pending);
-}
-
-std::optional<TraceWindow> IncrementalWindowSplitter::flush() {
-  if (!Open || InWindow == 0)
-    return std::nullopt;
-  Open = false;
-  return std::move(Pending);
-}
-
 std::vector<TraceWindow> rapid::splitIntoWindows(const Trace &T,
                                                  uint64_t WindowSize) {
   assert(WindowSize > 0 && "window size must be positive");
-  // One shared implementation: the batch splitter is the incremental one
-  // fed the whole trace — so streaming consumers that cut windows as the
-  // prefix grows produce these exact fragments.
-  IncrementalWindowSplitter Splitter(T, WindowSize);
-  std::vector<TraceWindow> Windows;
   const std::vector<Event> &Events = T.events();
-  for (EventIdx I = 0, E = Events.size(); I != E; ++I)
-    if (std::optional<TraceWindow> W = Splitter.push(Events[I], I))
-      Windows.push_back(std::move(*W));
-  if (std::optional<TraceWindow> W = Splitter.flush())
-    Windows.push_back(std::move(*W));
+  // Per lock: the index of the acquire currently holding it.
+  std::vector<EventIdx> HeldBy(T.numLocks(), UINT64_MAX);
+  std::vector<TraceWindow> Windows;
+  for (EventIdx Start = 0; Start < Events.size(); Start += WindowSize) {
+    const EventIdx End =
+        std::min<EventIdx>(Events.size(), Start + WindowSize);
+    TraceWindow W;
+    W.Fragment.adoptTables(T);
+    W.Fragment.reserve(End - Start);
+
+    // Locks held when a window opens are re-established by replaying
+    // their original acquire events at the head of the fragment. Without
+    // this, the tail of a critical section cut by the boundary would look
+    // unprotected and the fragment would *invent* races — windowed tools
+    // carry lock context across fragments for exactly this reason.
+    std::vector<EventIdx> Held;
+    for (EventIdx A : HeldBy)
+      if (A != UINT64_MAX)
+        Held.push_back(A);
+    std::sort(Held.begin(), Held.end());
+    for (EventIdx A : Held) {
+      W.Original.push_back(A);
+      W.Fragment.append(Events[A]);
+    }
+
+    for (EventIdx I = Start; I != End; ++I) {
+      const Event &E = Events[I];
+      if (E.Kind == EventKind::Acquire)
+        HeldBy[E.lock().value()] = I;
+      else if (E.Kind == EventKind::Release)
+        HeldBy[E.lock().value()] = UINT64_MAX;
+      W.Original.push_back(I);
+      W.Fragment.append(E);
+    }
+    Windows.push_back(std::move(W));
+  }
   return Windows;
 }

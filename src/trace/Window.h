@@ -20,7 +20,6 @@
 
 #include "trace/Trace.h"
 
-#include <optional>
 #include <vector>
 
 namespace rapid {
@@ -31,47 +30,12 @@ struct TraceWindow {
   std::vector<EventIdx> Original; ///< Fragment index -> parent event index.
 };
 
-/// Incremental form of the window splitter, for producers that see the
-/// trace as a growing prefix (the streaming session): events are pushed
-/// one at a time in trace order and each window pops out the moment its
-/// last event arrives — the splitter never needs events beyond the
-/// published prefix. Windows are identical to splitIntoWindows' (which is
-/// implemented on top of this class): held locks are re-established by
-/// replaying their original acquires at the head of each fragment, so a
-/// critical section cut by the boundary cannot invent races.
-class IncrementalWindowSplitter {
-public:
-  /// \p Tables supplies the id tables every fragment adopts (copied up
-  /// front; the parent trace's event vector is never referenced, so the
-  /// parent may keep growing while the splitter runs). \p WindowSize
-  /// must be positive.
-  IncrementalWindowSplitter(const Trace &Tables, uint64_t WindowSize);
-
-  /// Pushes parent event \p I (events must arrive in trace order, gap
-  /// free). Returns the completed window when this event fills one, else
-  /// nullopt.
-  std::optional<TraceWindow> push(const Event &E, EventIdx I);
-
-  /// Flushes the trailing partial window after the last push; nullopt
-  /// when the trace ended exactly on a window boundary (or was empty).
-  std::optional<TraceWindow> flush();
-
-private:
-  void open(); ///< Starts the pending window, replaying held acquires.
-
-  Trace Tables; ///< Id-table donor for every fragment.
-  uint64_t WindowSize;
-  uint64_t InWindow = 0; ///< Parent events in the pending window.
-  bool Open = false;
-  TraceWindow Pending;
-  /// Per lock: the acquire currently holding it (index + the event, so
-  /// replay does not need to reach back into the parent trace).
-  std::vector<std::pair<EventIdx, Event>> PendingAcq;
-};
-
 /// Splits \p T into consecutive windows of at most \p WindowSize events.
 /// The fragments share the parent's id tables (names are re-used), so
 /// locations reported from a fragment are comparable across windows.
+/// Locks held when a window opens are re-established by replaying their
+/// original acquires at the head of the fragment, so a critical section
+/// cut by the boundary cannot invent races.
 std::vector<TraceWindow> splitIntoWindows(const Trace &T,
                                           uint64_t WindowSize);
 

@@ -6,8 +6,8 @@
 # INPUT_FILE, and asserts the streamed run reports the race — the exact
 # path a FIFO redirection (`race_cli --stream <(...)`) exercises. Then
 # asserts the seek-incompatible spelling `race_cli -` *without* --stream
-# is rejected up front (stdin cannot seek; the batch loaders and the
-# windowed baseline need a rewindable file). Invoked by the
+# is rejected up front (stdin cannot seek; the batch loaders need a
+# rewindable file). Invoked by the
 # race_cli_stdin_stream ctest; requires -DRACE_CLI=<path>.
 
 if(NOT RACE_CLI)

@@ -1,13 +1,12 @@
-# tests/CheckRaceCliStream.cmake - Pin --stream composed with --window.
+# tests/CheckRaceCliStream.cmake - Pin a streamed race_cli run end to end.
 #
 # Part of rapidpp (PLDI'17 WCP reproduction).
 #
 # Writes a small racy text trace, then runs race_cli over it with
-# --stream combined with --window, parsing the --json output with
-# string(JSON ...): the run must succeed, report the windowed mode with
-# streamed=true, and the lane must lose the race, because the window cuts
-# the racing accesses apart (the baseline's defining handicap). Invoked by
-# the race_cli_stream_window ctest; requires -DRACE_CLI=<path>.
+# --stream, parsing the --json output with string(JSON ...): the run must
+# succeed, report the sequential mode with streamed=true, consume every
+# event, and the HB lane must report the one x race. Invoked by the
+# race_cli_stream ctest; requires -DRACE_CLI=<path>.
 
 if(NOT RACE_CLI)
   message(FATAL_ERROR "pass -DRACE_CLI=<path to race_cli>")
@@ -15,7 +14,7 @@ endif()
 
 # Two unsynchronized writes to x from different threads (a race), plus a
 # lock-protected pair on y (no race). 8 events total.
-set(TRACE "${CMAKE_CURRENT_BINARY_DIR}/stream_case_window.txt")
+set(TRACE "${CMAKE_CURRENT_BINARY_DIR}/stream_case.txt")
 file(WRITE ${TRACE}
 "T0|w(x)|L1
 T1|w(x)|L2
@@ -27,13 +26,11 @@ T1|w(y)|L7
 T1|rel(l)|L8
 ")
 
-# Window of 1 event: every fragment holds a single access, so even the
-# x race disappears — windowed semantics, streamed.
 execute_process(
-  COMMAND ${RACE_CLI} ${TRACE} --stream --window 1 --hb --json
+  COMMAND ${RACE_CLI} ${TRACE} --stream --hb --json
   OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
-set(WANT_MODE "windowed")
-set(WANT_RACES 0)
+set(WANT_MODE "sequential")
+set(WANT_RACES 1)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "race_cli exited ${RC}: ${ERR}")
 endif()
@@ -67,4 +64,4 @@ if(NOT CONSUMED EQUAL 8)
   message(FATAL_ERROR "events_consumed = ${CONSUMED}, want 8")
 endif()
 file(REMOVE ${TRACE})
-message(STATUS "race_cli --stream --window: ok (${WANT_RACES} race(s))")
+message(STATUS "race_cli --stream: ok (${WANT_RACES} race(s))")

@@ -3,12 +3,12 @@
 # Part of rapidpp (PLDI'17 WCP reproduction).
 #
 # Writes a small racy text trace, streams it through race_cli with
-# --window 2 and --trace-out, then parses the emitted Chrome/Perfetto
-# trace_event JSON with string(JSON ...): the file must be valid JSON
-# with a traceEvents array, thread_name metadata for the ingest track and
-# each lane track, at least one "check:w<K>" window span on every lane
-# track, and sane (non-negative) ts/dur on every span. Invoked by the
-# race_cli_trace_out ctest; requires -DRACE_CLI=<path-to-binary>.
+# --trace-out, then parses the emitted Chrome/Perfetto trace_event JSON
+# with string(JSON ...): the file must be valid JSON with a traceEvents
+# array, thread_name metadata for the ingest track and each lane track, at
+# least one "consume" span on every lane track, and sane (non-negative)
+# ts/dur on every span. Invoked by the race_cli_trace_out ctest; requires
+# -DRACE_CLI=<path-to-binary>.
 
 cmake_minimum_required(VERSION 3.19) # string(JSON), IN_LIST semantics
 
@@ -17,7 +17,7 @@ if(NOT RACE_CLI)
 endif()
 
 # Two unsynchronized writes to x (a race), plus a lock-protected pair on
-# y — enough events for four 2-event windows per lane.
+# y.
 set(TRACE "${CMAKE_CURRENT_BINARY_DIR}/trace_out_case.txt")
 set(TIMELINE "${CMAKE_CURRENT_BINARY_DIR}/trace_out_case.timeline.json")
 file(WRITE ${TRACE}
@@ -32,7 +32,7 @@ T1|rel(l)|L8
 ")
 
 execute_process(
-  COMMAND ${RACE_CLI} ${TRACE} --stream --window 2 --hb --wcp
+  COMMAND ${RACE_CLI} ${TRACE} --stream --hb --wcp
           --trace-out ${TIMELINE} --json
   OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
@@ -57,7 +57,7 @@ if(NOT NEV GREATER 0)
 endif()
 
 # Pass 1 — metadata: map track names to tids. Pass 2 — spans: count
-# "check:w<K>" window spans per tid and range-check every span's ts/dur.
+# "consume" spans per tid and range-check every span's ts/dur.
 set(TRACK_NAMES "")
 math(EXPR LAST "${NEV} - 1")
 foreach(I RANGE ${LAST})
@@ -80,7 +80,7 @@ foreach(I RANGE ${LAST})
     if(TS LESS 0 OR DUR LESS 0)
       message(FATAL_ERROR "span ${I}: ts=${TS} dur=${DUR}, want >= 0")
     endif()
-    if(SNAME MATCHES "^check:w[0-9]+$")
+    if(SNAME STREQUAL "consume")
       math(EXPR N "${SPANS_${TID}} + 1")
       set("SPANS_${TID}" ${N})
     endif()
@@ -94,11 +94,11 @@ foreach(WANT "ingest" "lane:HB" "lane:WCP")
   endif()
 endforeach()
 
-# Every lane checks its windows on its own track.
+# Every lane consumes its batches on its own track.
 foreach(LANE "lane:HB" "lane:WCP")
   set(TID "${TID_${LANE}}")
   if(NOT SPANS_${TID} GREATER 0)
-    message(FATAL_ERROR "'${LANE}' track has no check:w* spans")
+    message(FATAL_ERROR "'${LANE}' track has no consume spans")
   endif()
 endforeach()
 

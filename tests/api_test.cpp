@@ -5,13 +5,12 @@
 // The session API's contract has three legs, pinned here:
 //
 //   1. equivalence — a streaming session is the sequential pass spread
-//      over time: for every mode (sequential, windowed, var-sharded) and
-//      detector, the final report is bit-identical to
-//      runDetector (windowed: to the classic windowed loop) and to
+//      over time: for every mode (sequential, var-sharded) and detector,
+//      the final report is bit-identical to runDetector and to
 //      analyzeTrace, on 100 seeded random traces per detector,
 //      whether events arrive as one trace, as push batches, through
 //      mid-stream table growth (growable state; never a restart), or from
-//      a file (binary and text chunks both overlap analysis). Windowed/var-sharded
+//      a file (binary and text chunks both overlap analysis). Var-sharded
 //      partial snapshots must additionally be torn-merge free: every
 //      mid-stream report is a prefix of the final one;
 //   2. session protocol — mid-stream partial reports, feed-after-finish
@@ -122,10 +121,9 @@ std::string tempPath(const std::string &Name) {
 }
 
 /// Torn-merge detector: \p Partial must be an exact prefix of \p Final's
-/// instance sequence (same fields, same order). Windowed sessions merge
-/// whole retired windows; var-sharded sessions merge below the fully
-/// checked frontier — either way a mid-stream report may only ever grow
-/// into the final one, never reorder or lose findings.
+/// instance sequence (same fields, same order). Var-sharded sessions merge
+/// below the fully checked frontier — a mid-stream report may only ever
+/// grow into the final one, never reorder or lose findings.
 void expectReportIsPrefix(const RaceReport &Partial, const RaceReport &Final,
                           const std::string &Label) {
   ASSERT_LE(Partial.instances().size(), Final.instances().size()) << Label;
@@ -184,54 +182,6 @@ TEST_P(ApiStreamFuzzTest, SessionPushBatchesMatchBatchBitForBit) {
   ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
   expectLanesMatchSequential(R, T,
                              "push seed " + std::to_string(GetParam()));
-}
-
-// Windowed sessions stream: each lane checks a window as its event
-// range publishes, and the merged result must equal the classic windowed
-// loop bit for bit (window count and names as analyzeTrace reports them)
-// — with every mid-stream partial a prefix of the final report (no torn
-// merges). 50 seeds x 4 detectors, varied window and push-batch sizes.
-TEST_P(ApiStreamFuzzTest, WindowedSessionStreamsBitForBit) {
-  uint64_t Seed = GetParam();
-  Trace T = randomTrace(fuzzParams(Seed ^ 0x77aa, Seed % 2 == 0));
-  AnalysisConfig Cfg = allDetectorConfig(RunMode::Windowed);
-  Cfg.WindowEvents = 8 + Seed % 57;
-  Cfg.StreamBatchEvents = 1 + Seed % 9;
-  Cfg.Threads = 1 + Seed % 3;
-  AnalysisSession S(Cfg);
-  ASSERT_TRUE(S.declareTablesFrom(T).ok());
-  std::vector<AnalysisResult> Partials;
-  std::vector<Event> Batch;
-  for (EventIdx I = 0; I != T.size(); ++I) {
-    Batch.push_back(T.event(I));
-    if (Batch.size() == 17 || I + 1 == T.size()) {
-      ASSERT_TRUE(S.feed(Batch).ok());
-      Batch.clear();
-      if (I % 64 == 63)
-        Partials.push_back(S.partialResult());
-    }
-  }
-  AnalysisResult R = S.finish();
-  ASSERT_TRUE(R.ok()) << R.firstError().str();
-  AnalysisResult Want = analyzeTrace(Cfg, T);
-  ASSERT_TRUE(Want.ok()) << Want.firstError().str();
-  EXPECT_EQ(R.NumWindows, Want.NumWindows) << "window count";
-  ASSERT_EQ(R.Lanes.size(), Want.Lanes.size());
-  for (size_t L = 0; L != R.Lanes.size(); ++L) {
-    std::string Label = "windowed seed " + std::to_string(Seed) + "/" +
-                        Want.Lanes[L].DetectorName;
-    EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
-    EXPECT_EQ(R.Lanes[L].EventsConsumed, T.size()) << Label;
-    expectSameReport(R.Lanes[L].Report,
-                     testutil::windowedReference(
-                         makeDetectorFactory(kAllKinds[L]), T,
-                         Cfg.WindowEvents),
-                     T, Label);
-    for (const AnalysisResult &Mid : Partials) {
-      ASSERT_TRUE(Mid.Partial);
-      expectReportIsPrefix(Mid.Lanes[L].Report, R.Lanes[L].Report, Label);
-    }
-  }
 }
 
 // Var-sharded sessions stream too: the capture clock pass runs behind
@@ -326,21 +276,17 @@ TEST(ApiSessionTest, LateDeclarationsGrowLanesAndStayBitForBit) {
   EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 1u);
 }
 
-// Late declarations in the windowed and var-sharded modes: tables grow
-// after a lane already consumed events. Growable detector state admits the
-// new ids in place — a windowed lane keeps its window splitter, the
-// capture pass keeps its log and checkers — so no lane restarts and the
-// final report still matches analyzeTrace over the final trace, bit for
-// bit.
+// Late declarations in the var-sharded mode: tables grow after a lane
+// already consumed events. Growable detector state admits the new ids in
+// place — the capture pass keeps its log and checkers — so no lane
+// restarts and the final report still matches analyzeTrace over the final
+// trace, bit for bit.
 TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
-  for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode : {RunMode::VarSharded}) {
     AnalysisConfig Cfg = allDetectorConfig(Mode);
     Cfg.StreamBatchEvents = 1; // Publish/consume as eagerly as possible.
     Cfg.Threads = 2;
-    if (Mode == RunMode::Windowed)
-      Cfg.WindowEvents = 1; // Every event closes a window.
-    else
-      Cfg.VarShards = 3;
+    Cfg.VarShards = 3;
     AnalysisSession S(Cfg);
     ThreadId T0 = S.declareThread("T0");
     ThreadId T1 = S.declareThread("T1");
@@ -378,9 +324,7 @@ TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
                           "/" + Want.Lanes[L].DetectorName;
       EXPECT_EQ(R.Lanes[L].DetectorName, Want.Lanes[L].DetectorName) << Label;
       expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, T, Label);
-      if (Mode == RunMode::VarSharded) { // 1-event windows see no races.
-        EXPECT_GT(R.Lanes[L].Report.numDistinctPairs(), 0u) << Label;
-      }
+      EXPECT_GT(R.Lanes[L].Report.numDistinctPairs(), 0u) << Label;
     }
   }
 }
@@ -389,10 +333,9 @@ TEST(ApiSessionTest, StreamedBatchModesGrowOnLateDeclarations) {
 // hammers partialResult(). Every snapshot must be well-formed — lanes ok,
 // races confined to the consumed prefix, instance counts monotone — and a
 // prefix of the final report. Run under TSan in CI, this also pins the
-// publication protocol data-race-free for the windowed and var-sharded
-// modes.
+// publication protocol data-race-free for the var-sharded mode.
 TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
-  for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode : {RunMode::VarSharded}) {
     Trace T = randomTrace(fuzzParams(41, true));
     AnalysisConfig Cfg;
     Cfg.Mode = Mode;
@@ -400,10 +343,7 @@ TEST(ApiSessionTest, StreamedBatchModesPartialResultStressUnderIngestion) {
     Cfg.addDetector(DetectorKind::FastTrack);
     Cfg.StreamBatchEvents = 8;
     Cfg.Threads = 2;
-    if (Mode == RunMode::Windowed)
-      Cfg.WindowEvents = 16;
-    else
-      Cfg.VarShards = 4;
+    Cfg.VarShards = 4;
     AnalysisSession S(Cfg);
     ASSERT_TRUE(S.declareTablesFrom(T).ok());
 
@@ -645,64 +585,6 @@ TEST(ApiSessionTest, ProgressDoesNotWaitOnABlockedLane) {
   EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size());
 }
 
-// Windowed back-pressure: progress() reports the events each lane has
-// taken, which is at most its retired windows plus one pending window.
-// With the lane's first window blocked inside its detector, the slowest
-// lane's watermark must stay behind the published one, so the serving
-// layer's lag budget bounds windowed sessions too.
-TEST(ApiSessionTest, WindowedProgressWaitsForTheBlockedWindow) {
-  TraceBuilder B;
-  for (int I = 0; I != 200; ++I) {
-    B.acquire("T0", "l").write("T0", "x").release("T0", "l");
-    B.read("T1", "x").write("T1", "y");
-  }
-  Trace T = testutil::takeValid(B);
-  ASSERT_EQ(T.size(), 1000u);
-
-  auto G = std::make_shared<Gate>();
-  AnalysisConfig Cfg;
-  Cfg.Mode = RunMode::Windowed;
-  Cfg.WindowEvents = 4;
-  Cfg.addDetector(
-      [G](const Trace &W) { return std::make_unique<BlockingHb>(W, G); },
-      "blocking-HB");
-  AnalysisSession S(Cfg);
-  ASSERT_TRUE(S.feedTrace(T).ok());
-  {
-    std::unique_lock<std::mutex> Lk(G->M);
-    ASSERT_TRUE(G->CV.wait_for(Lk, std::chrono::seconds(10),
-                               [&] { return G->Entered; }))
-        << "the lane never started";
-  }
-
-  uint64_t MaxConsumed = 0;
-  const auto Until =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  while (std::chrono::steady_clock::now() < Until) {
-    const AnalysisSession::Progress P = S.progress();
-    EXPECT_EQ(P.Published, T.size());
-    MaxConsumed = std::max(MaxConsumed, P.MinLaneConsumed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  {
-    std::lock_guard<std::mutex> Lk(G->M);
-    G->Open = true;
-  }
-  G->CV.notify_all();
-  EXPECT_LT(MaxConsumed, T.size());
-
-  AnalysisResult R = S.finish();
-  ASSERT_TRUE(R.ok()) << R.firstError().str();
-  EXPECT_EQ(R.ThreadsUsed, 1u);
-  EXPECT_EQ(R.TasksStolen, 0u);
-  ASSERT_EQ(R.Lanes.size(), 1u);
-  EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size());
-  expectSameReport(R.Lanes[0].Report,
-                   testutil::windowedReference(
-                       makeDetectorFactory(DetectorKind::Hb), T, 4),
-                   T, "blocked windowed lane");
-}
-
 // ---- Session protocol: structured state errors ------------------------------
 
 TEST(ApiSessionTest, FeedAfterFinishAndDoubleFinishAreRejected) {
@@ -752,30 +634,12 @@ TEST(ApiSessionTest, IngestPreconditionsAreEnforced) {
   }
 }
 
-// ---- Pool-backed modes against their references ----------------------------
+// ---- Pool-backed mode against its reference --------------------------------
 
-TEST(ApiSessionTest, WindowedAndVarShardedSessionsMatchReferences) {
+TEST(ApiSessionTest, VarShardedSessionsMatchReferences) {
   Trace T = randomTrace(fuzzParams(29, true));
   for (DetectorKind K : kAllKinds) {
     DetectorFactory Make = makeDetectorFactory(K);
-    {
-      AnalysisConfig Cfg;
-      Cfg.addDetector(K);
-      Cfg.Mode = RunMode::Windowed;
-      Cfg.WindowEvents = 64;
-      Cfg.Threads = 1;
-      AnalysisSession S(Cfg);
-      ASSERT_TRUE(S.feedTrace(T).ok());
-      AnalysisResult R = S.finish();
-      ASSERT_TRUE(R.ok()) << R.firstError().str();
-      EXPECT_EQ(R.Lanes[0].DetectorName,
-                std::string(detectorKindName(K)) + "[w=64]");
-      EXPECT_GT(R.NumWindows, 1u);
-      expectSameReport(R.Lanes[0].Report,
-                       testutil::windowedReference(Make, T, 64), T,
-                       std::string("windowed session/") +
-                           detectorKindName(K));
-    }
     {
       AnalysisConfig Cfg;
       Cfg.addDetector(K);
@@ -816,15 +680,6 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
     expectInvalid(Cfg, "kind plus factory is ambiguous");
   }
   {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::Windowed);
-    expectInvalid(Cfg, "windowed without WindowEvents");
-  }
-  {
-    AnalysisConfig Cfg = allDetectorConfig(RunMode::Sequential);
-    Cfg.WindowEvents = 100;
-    expectInvalid(Cfg, "WindowEvents outside windowed mode");
-  }
-  {
     AnalysisConfig Cfg = allDetectorConfig(RunMode::VarSharded);
     expectInvalid(Cfg, "var-sharded without VarShards");
   }
@@ -847,11 +702,11 @@ TEST(AnalysisConfigTest, ValidationRejectsInconsistentCombinations) {
   EXPECT_EQ(S.feed(Event()).Code, StatusCode::InvalidConfig);
   EXPECT_EQ(S.finish().Overall.Code, StatusCode::InvalidConfig);
 
-  // Invalid configs in the pool-backed modes too: no streaming engine is
+  // Invalid configs in the pool-backed mode too: no streaming engine is
   // started, and finish()/partialResult() must report the config error,
   // not touch a pool that was never created.
-  for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
-    AnalysisConfig Cfg = allDetectorConfig(Mode); // Missing window/shards.
+  for (RunMode Mode : {RunMode::VarSharded}) {
+    AnalysisConfig Cfg = allDetectorConfig(Mode); // Missing shards.
     AnalysisSession Bad(Cfg);
     EXPECT_EQ(Bad.status().Code, StatusCode::InvalidConfig)
         << runModeName(Mode);
@@ -914,20 +769,14 @@ TEST(ApiSessionTest, MultiRoundDrainIsBitForBit) {
 }
 
 // A lane that throws mid-stream fails alone with a structured status; the
-// other lanes complete. Holds in every run mode; a windowed lane's error
-// names the window it failed in.
+// other lanes complete. Holds in every run mode.
 TEST(ApiSessionTest, ThrowingLaneFailsAloneInStreamingSessions) {
   Trace T = randomTrace(fuzzParams(7, false));
-  for (RunMode Mode :
-       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode : {RunMode::Sequential, RunMode::VarSharded}) {
     const std::string Label = runModeName(Mode);
     AnalysisConfig Cfg;
     Cfg.Mode = Mode;
     std::string BoomName = "Boom";
-    if (Mode == RunMode::Windowed) {
-      Cfg.WindowEvents = T.size(); // One window: the HB lane keeps its races.
-      BoomName += "[w=" + std::to_string(T.size()) + "]";
-    }
     if (Mode == RunMode::VarSharded)
       Cfg.VarShards = 2;
     Cfg.addDetector(DetectorKind::Hb);
@@ -946,9 +795,6 @@ TEST(ApiSessionTest, ThrowingLaneFailsAloneInStreamingSessions) {
     EXPECT_EQ(R.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError) << Label;
     const std::string &Msg = R.Lanes[1].LaneStatus.Message;
     EXPECT_NE(Msg.find("detector exploded"), std::string::npos) << Label;
-    if (Mode == RunMode::Windowed) {
-      EXPECT_NE(Msg.find("window 0"), std::string::npos) << Msg;
-    }
     EXPECT_EQ(R.Lanes[1].DetectorName, BoomName) << Label;
     EXPECT_FALSE(R.ok()) << Label;
     EXPECT_EQ(R.firstError().Code, StatusCode::AnalysisError) << Label;

@@ -166,8 +166,8 @@ TEST(WindowedDetectorTest, WindowingLosesFarRaces) {
   DetectorFactory Make = [](const Trace &Fragment) {
     return std::make_unique<WcpDetector>(Fragment);
   };
-  LaneReport Windowed = testutil::analyzeWindowed(Make, T, 500);
-  EXPECT_LT(Windowed.Report.numDistinctPairs(), Full.numDistinctPairs());
+  RaceReport Windowed = runDetectorWindowed(Make, T, 500);
+  EXPECT_LT(Windowed.numDistinctPairs(), Full.numDistinctPairs());
 }
 
 TEST(WindowedDetectorTest, WholeTraceWindowEqualsUnwindowedRun) {
@@ -181,11 +181,11 @@ TEST(WindowedDetectorTest, WholeTraceWindowEqualsUnwindowedRun) {
   DetectorFactory Make = [](const Trace &Fragment) {
     return std::make_unique<HbDetector>(Fragment);
   };
-  LaneReport Whole = testutil::analyzeWindowed(Make, T, T.size());
-  EXPECT_EQ(Whole.Report.numDistinctPairs(), Full.numDistinctPairs());
+  RaceReport Whole = runDetectorWindowed(Make, T, T.size());
+  EXPECT_EQ(Whole.numDistinctPairs(), Full.numDistinctPairs());
   for (uint64_t W : {64u, 256u, 1024u}) {
-    LaneReport Win = testutil::analyzeWindowed(Make, T, W);
-    for (const RaceInstance &I : Win.Report.instances())
+    RaceReport Win = runDetectorWindowed(Make, T, W);
+    for (const RaceInstance &I : Win.instances())
       EXPECT_TRUE(Full.hasPair(I.pair()))
           << "window " << W << " invented " << I.str(T);
   }

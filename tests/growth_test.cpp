@@ -8,12 +8,11 @@
 //
 //   1. never restart a lane (growth is an O(1) metadata update, not a
 //      rebuild-and-replay), and
-//   2. finish with reports bit-for-bit identical to analyzeTrace (and,
-//      where the mode promises it, plain runDetector) over the final
-//      trace,
+//   2. finish with reports bit-for-bit identical to analyzeTrace and to
+//      plain runDetector over the final trace,
 //
 // for every detector and every run mode. 50 seeds x {no-forkjoin,
-// forkjoin} = 100 distinct traces; each runs through all three modes with
+// forkjoin} = 100 distinct traces; each runs through both modes with
 // all four detector lanes, with a seed-derived random declaration
 // schedule: ids are declared in table order (the session's interner
 // assigns ids in declaration order) but at random offsets — sometimes
@@ -181,8 +180,6 @@ AnalysisConfig growthConfig(RunMode Mode, uint64_t Seed) {
   Cfg.StreamBatchEvents = 1 + Seed % 7; // Eager consumption: lanes run
                                         // genuinely behind the producer.
   Cfg.Threads = 1 + Seed % 3;
-  if (Mode == RunMode::Windowed)
-    Cfg.WindowEvents = 4 + Seed % 41;
   if (Mode == RunMode::VarSharded)
     Cfg.VarShards = 1 + Seed % 6;
   return Cfg;
@@ -190,12 +187,11 @@ AnalysisConfig growthConfig(RunMode Mode, uint64_t Seed) {
 
 class GrowthFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// Runs \p T through all three modes with a lazy declaration schedule and
+/// Runs \p T through both modes with a lazy declaration schedule and
 /// holds every lane to the restart-free + bit-for-bit contract.
 void expectGrowthRoundHolds(const Trace &T, uint64_t Seed, uint64_t DeclSeed,
                             const std::string &TraceLabel) {
-  for (RunMode Mode :
-       {RunMode::Sequential, RunMode::Windowed, RunMode::VarSharded}) {
+  for (RunMode Mode : {RunMode::Sequential, RunMode::VarSharded}) {
     AnalysisConfig Cfg = growthConfig(Mode, Seed);
     AnalysisSession S(Cfg);
     ASSERT_TRUE(S.status().ok()) << S.status().str();
@@ -217,15 +213,12 @@ void expectGrowthRoundHolds(const Trace &T, uint64_t Seed, uint64_t DeclSeed,
           << Label;
       expectSameReport(R.Lanes[L].Report, Want.Lanes[L].Report, Final,
                        Label + "/vs-analyzeTrace");
-      if (Mode != RunMode::Windowed) {
-        // Every unwindowed mode additionally promises equality with the
-        // plain sequential walk (windowed reports are windowed by
-        // design).
-        std::unique_ptr<Detector> D = makeDetectorFactory(kAllKinds[L])(Final);
-        RunResult Seq = runDetector(*D, Final);
-        expectSameReport(R.Lanes[L].Report, Seq.Report, Final,
-                         Label + "/vs-seq");
-      }
+      // Every mode additionally promises equality with the plain
+      // sequential walk.
+      std::unique_ptr<Detector> D = makeDetectorFactory(kAllKinds[L])(Final);
+      RunResult Seq = runDetector(*D, Final);
+      expectSameReport(R.Lanes[L].Report, Seq.Report, Final,
+                       Label + "/vs-seq");
     }
   }
 }

@@ -6,10 +6,9 @@
 // trace out to several detector lanes must be bit-for-bit identical (same
 // race pairs, same witness indices, in the same order) to the sequential
 // single-detector runs they replace — across run modes, thread counts,
-// shard counts, window sizes and scheduling. These tests pin that contract
-// on the paper figures and on randomized traces against runDetector and
-// the classic windowed loop, and cover the streaming chunked reader
-// against the one-shot loader byte for byte.
+// shard counts and scheduling. These tests pin that contract on the paper
+// figures and on randomized traces against runDetector, and cover the
+// streaming chunked reader against the one-shot loader byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -134,30 +133,24 @@ INSTANTIATE_TEST_SUITE_P(Random, PipelineRandomTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 TEST(PipelineTest, ThreadCountDoesNotChangeResults) {
-  // Only the pool-backed modes have a thread count to vary: window tasks
-  // and shard drains land on different workers in a different order, and
-  // the merged reports must not notice.
+  // Only the pool-backed mode has a thread count to vary: shard drains
+  // land on different workers in a different order, and the merged
+  // reports must not notice.
   Trace T = makeWorkload(workloadSpec("account"));
-  for (RunMode Mode : {RunMode::Windowed, RunMode::VarSharded}) {
-    auto configFor = [Mode](unsigned Threads) {
-      AnalysisConfig Cfg = allLanesConfig(Mode, Threads);
-      if (Mode == RunMode::Windowed)
-        Cfg.WindowEvents = 256;
-      else
-        Cfg.VarShards = 4;
-      return Cfg;
-    };
-    AnalysisResult RefRun = analyzeTrace(configFor(1), T);
-    ASSERT_TRUE(RefRun.ok()) << RefRun.firstError().str();
-    for (unsigned N : {2u, 4u, 8u}) {
-      AnalysisResult R = analyzeTrace(configFor(N), T);
-      ASSERT_TRUE(R.ok()) << R.firstError().str();
-      ASSERT_EQ(R.Lanes.size(), RefRun.Lanes.size());
-      for (size_t L = 0; L != R.Lanes.size(); ++L)
-        expectSameReport(R.Lanes[L].Report, RefRun.Lanes[L].Report, T,
-                         std::string(runModeName(Mode)) +
-                             " threads=" + std::to_string(N));
-    }
+  auto configFor = [](unsigned Threads) {
+    AnalysisConfig Cfg = allLanesConfig(RunMode::VarSharded, Threads);
+    Cfg.VarShards = 4;
+    return Cfg;
+  };
+  AnalysisResult RefRun = analyzeTrace(configFor(1), T);
+  ASSERT_TRUE(RefRun.ok()) << RefRun.firstError().str();
+  for (unsigned N : {2u, 4u, 8u}) {
+    AnalysisResult R = analyzeTrace(configFor(N), T);
+    ASSERT_TRUE(R.ok()) << R.firstError().str();
+    ASSERT_EQ(R.Lanes.size(), RefRun.Lanes.size());
+    for (size_t L = 0; L != R.Lanes.size(); ++L)
+      expectSameReport(R.Lanes[L].Report, RefRun.Lanes[L].Report, T,
+                       "var-sharded threads=" + std::to_string(N));
   }
 }
 
@@ -188,31 +181,6 @@ TEST(PipelineTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
                                Lanes[L].Name);
         }
       }
-    }
-  }
-}
-
-// ---- Windowed mode ----------------------------------------------------------
-
-TEST(PipelineTest, ShardedParallelMatchesWindowedReference) {
-  // Reference: the classic sequential windowed loop — fresh detector per
-  // window, indices translated to the parent trace, merged in window
-  // order. The windowed mode on a 4-worker pool must reproduce it exactly.
-  Trace T = makeWorkload(workloadSpec("bufwriter"), 0.05);
-  for (uint64_t W : {64u, 500u, 4096u}) {
-    for (NamedFactory &F : allLanes()) {
-      RaceReport Want = testutil::windowedReference(F.Make, T, W);
-      AnalysisConfig Cfg;
-      Cfg.Mode = RunMode::Windowed;
-      Cfg.WindowEvents = W;
-      Cfg.Threads = 4;
-      Cfg.addDetector(F.Make);
-      AnalysisResult R = analyzeTrace(Cfg, T);
-      ASSERT_EQ(R.Lanes.size(), 1u);
-      EXPECT_EQ(R.Lanes[0].DetectorName,
-                std::string(F.Name) + "[w=" + std::to_string(W) + "]");
-      expectSameReport(R.Lanes[0].Report, Want, T,
-                       std::string(F.Name) + " w=" + std::to_string(W));
     }
   }
 }

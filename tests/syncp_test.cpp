@@ -68,12 +68,10 @@ void expectAllWitnessed(const Trace &T, const RaceReport &Report,
 }
 
 /// Runs the SyncP lane through one run mode via the unified API.
-RaceReport runMode(const Trace &T, RunMode Mode, uint64_t WindowEvents = 0,
-                   uint32_t VarShards = 0) {
+RaceReport runMode(const Trace &T, RunMode Mode, uint32_t VarShards = 0) {
   AnalysisConfig Cfg;
   Cfg.addDetector(DetectorKind::SyncP);
   Cfg.Mode = Mode;
-  Cfg.WindowEvents = WindowEvents;
   Cfg.VarShards = VarShards;
   AnalysisResult R = analyzeTrace(Cfg, T);
   EXPECT_TRUE(R.ok()) << R.firstError().Message;
@@ -381,12 +379,13 @@ TEST_P(SyncPModeTest, AllModesMatchTheSequentialWalk) {
                              "sequential");
   for (uint32_t Shards : {1u, 2u, 5u})
     testutil::expectSameReport(
-        runMode(T, RunMode::VarSharded, 0, Shards), Want, T,
+        runMode(T, RunMode::VarSharded, Shards), Want, T,
         "var-sharded x" + std::to_string(Shards));
-  // Windowed is the deliberately handicapped baseline: it must still run
+  // The windowed baseline is deliberately handicapped: it must still run
   // (fresh index per window, fragment-local event ids) and every window-
   // local report entry must also be in the full-trace report.
-  RaceReport Windowed = runMode(T, RunMode::Windowed, 16);
+  RaceReport Windowed =
+      runDetectorWindowed(makeDetectorFactory(DetectorKind::SyncP), T, 16);
   for (const RaceInstance &R : Windowed.instances())
     // pairDistance is 0 exactly when the pair is unknown (real pairs have
     // distance >= 1).

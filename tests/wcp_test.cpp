@@ -289,10 +289,10 @@ TEST(WcpWindowedTest, DetectorIsRestartablePerFragment) {
   DetectorFactory Make = [](const Trace &F) {
     return std::make_unique<WcpDetector>(F);
   };
-  LaneReport Whole = testutil::analyzeWindowed(Make, T, T.size());
-  EXPECT_EQ(Whole.Report.numDistinctPairs(), Full.numDistinctPairs());
-  LaneReport Tiny = testutil::analyzeWindowed(Make, T, 3);
-  EXPECT_LE(Tiny.Report.numDistinctPairs(), Full.numDistinctPairs());
+  RaceReport Whole = runDetectorWindowed(Make, T, T.size());
+  EXPECT_EQ(Whole.numDistinctPairs(), Full.numDistinctPairs());
+  RaceReport Tiny = runDetectorWindowed(Make, T, 3);
+  EXPECT_LE(Tiny.numDistinctPairs(), Full.numDistinctPairs());
 }
 
 // Table 1 column 11 pinned: each model's WCP queue telemetry and WCP race
