@@ -178,13 +178,7 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   Stats.MaxSharedQueueEntries = std::max(
       Stats.MaxSharedQueueEntries, static_cast<uint64_t>(LS.Entries.size()));
 
-  if (TS.Depth == TS.CsStack.size())
-    TS.CsStack.emplace_back();
-  WcpCsFrame &Frame = TS.CsStack[TS.Depth++];
-  Frame.Lock = L;
-  Frame.EntryLogicalIdx = LogicalIdx;
-  Frame.ReadVars.clear();
-  Frame.WriteVars.clear();
+  TS.CsStack.push_back({L, LogicalIdx});
 }
 
 void WcpDetector::handleRelease(ThreadId T, LockId L) {
@@ -219,34 +213,20 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
     bumpLive(-2);
   }
 
-  // Lines 7-8: Rule (a) bookkeeping. Publish H_t into L^r/L^w for every
-  // variable this critical section read (R) or wrote (W). Hand-over-hand
-  // locking means the released section need not be the innermost one.
-  size_t FrameIdx = TS.Depth;
-  for (size_t K = TS.Depth; K-- > 0;) {
+  // Lines 7-8 (rule (a) bookkeeping) already ran at the section's
+  // accesses: each named this section's queue entry in its L^r/L^w cell,
+  // and Line 10 below stores H_t in that entry. Hand-over-hand locking
+  // means the released section need not be the innermost one.
+  size_t FrameIdx = TS.CsStack.size();
+  for (size_t K = TS.CsStack.size(); K-- > 0;) {
     if (TS.CsStack[K].Lock == L) {
       FrameIdx = K;
       break;
     }
   }
-  assert(FrameIdx < TS.Depth && "release without open section");
-  // Retire the frame: rotate it to the end of the open frames (the ones
-  // above it keep their order) and shrink Depth past it.
-  std::rotate(TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx),
-              TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx) + 1,
-              TS.CsStack.begin() + TS.Depth);
-  WcpCsFrame &Frame = TS.CsStack[--TS.Depth];
-
-  auto dedupe = [](std::vector<uint32_t> &Vars) {
-    std::sort(Vars.begin(), Vars.end());
-    Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
-  };
-  dedupe(Frame.ReadVars);
-  dedupe(Frame.WriteVars);
-  for (uint32_t X : Frame.ReadVars)
-    LS.Releases.cell(VarId(X)).Read.add(T.value(), TS.H);
-  for (uint32_t X : Frame.WriteVars)
-    LS.Releases.cell(VarId(X)).Write.add(T.value(), TS.H);
+  assert(FrameIdx < TS.CsStack.size() && "release without open section");
+  const uint64_t OwnIdx = TS.CsStack[FrameIdx].EntryLogicalIdx;
+  TS.CsStack.erase(TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx));
 
   // Line 9: this release becomes the last release of ℓ.
   LS.H = TS.H;
@@ -254,7 +234,7 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
 
   // Line 10: enqueue H_t into Rel_ℓ(t') for t' ≠ t — i.e. complete the
   // shared entry our matching acquire created.
-  WcpQueueEntry &Own = LS.entry(Frame.EntryLogicalIdx);
+  WcpQueueEntry &Own = LS.entry(OwnIdx);
   assert(Own.Thread == T && !Own.HasRelease && "queue entry mismatch");
   Own.ReleaseTime = TS.H;
   Own.HasRelease = true;
@@ -281,13 +261,17 @@ void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
   // releases of ℓ (by other threads) whose sections *wrote* x precede
   // this read: P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}. The access belongs to the R set
   // of *every* open section (sections may overlap without nesting, so
-  // bubbling on release would be wrong).
-  for (uint32_t K = 0; K != TS.Depth; ++K) {
-    WcpCsFrame &Frame = TS.CsStack[K];
-    if (const WcpVarReleases *C = Locks[Frame.Lock.value()].Releases.find(X))
-      if (C->Write.joinIntoExcluding(TS.P, T.value()))
+  // bubbling on release would be wrong), and enters it here rather than
+  // at release (Lines 7-8): L^r_{ℓ,x} names the section's queue entry
+  // now (see WcpReleaseClocks for why that is exact).
+  for (const WcpCsFrame &Frame : TS.CsStack) {
+    WcpLockState &LS = Locks[Frame.Lock.value()];
+    WcpVarReleases &C = LS.Releases.cell(X);
+    if (const VectorClock *H =
+            LS.releaseTime(C.Write.latestExcluding(T.value())))
+      if (TS.P.joinWith(*H))
         ++TS.PEpoch;
-    Frame.ReadVars.push_back(X.value());
+    C.Read.add(T.value(), Frame.EntryLogicalIdx);
   }
 
   // Race check (§3.2): W_x ⊑ C_e, with C_e = P_t[t := N_t]. The history
@@ -309,17 +293,16 @@ void WcpDetector::handleWrite(ThreadId T, VarId X, LocId Loc,
   WcpThreadState &TS = Threads[T.value()];
   // Line 12: Rule (a). Releases of enclosing locks (by other threads)
   // whose sections read *or* wrote x precede this write:
-  // P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}).
-  for (uint32_t K = 0; K != TS.Depth; ++K) {
-    WcpCsFrame &Frame = TS.CsStack[K];
-    if (const WcpVarReleases *C =
-            Locks[Frame.Lock.value()].Releases.find(X)) {
-      if (C->Read.joinIntoExcluding(TS.P, T.value()))
+  // P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}). The write enters each open
+  // section's W set as a read enters its R set.
+  for (const WcpCsFrame &Frame : TS.CsStack) {
+    WcpLockState &LS = Locks[Frame.Lock.value()];
+    WcpVarReleases &C = LS.Releases.cell(X);
+    if (const VectorClock *H =
+            LS.releaseTime(C.latestAccessExcluding(T.value())))
+      if (TS.P.joinWith(*H))
         ++TS.PEpoch;
-      if (C->Write.joinIntoExcluding(TS.P, T.value()))
-        ++TS.PEpoch;
-    }
-    Frame.WriteVars.push_back(X.value());
+    C.Write.add(T.value(), Frame.EntryLogicalIdx);
   }
 
   // Race check (§3.2): R_x ⊔ W_x ⊑ C_e.

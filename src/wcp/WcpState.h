@@ -10,10 +10,12 @@
 ///   * per thread t:  local clock N_t, WCP-predecessor clock P_t, HB clock
 ///     H_t (with the invariants C_t = P_t[t := N_t] and H_t(t) = N_t);
 ///   * per lock ℓ:    P_ℓ and H_ℓ, the P/H times of the last rel(ℓ), and
-///     a small open-addressed table keyed by variable x whose cell holds
-///     L^r_{ℓ,x} and L^w_{ℓ,x}, the joins of the HB times of releases of ℓ
-///     whose critical sections read/wrote x (a cell exists once some
-///     section of ℓ touched x);
+///     a small open-addressed table keyed by variable x whose cell stands
+///     for L^r_{ℓ,x} and L^w_{ℓ,x}, the joins of the HB times of releases
+///     of ℓ whose critical sections read/wrote x (a cell exists once some
+///     section of ℓ touched x). A cell holds no clock: it names the queue
+///     entries of the latest two such releases, whose H-times the entries
+///     already store (see WcpReleaseClocks for why that is exact);
 ///   * per (ℓ, t):    FIFO queues Acq_ℓ(t) and Rel_ℓ(t) of the C-times of
 ///     acquires / H-times of releases performed by *other* threads.
 ///
@@ -26,11 +28,10 @@
 ///
 /// Per-event processing does not allocate for traces of at most
 /// VectorClock::kInlineThreads threads: clocks are inline, a shared queue
-/// reuses the blocks its pops empty, a thread's critical-section frames
-/// are reused with their variable lists, and a rule-(a) cell stores its
-/// first releasing thread's clock inline. What remains is growth: a new
-/// block per eight entries of a queue that only grows, a table or
-/// variable list that fills up, a second releasing thread of one cell.
+/// reuses the blocks its pops empty, a thread's stack of open critical
+/// sections keeps its capacity, and a rule-(a) cell is two queue
+/// references. What remains is growth: a new block per eight entries of
+/// a queue that only grows, a table that fills up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -151,7 +152,9 @@ private:
   size_t Count = 0;
 };
 
-/// One L^r_{ℓ,x} / L^w_{ℓ,x} cell, split per releasing thread.
+/// One L^r_{ℓ,x} / L^w_{ℓ,x} cell, held by reference: the logical queue
+/// indices of the latest release of ℓ whose section read (or wrote) x,
+/// and of the latest such release by a thread other than that one's.
 ///
 /// Rule (a) of WCP fires only when the release's critical section contains
 /// an event *conflicting* with the current access, and conflicting events
@@ -159,53 +162,72 @@ private:
 /// t(r), contributions from the reader/writer's own thread must not be
 /// joined (they would claim HB-only predecessors as WCP predecessors and
 /// mask genuine races). The paper's pseudocode leaves this implicit in the
-/// conflict premise; we keep the join split per releasing thread. Nearly
-/// every cell has exactly one releasing thread, so the first one's clock
-/// is stored inline and only later ones go to a list.
+/// conflict premise. An access by t therefore needs the join of the
+/// H-times of the releases by threads other than t, and two indices give
+/// it exactly:
+///
+///   1. Releases of one lock are totally ordered and their H-times grow
+///      along that order (each acquire joins H_ℓ), so the join over other
+///      threads' releases is the H-time of the latest one.
+///   2. That latest release by a thread other than t is Latest unless
+///      Latest is t's own, and then it is Other (see latestExcluding).
+///   3. An index below the lock's queue Base names a collected entry,
+///      whose H-time the P of every thread in a section on ℓ already
+///      covers: a thread that existed at collection popped the entry (or
+///      performed it, and collection waits for its P to cover it), and a
+///      later thread joins P_ℓ, which covers it, when it acquires ℓ.
+///      Skipping it is a no-op join.
+///
+/// A section's accesses record its entry as they happen, not at its
+/// release. Until t releases ℓ, only t can be in a section on ℓ, and t's
+/// picks skip its own entries, so nothing reads the record before the
+/// release stores the entry's H-time.
 struct WcpReleaseClocks {
   static constexpr uint32_t kNoThread = ThreadId::invalid().value();
-  uint32_t FirstThread = kNoThread;
-  VectorClock First; ///< FirstThread's join (⊥ while there is none).
-  std::vector<std::pair<uint32_t, VectorClock>> Others;
+  static constexpr uint64_t kNone = UINT64_MAX;
+  uint64_t Latest = kNone; ///< Queue index of the latest release.
+  uint64_t Other = kNone;  ///< ... of the latest by another thread.
+  uint32_t LatestThread = kNoThread; ///< The thread of Latest.
 
-  /// Joins \p H into the cell of releasing thread \p T.
-  void add(uint32_t T, const VectorClock &H) {
-    if (FirstThread == kNoThread)
-      FirstThread = T;
-    if (FirstThread == T) {
-      First.joinWith(H);
-      return;
+  /// Records that the section of queue entry \p Idx, by thread \p T,
+  /// accessed x; it is the lock's latest section so far.
+  void add(uint32_t T, uint64_t Idx) {
+    if (LatestThread != T) {
+      Other = Latest;
+      LatestThread = T;
     }
-    for (auto &[Tid, Clock] : Others) {
-      if (Tid == T) {
-        Clock.joinWith(H);
-        return;
-      }
-    }
-    Others.emplace_back(T, H);
+    Latest = Idx;
   }
 
-  /// Joins every cell except \p ExcludeThread's into \p Out. Returns true
-  /// iff \p Out changed (feeds the P-epoch that keeps capture-mode
-  /// snapshot dedup O(1) across accesses; see ClockBroadcast).
-  bool joinIntoExcluding(VectorClock &Out, uint32_t ExcludeThread) const {
-    bool Changed = false;
-    if (FirstThread != ExcludeThread)
-      Changed |= Out.joinWith(First);
-    for (const auto &[Tid, Clock] : Others)
-      if (Tid != ExcludeThread)
-        Changed |= Out.joinWith(Clock);
-    return Changed;
+  /// The queue index of the latest recorded release by a thread other
+  /// than \p T, or kNone.
+  uint64_t latestExcluding(uint32_t T) const {
+    return LatestThread != T ? Latest : Other;
   }
 };
 
-/// The rule-(a) clocks of one (ℓ, x).
+/// The rule-(a) cells of one (ℓ, x).
 struct WcpVarReleases {
   static constexpr uint32_t kEmpty = VarId::invalid().value();
   uint32_t Var = kEmpty; ///< x, or kEmpty for an unused slot.
   WcpReleaseClocks Read;  ///< L^r_{ℓ,x}.
   WcpReleaseClocks Write; ///< L^w_{ℓ,x}.
+
+  /// The write rule's L^r_{ℓ,x} ⊔ L^w_{ℓ,x}: the queue index of the
+  /// latest release by a thread other than \p T whose section read or
+  /// wrote x, or kNone. The later entry's H-time covers the earlier's.
+  uint64_t latestAccessExcluding(uint32_t T) const {
+    const uint64_t R = Read.latestExcluding(T);
+    const uint64_t W = Write.latestExcluding(T);
+    if (R == WcpReleaseClocks::kNone || W == WcpReleaseClocks::kNone)
+      return std::min(R, W);
+    return std::max(R, W);
+  }
 };
+// Every access inside a critical section writes a cell. One that grew a
+// clock or a heap list would bring back the per-variable joins and
+// cache misses that naming queue entries removed.
+static_assert(sizeof(WcpVarReleases) <= 64, "rule-(a) cell grew");
 
 /// One lock's L^r/L^w cells, keyed by variable: open addressing with
 /// linear probing over a power-of-two slot array, at most 3/4 full. A
@@ -213,20 +235,7 @@ struct WcpVarReleases {
 /// wide and a lookup is one or two probes.
 class WcpReleaseTable {
 public:
-  /// The cell of \p X, or nullptr if no section of the lock touched it.
-  const WcpVarReleases *find(VarId X) const {
-    if (Slots.empty())
-      return nullptr;
-    for (size_t I = home(X.value());; I = (I + 1) & (Slots.size() - 1)) {
-      const WcpVarReleases &S = Slots[I];
-      if (S.Var == X.value())
-        return &S;
-      if (S.Var == WcpVarReleases::kEmpty)
-        return nullptr;
-    }
-  }
-
-  /// The cell of \p X, created empty (both clocks ⊥) on first use.
+  /// The cell of \p X, created empty (no release recorded) on first use.
   WcpVarReleases &cell(VarId X) {
     if (4 * (Used + 1) > 3 * Slots.size())
       rehash(Slots.empty() ? 4 : 2 * Slots.size());
@@ -313,6 +322,17 @@ struct WcpLockState {
            "queue entry out of range");
     return Entries[LogicalIdx - Base];
   }
+  /// The H-time of the release whose section's entry has logical index
+  /// \p LogicalIdx, or nullptr for WcpReleaseClocks::kNone and for a
+  /// collected entry (one every thread in a section on ℓ already covers;
+  /// see WcpReleaseClocks).
+  const VectorClock *releaseTime(uint64_t LogicalIdx) {
+    if (LogicalIdx == WcpReleaseClocks::kNone || LogicalIdx < Base)
+      return nullptr;
+    const WcpQueueEntry &E = entry(LogicalIdx);
+    assert(E.HasRelease && "rule-(a) cell names an open section");
+    return &E.ReleaseTime;
+  }
 
   /// Growable component accessors (untouched defaults, exactly the batch
   /// constructor's initial state — except the cursor, which starts at
@@ -354,15 +374,12 @@ struct WcpLockState {
   }
 };
 
-/// One open critical section of a thread: the lock, the shared queue entry
-/// created by its acquire, and the variables read/written inside it so far
-/// (including by nested sections, folded in when they close). These become
-/// the R/W parameters of the paper's release(t, ℓ, R, W) handler.
+/// One open critical section of a thread: the lock and the shared queue
+/// entry created by its acquire. The section's accesses name that entry
+/// in the lock's rule-(a) cells, so no R/W variable sets are kept.
 struct WcpCsFrame {
   LockId Lock;
   uint64_t EntryLogicalIdx;
-  std::vector<uint32_t> ReadVars;
-  std::vector<uint32_t> WriteVars;
 };
 
 /// Per-thread state.
@@ -387,11 +404,8 @@ struct WcpThreadState {
   uint64_t PEpoch = 1;
   uint64_t KEpoch = 1;
   bool IncrementNext = false; ///< Previous event was a release/fork.
-  /// CsStack[0, Depth) are the open critical sections, innermost last.
-  /// Frames past Depth are retired: the next acquire reuses one, keeping
-  /// its ReadVars/WriteVars capacity.
+  /// The open critical sections, innermost last.
   std::vector<WcpCsFrame> CsStack;
-  uint32_t Depth = 0;
 
   explicit WcpThreadState(uint32_t NumThreads = 0)
       : P(NumThreads), H(NumThreads), K(NumThreads) {}

@@ -12,6 +12,8 @@
 #include "detect/DetectorRunner.h"
 #include "gen/PaperTraces.h"
 #include "gen/Workloads.h"
+#include "reference/ClosureEngine.h"
+#include "support/Prng.h"
 #include "trace/TraceBuilder.h"
 #include "wcp/WcpDetector.h"
 
@@ -26,6 +28,18 @@ namespace {
 /// Runs the detector and returns per-event effective C timestamps.
 std::vector<VectorClock> timestamps(const Trace &T) {
   return testutil::captureTimestamps<WcpDetector>(T);
+}
+
+/// Asserts Theorem 2 on \p T for the per-event timestamps \p C: C_a ⊑ C_b
+/// iff a ≤WCP b under the ClosureEngine oracle, for every a <tr b.
+void expectTimestampsMatchClosure(const Trace &T,
+                                  const std::vector<VectorClock> &C) {
+  ClosureEngine Ref(T);
+  for (EventIdx B = 0; B != T.size(); ++B)
+    for (EventIdx A = 0; A != B; ++A)
+      EXPECT_EQ(C[A].lessOrEqual(C[B]), Ref.ordered(OrderKind::WCP, A, B))
+          << "a=" << T.eventStr(A) << " (#" << A << ") b=" << T.eventStr(B)
+          << " (#" << B << ") Ca=" << C[A].str() << " Cb=" << C[B].str();
 }
 
 } // namespace
@@ -77,6 +91,116 @@ TEST(WcpClockTest, AcquireReceivesWcpKnowledgeOfLastReleaseOnly) {
   RaceReport R = testutil::run<WcpDetector>(T);
   EXPECT_EQ(R.numDistinctPairs(), 1u)
       << "HB would order these; WCP must report the race";
+}
+
+TEST(WcpReleaseCellTest, PicksTheJoinOverOtherThreadsReleases) {
+  // A rule-(a) cell names the latest two releases and stands for the
+  // join of the H-times of all its releases. Brute-force model: random
+  // release sequences on one lock by 1-4 threads, each section reading
+  // and/or writing x, with H-times growing along the sequence as lock
+  // order makes them. For every excluded thread (including one that
+  // never releases) the H-time the cell picks must equal the join over
+  // every add by the other threads: L^r, L^w, and the write rule's
+  // L^r ⊔ L^w.
+  for (uint64_t Seed = 1; Seed <= 300; ++Seed) {
+    Prng Rng(Seed);
+    const uint32_t NumThreads = 1 + static_cast<uint32_t>(Rng.nextBelow(4));
+    std::vector<VectorClock> H; // H[i]: H-time of queue entry i.
+    std::vector<uint32_t> By;
+    std::vector<bool> Reads, Writes;
+    VectorClock Cur;
+    WcpVarReleases Cell;
+    auto Picked = [&](uint64_t Idx) {
+      return Idx == WcpReleaseClocks::kNone ? VectorClock() : H[Idx];
+    };
+    const uint64_t Releases = 1 + Rng.nextBelow(24);
+    for (uint64_t I = 0; I != Releases; ++I) {
+      const uint32_t T = static_cast<uint32_t>(Rng.nextBelow(NumThreads));
+      for (uint32_t U = 0; U != NumThreads; ++U)
+        if (U == T || Rng.chance(1, 3))
+          Cur.set(ThreadId(U), Cur.get(ThreadId(U)) + Rng.nextInRange(1, 3));
+      H.push_back(Cur);
+      By.push_back(T);
+      Reads.push_back(Rng.chance(1, 2));
+      Writes.push_back(Rng.chance(1, 2));
+      if (Reads.back())
+        Cell.Read.add(T, I);
+      if (Writes.back())
+        Cell.Write.add(T, I);
+
+      for (uint32_t Excl = 0; Excl <= NumThreads; ++Excl) {
+        VectorClock WantR, WantW;
+        for (uint64_t J = 0; J <= I; ++J) {
+          if (By[J] == Excl)
+            continue;
+          if (Reads[J])
+            WantR.joinWith(H[J]);
+          if (Writes[J])
+            WantW.joinWith(H[J]);
+        }
+        VectorClock WantRW = WantR;
+        WantRW.joinWith(WantW);
+        auto Expect = [&](const char *Rule, uint64_t Idx,
+                          const VectorClock &Want) {
+          const VectorClock Got = Picked(Idx);
+          EXPECT_TRUE(Got == Want)
+              << Rule << ", seed " << Seed << ", release " << I
+              << ", excluding t" << Excl << ": " << Got.str() << " vs "
+              << Want.str();
+        };
+        Expect("L^r", Cell.Read.latestExcluding(Excl), WantR);
+        Expect("L^w", Cell.Write.latestExcluding(Excl), WantW);
+        Expect("L^r+L^w", Cell.latestAccessExcluding(Excl), WantRW);
+      }
+    }
+  }
+}
+
+TEST(WcpReleaseCellTest, CollectedReleaseIsSkippedExactly) {
+  // A rule-(a) access whose latest other-thread release has already been
+  // collected from the lock's queue (index below Base) joins nothing: the
+  // entry's H-time is covered by the accessing thread's P. Pinned against
+  // the closure oracle through the Theorem 2 harness.
+  auto Build = [](bool WithLateThread) {
+    TraceBuilder B;
+    B.acquire("t1", "l").write("t1", "x").write("t1", "v").write("t1", "u");
+    B.release("t1", "l"); // Entry 0.
+    // Rule (a) on x orders entry 0 before t2's read; t2's release pops it.
+    B.acquire("t2", "l").read("t2", "x").write("t2", "y");
+    B.release("t2", "l"); // Entry 1.
+    // t1's acquire learns P_l ⊒ H(entry 0), and rule (a) on y lets its
+    // release pop entry 1: both cursors have passed entry 0 and t1's P
+    // covers its release time, so entry 0 is collected here.
+    B.acquire("t1", "l").read("t1", "y");
+    B.release("t1", "l"); // Entry 2.
+    // x's write cell and v's cells name entry 0 alone: these rule-(a)
+    // accesses by t2 (read rule, then write rule) hit the collected entry.
+    B.acquire("t2", "l").read("t2", "x").write("t2", "v");
+    B.release("t2", "l"); // Entry 3.
+    // The same for a thread first seen after the collection, on x and u
+    // (v's write cell now names entry 3).
+    if (WithLateThread) {
+      B.acquire("t3", "l").read("t3", "x").write("t3", "u");
+      B.release("t3", "l");
+    }
+    return testutil::takeValid(B);
+  };
+  Trace T = Build(false);
+  expectTimestampsMatchClosure(T, timestamps(T));
+
+  // Built up front, t3's unmoved cursor would keep entry 0 queued. A
+  // detector built over no threads admits t3 only at its first event,
+  // with its cursor at Base, so entry 0 is collected before t3 reaches it.
+  Trace Later = Build(true);
+  WcpDetector Grown{Trace()};
+  std::vector<VectorClock> C(Later.size());
+  for (EventIdx I = 0; I != Later.size(); ++I) {
+    Grown.processEvent(Later.event(I), I);
+    Grown.currentC(Later.event(I).Thread, C[I]);
+  }
+  expectTimestampsMatchClosure(Later, C);
+  testutil::expectSameReport(Grown.report(), testutil::run<WcpDetector>(Later),
+                             Later, "grown vs up front");
 }
 
 TEST(WcpQueueTest, Fig6ExercisesTheQueues) {
