@@ -10,11 +10,12 @@
 // pointers never invalidated), publishing with one atomic watermark store.
 // Consumers read the published prefix *in place* — no lock on the hot
 // path, no per-batch copy — and park on the store's eventcount when they
-// catch up with the producer. The session mutex M now guards only the
-// trace/id tables, validation and detector construction; it is never taken
-// on a consumer's per-event path. All per-lane state shared with
-// partialResult() sits behind a per-lane snapshot mutex; the lane's
-// taken watermark is atomic as well, so progress() never takes it.
+// catch up with the producer. The session mutex M guards the trace/id
+// tables, validation and the producer's detector construction; no lane
+// consumer ever takes it (the zero-event case aside, see below). All
+// per-lane state shared with partialResult() sits behind a per-lane
+// snapshot mutex; the lane's taken watermark is atomic as well, so
+// progress() never takes it.
 //
 // Every run mode streams, with one consumer thread per lane running the
 // shared wait/chunk loop (walkLane) over published ranges in place:
@@ -36,10 +37,21 @@
 // tables keeps analyzing bit-for-bit with one built against the final
 // tables; no lane ever rebuilds or replays.
 //
-// Table visibility: the producer interns ids and validates under M
-// *before* appending to the store (publishLocked runs with M held), so a
-// consumer that observed watermark W and then takes M to construct its
-// detector sees id tables at least as fresh as every event below W.
+// Table visibility: the producer is the only thread that reads the id
+// tables to build a detector. At the first publish (the store going from
+// 0 events to more) publishLocked builds every lane's detector under M,
+// then SnapM, against the tables as they stand, and records the table
+// sizes var-sharded capture uses as sizing hints. The watermark store
+// that follows orders those writes before each lane's first read of
+// Rt.D, so a lane that observed a nonzero watermark finds its detector
+// ready and never takes M. A factory that throws fails its own lane
+// only. (Lanes used to take M to build their detector at their first
+// batch; feedFile holds M for each whole chunk and re-takes it at once,
+// so a lane that missed the first gap usually waited until ingestion
+// ended — on a 1.05M-event .bin, HB and WCP started after the last chunk
+// and half the wall time passed after the feed.) Only a session that
+// publishes no event at all builds its detectors lane-side, in
+// finishWalkedLane, after ingestion has stopped.
 //
 // Lock order. The session mutex M nests SnapM inside (M → SnapM). The
 // var-sharded lane log mutex LogM also nests SnapM (LogM → SnapM). Shard
@@ -95,8 +107,9 @@ void lockCharged(std::unique_lock<std::mutex> &Lk, Counter WaitNs) {
 
 /// Per-lane runtime shared between its consumer thread and
 /// partialResult()/finish(). Fields below SnapM are guarded by it; the
-/// detector pointer is owned by the consumer but snapshot-read (report
-/// copy, name) under SnapM as well.
+/// detector pointer is written by the producer at the first publish
+/// (under SnapM, before the watermark store), walked by the consumer and
+/// snapshot-read (report copy, name) under SnapM as well.
 struct LaneRuntime {
   std::string Label;    ///< Config name override ("" = detector's name()).
   std::string Fallback; ///< Kind name, for labeling failed lanes.
@@ -105,6 +118,10 @@ struct LaneRuntime {
   std::mutex SnapM;
   std::unique_ptr<Detector> D;
   std::string Name;      ///< Resolved when the detector is built.
+  /// Table sizes when the producer built D: var-sharded capture's sizing
+  /// hints, published to the lane by the same watermark store as D.
+  uint32_t HintThreads = 0;
+  uint32_t HintVars = 0;
   RaceReport Final;      ///< Set by the consumer at drain time.
   Status LaneStatus;
   double Seconds = 0;    ///< Processing time, excluding waits.
@@ -183,8 +200,8 @@ struct AnalysisSession::Impl {
 
   // Trace / table state (guarded by M). Publication itself lives in
   // Store: the producer mirrors the validated prefix into it under M and
-  // publishes by watermark; consumers read the store lock-free and only
-  // take M to construct detectors against the id tables.
+  // publishes by watermark (building the lanes' detectors at the first
+  // publish); consumers read the store lock-free and never take M.
   std::mutex M;
   Trace Owned;
   const Trace *Live = &Owned; ///< Points into the reader during feedFile.
@@ -227,13 +244,14 @@ struct AnalysisSession::Impl {
 
   void start();
   template <typename StartFn, typename RangeFn>
-  void walkLane(LaneRuntime &Rt, const char *Span, StartFn &&Start,
+  bool walkLane(LaneRuntime &Rt, const char *Span, StartFn &&Start,
                 RangeFn &&Range);
   void walkDetector(LaneRuntime &Rt, uint64_t From, uint64_t End);
   void sequentialConsumer(LaneRuntime &Rt);
   void varShardConsumer(LaneRuntime &Rt, VarShardState &VS);
   void drainVarShard(VarShardState &VS, uint32_t S);
   void scheduleDrains(VarShardState &VS, std::vector<uint32_t> &ToSchedule);
+  void buildDetectorsLocked();
   void buildDetector(LaneRuntime &Rt);
   void finishWalkedLane(LaneRuntime &Rt);
   void registerObservability();
@@ -246,8 +264,32 @@ struct AnalysisSession::Impl {
   void snapshotVarShardLane(VarShardState &VS, LaneReport &Lane);
 };
 
-/// Builds \p Rt's detector against the current tables. Takes M, then
-/// SnapM (M → SnapM is the session's one lock order).
+/// Builds every lane's detector against the tables as they stand, at the
+/// first publish (see "Table visibility" in the file header). Caller
+/// holds M; takes each lane's SnapM inside it. A factory that throws
+/// fails its own lane: the lane is marked done with the message,
+/// keeps no detector, and its consumer exits at its first batch.
+void AnalysisSession::Impl::buildDetectorsLocked() {
+  for (auto &Rt : Lanes) {
+    std::lock_guard<std::mutex> G(Rt->SnapM);
+    std::string Err;
+    if (guardedTask(Err, [&] {
+          Rt->D = Rt->Make(*Live);
+          Rt->Name = Rt->Label.empty() ? Rt->D->name() : Rt->Label;
+        })) {
+      Rt->HintThreads = Live->numThreads();
+      Rt->HintVars = Live->numVars();
+    } else {
+      Rt->D.reset();
+      Rt->LaneStatus = Status(StatusCode::AnalysisError, std::move(Err));
+      Rt->Done = true;
+    }
+  }
+}
+
+/// Builds \p Rt's detector on its own consumer thread — only for a
+/// session that published no event, once ingestion has stopped. Takes M,
+/// then SnapM (M → SnapM is the session's one lock order).
 void AnalysisSession::Impl::buildDetector(LaneRuntime &Rt) {
   std::lock_guard<std::mutex> Lk(M);
   std::lock_guard<std::mutex> G(Rt.SnapM);
@@ -289,12 +331,14 @@ template <typename Fn> void runLane(LaneRuntime &Rt, Fn &&Body) {
 /// \p Range runs outside every lock and takes SnapM itself, so chunking
 /// releases SnapM regularly for partialResult(); each chunk is one \p Span
 /// timeline span. \p Start runs once, outside every lock, when the lane
-/// first has work: lanes build their detector against whatever id tables
-/// exist then, and growable detector state admits ids declared later, so
-/// table growth never restarts the lane (bit-for-bit with runDetector;
-/// see the header comment).
+/// first has work. By then the producer has built the lane's detector
+/// (the watermark this lane observed was stored after it), against the
+/// id tables of the first publish; growable detector state admits ids
+/// declared later, so table growth never restarts the lane (bit-for-bit
+/// with runDetector; see the header comment). Returns false, without
+/// walking, when the producer found the lane's factory throwing.
 template <typename StartFn, typename RangeFn>
-void AnalysisSession::Impl::walkLane(LaneRuntime &Rt, const char *Span,
+bool AnalysisSession::Impl::walkLane(LaneRuntime &Rt, const char *Span,
                                      StartFn &&Start, RangeFn &&Range) {
   const uint64_t Batch = std::max<uint64_t>(Cfg.StreamBatchEvents, 1);
   uint64_t Taken = 0;
@@ -304,9 +348,12 @@ void AnalysisSession::Impl::walkLane(LaneRuntime &Rt, const char *Span,
   for (;;) {
     const uint64_t To = Store.waitPublished(Taken, Rt.ParkNs, Stopped);
     if (To == Taken)
-      break; // Stopped and fully drained.
-    if (Taken == 0)
+      return true; // Stopped and fully drained.
+    if (Taken == 0) {
+      if (!Rt.D)
+        return false; // Failed at the first publish; its status is set.
       Start();
+    }
     while (Taken != To) {
       const uint64_t From = Taken;
       const uint64_t End = std::min(To, From + Batch);
@@ -342,10 +389,10 @@ void AnalysisSession::Impl::walkDetector(LaneRuntime &Rt, uint64_t From,
 /// One lane of the sequential streaming mode: the plain walk.
 void AnalysisSession::Impl::sequentialConsumer(LaneRuntime &Rt) {
   runLane(Rt, [&] {
-    walkLane(
-        Rt, "consume", [&] { buildDetector(Rt); },
-        [&](uint64_t From, uint64_t End) { walkDetector(Rt, From, End); });
-    finishWalkedLane(Rt);
+    if (walkLane(
+            Rt, "consume", [] {},
+            [&](uint64_t From, uint64_t End) { walkDetector(Rt, From, End); }))
+      finishWalkedLane(Rt);
   });
 }
 
@@ -438,16 +485,10 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
   bool Capturing = false;
 
   // Attach capture, once per session: the log, the broadcast table and
-  // the shard checkers are all growable, so the table sizes read here are
-  // sizing hints, not bounds.
+  // the shard checkers are all growable, so the table sizes the producer
+  // recorded when it built the detector are sizing hints, not bounds.
   auto AttachCapture = [&] {
-    uint32_t HintThreads, HintVars;
-    {
-      std::lock_guard<std::mutex> Lk(M);
-      HintThreads = Live->numThreads();
-      HintVars = Live->numVars();
-    }
-    auto NewLog = std::make_unique<AccessLog>(HintThreads);
+    auto NewLog = std::make_unique<AccessLog>(Rt.HintThreads);
     {
       std::lock_guard<std::mutex> G(Rt.SnapM);
       Capturing = Rt.D->beginCapture(*NewLog);
@@ -465,7 +506,7 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
       VarShard &Sh = *VS.Shards[S];
       std::lock_guard<std::mutex> G(Sh.SM);
       Sh.Checker = std::make_unique<ShardChecker>(
-          VS.Plan.numLocalVars(S, HintVars), HintThreads);
+          VS.Plan.numLocalVars(S, Rt.HintVars), Rt.HintThreads);
     }
   };
 
@@ -498,16 +539,12 @@ void AnalysisSession::Impl::varShardConsumer(LaneRuntime &Rt,
   };
 
   runLane(Rt, [&] {
-    walkLane(
-        Rt, "capture",
-        [&] {
-          buildDetector(Rt);
-          AttachCapture();
-        },
-        [&](uint64_t From, uint64_t End) {
-          walkDetector(Rt, From, End);
-          CommitChunk(End);
-        });
+    if (!walkLane(Rt, "capture", AttachCapture,
+                  [&](uint64_t From, uint64_t End) {
+                    walkDetector(Rt, From, End);
+                    CommitChunk(End);
+                  }))
+      return;
     if (!Capturing) {
       // Plain-walk lane (no capture support) — or a zero-event session
       // whose detector never attached; either way the walk already
@@ -709,6 +746,8 @@ void AnalysisSession::Impl::publishLocked() {
   uint64_t Prev = Store.size();
   if (Validated == Prev)
     return;
+  if (Prev == 0)
+    buildDetectorsLocked(); // Before the watermark store that publishes D.
   const std::vector<Event> &Events = Live->events();
   for (uint64_t I = Prev; I != Validated; ++I)
     Store.append(Events[I]);

@@ -30,10 +30,15 @@
 ///                prefixes concurrently; only the final trace-order
 ///                merge waits for finish().
 ///
-/// Detectors are constructed against the id tables (threads/locks/vars)
-/// visible when a lane first has work, and *grow in place* when tables
-/// grow afterwards — text inputs intern lazily; push feeds may declare
-/// late. Every piece of detector state is size-polymorphic (implicit-zero
+/// Detectors are constructed by the producer at the first publish, against
+/// the id tables (threads/locks/vars) visible then, and *grow in place*
+/// when tables grow afterwards — text inputs intern lazily; push feeds may
+/// declare late. Lane threads never take the session mutex: they find
+/// their detector ready when they first see the watermark move, so every
+/// lane starts walking while the producer is still reading (when lanes
+/// built their own detectors under that mutex, a lane could wait out a
+/// whole feedFile for it). A factory that throws fails its own lane only.
+/// Every piece of detector state is size-polymorphic (implicit-zero
 /// vector clocks, grow-on-first-touch access histories/locksets/queues),
 /// so a mid-stream declaration is an O(1) metadata update: no lane ever
 /// rebuilds or replays.

@@ -800,3 +800,99 @@ TEST(ApiSessionTest, ThrowingLaneFailsAloneInStreamingSessions) {
     EXPECT_EQ(R.firstError().Code, StatusCode::AnalysisError) << Label;
   }
 }
+
+namespace {
+
+/// A racy trace longer than one ChunkedTraceReader chunk (65,536 events),
+/// saved as a binary file, so feedFile publishes it in several chunks.
+std::string saveMultiChunkTrace(const std::string &Name, Trace &T) {
+  RandomTraceParams P = fuzzParams(5, true);
+  P.NumThreads = 4;
+  P.OpsPerThread = 40000;
+  T = randomTrace(P);
+  EXPECT_GT(T.size(), 2u * 65536);
+  std::string Path = tempPath(Name);
+  EXPECT_EQ(saveTraceFile(T, Path), "");
+  return Path;
+}
+
+} // namespace
+
+// Detectors are built by the producer at the first publish, never by a
+// lane thread: a lane that had to take the session mutex to build its
+// detector could wait out the whole of feedFile. The factory runs once,
+// on the feeding thread, against the first chunk's tables and events,
+// and the lane still reproduces runDetector exactly.
+TEST(ApiSessionTest, ProducerBuildsDetectorsAtTheFirstPublish) {
+  Trace T;
+  const std::string Path = saveMultiChunkTrace("first_publish.bin", T);
+  for (RunMode Mode : {RunMode::Sequential, RunMode::VarSharded}) {
+    const std::string Label = runModeName(Mode);
+    std::mutex CallsM;
+    std::vector<std::pair<std::thread::id, uint64_t>> Calls;
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    if (Mode == RunMode::VarSharded)
+      Cfg.VarShards = 2;
+    Cfg.addDetector(
+        [&](const Trace &Tr) {
+          std::lock_guard<std::mutex> G(CallsM);
+          Calls.emplace_back(std::this_thread::get_id(), Tr.size());
+          return makeDetectorFactory(DetectorKind::Hb)(Tr);
+        },
+        "Recorded");
+    AnalysisSession S(Cfg);
+    ASSERT_TRUE(S.feedFile(Path).ok()) << Label;
+    AnalysisResult R = S.finish();
+    ASSERT_TRUE(R.ok()) << Label << ": " << R.firstError().str();
+    {
+      std::lock_guard<std::mutex> G(CallsM);
+      ASSERT_EQ(Calls.size(), 1u) << Label;
+      EXPECT_EQ(Calls[0].first, std::this_thread::get_id()) << Label;
+      EXPECT_EQ(Calls[0].second, 65536u) << Label;
+    }
+    ASSERT_EQ(R.Lanes.size(), 1u) << Label;
+    EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size()) << Label;
+    HbDetector Hb(S.trace());
+    RunResult Want = runDetector(Hb, S.trace());
+    EXPECT_GT(Want.Report.numDistinctPairs(), 0u) << Label;
+    expectSameReport(R.Lanes[0].Report, Want.Report, S.trace(), Label);
+  }
+  std::remove(Path.c_str());
+}
+
+// A factory that throws at the first publish of a multi-chunk feedFile
+// fails its own lane only: the feed still returns OK and the other lane
+// walks the whole file.
+TEST(ApiSessionTest, ThrowingFactoryFailsAloneThroughFeedFile) {
+  Trace T;
+  const std::string Path = saveMultiChunkTrace("throwing_factory.bin", T);
+  for (RunMode Mode : {RunMode::Sequential, RunMode::VarSharded}) {
+    const std::string Label = runModeName(Mode);
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    if (Mode == RunMode::VarSharded)
+      Cfg.VarShards = 2;
+    Cfg.addDetector(DetectorKind::Hb);
+    Cfg.addDetector(
+        [](const Trace &) -> std::unique_ptr<Detector> {
+          throw std::runtime_error("detector exploded");
+        },
+        "Boom");
+    AnalysisSession S(Cfg);
+    ASSERT_TRUE(S.feedFile(Path).ok()) << Label;
+    AnalysisResult R = S.finish();
+    ASSERT_EQ(R.Lanes.size(), 2u) << Label;
+    ASSERT_TRUE(R.Lanes[0].LaneStatus.ok())
+        << Label << ": " << R.Lanes[0].LaneStatus.str();
+    EXPECT_EQ(R.Lanes[0].EventsConsumed, T.size()) << Label;
+    EXPECT_GT(R.Lanes[0].Report.numDistinctPairs(), 0u) << Label;
+    EXPECT_EQ(R.Lanes[1].LaneStatus.Code, StatusCode::AnalysisError) << Label;
+    EXPECT_NE(R.Lanes[1].LaneStatus.Message.find("detector exploded"),
+              std::string::npos)
+        << Label;
+    EXPECT_EQ(R.Lanes[1].DetectorName, "Boom") << Label;
+    EXPECT_TRUE(R.Overall.ok()) << Label << ": " << R.Overall.str();
+  }
+  std::remove(Path.c_str());
+}

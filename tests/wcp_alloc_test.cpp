@@ -12,10 +12,10 @@
 //
 // WCP's per-event path is allocation-free by construction: clocks of up
 // to VectorClock::kInlineThreads threads live inline, queues reuse the
-// blocks their pops empty, rule-(a) cells keep their first releaser's
-// clock inline, and critical-section frames are reused. What remains is
-// growth (a block per eight entries of a queue nobody collects, tables,
-// variable lists, race reports) and the rare second releaser of a cell.
+// blocks their pops empty, rule-(a) cells hold two queue indices and no
+// clock, and critical-section frames are a plain stack. What remains is
+// growth (a block per eight entries of a queue nobody collects, the
+// per-lock rule-(a) tables, thread and lock tables, race reports).
 //
 //===----------------------------------------------------------------------===//
 
