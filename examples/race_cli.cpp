@@ -7,9 +7,10 @@
 // mode goes through the same validated entry point, and failures surface
 // as structured statuses.
 //
-// Run `race_cli --help` for the full flag matrix. --stream feeds the file
-// through the session's streaming engine, which overlaps analysis with
-// ingestion — lanes consume published chunks as they arrive. --json
+// Run `race_cli --help` for the full flag matrix. Every input takes one
+// path: a file (or '-' for stdin) streams through AnalysisSession::feedFile,
+// so analysis overlaps ingestion — lanes consume published chunks as they
+// arrive — and the built-in model goes through feedTrace. --json
 // replaces the human-readable output with a machine-readable report
 // (lanes, statuses, timings, telemetry); --dry-run validates the flag
 // combination and exits (the docs CI job uses it to keep every invocation
@@ -19,7 +20,6 @@
 
 #include "api/AnalysisSession.h"
 #include "gen/Workloads.h"
-#include "io/TraceFile.h"
 #include "obs/Metrics.h"
 #include "serve/ReportCanon.h"
 #include "support/Json.h"
@@ -30,8 +30,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,7 +45,6 @@ struct Options {
   bool RunEraser = false;
   bool RunSyncP = false;
   bool ShowStats = false;
-  bool Stream = false;
   bool Json = false;
   bool DryRun = false;
   bool ShowMetrics = false; // --metrics: human-readable telemetry tables.
@@ -61,10 +58,11 @@ void printHelp() {
       "usage: race_cli [trace-file] [options]\n"
       "\n"
       "Analyzes a trace (.bin or .txt; the built-in 'mergesort' workload\n"
-      "model when no file is given) for predictable data races. Pass '-'\n"
-      "to read a text trace from stdin (requires --stream: standard input\n"
-      "cannot seek, so only the streaming session can consume it); FIFO\n"
-      "paths stream the same way.\n"
+      "model when no file is given) for predictable data races. The file\n"
+      "streams through one analysis session: lanes consume published\n"
+      "chunks while later ones are still being read, for binary and text\n"
+      "traces alike. Pass '-' to read a text trace from stdin; FIFO paths\n"
+      "stream the same way.\n"
       "\n"
       "detectors (default: --hb --wcp):\n"
       "  --hb           Djit+-style happens-before\n"
@@ -74,12 +72,6 @@ void printHelp() {
       "  --eraser       Eraser locksets\n"
       "  --syncp        sync-preserving race prediction (SP-closure;\n"
       "                 finds races WCP provably misses)\n"
-      "\n"
-      "execution (one sequential lane per detector over the whole trace):\n"
-      "  --stream       feed the file through a streaming session so\n"
-      "                 analysis overlaps ingestion: lanes consume\n"
-      "                 published chunks. Requires a trace file; binary\n"
-      "                 and text traces both publish chunk by chunk\n"
       "\n"
       "output:\n"
       "  --stats        print trace statistics first\n"
@@ -91,8 +83,7 @@ void printHelp() {
       "  --no-metrics   disable metric collection entirely (the zero-cost\n"
       "                 path: no atomics, no clock reads)\n"
       "  --trace-out F  write a Chrome/Perfetto trace_event timeline of\n"
-      "                 the run to F (requires --stream; open the file at\n"
-      "                 ui.perfetto.dev)\n"
+      "                 the run to F (open the file at ui.perfetto.dev)\n"
       "  --report-out F write the canonical race report to F — the exact\n"
       "                 bytes race_serverd's Report frames carry, for\n"
       "                 diffing live sessions against offline replays\n"
@@ -102,11 +93,11 @@ void printHelp() {
       "\n"
       "examples:\n"
       "  race_cli trace.bin --hb --wcp\n"
-      "  race_cli trace.bin --stream --metrics\n"
-      "  race_cli trace.bin --stream --trace-out run.json\n"
+      "  race_cli trace.bin --metrics\n"
+      "  race_cli trace.bin --trace-out run.json\n"
       "  race_cli trace.txt --json --fasttrack\n"
       "  race_cli trace.bin --wcp --syncp\n"
-      "  cat trace.txt | race_cli - --stream --hb --wcp\n"
+      "  cat trace.txt | race_cli - --hb --wcp\n"
       "  race_cli trace.txt --report-out report.txt\n",
       stdout);
 }
@@ -147,13 +138,11 @@ std::string renderTelemetryJson(const std::vector<MetricSample> &Telemetry,
 
 /// The machine-readable report: one JSON object whose field names are
 /// the AnalysisResult's (seconds as fixed-point numbers, see Json.h).
-std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg,
-                       bool Streamed) {
+std::string renderJson(const AnalysisResult &R, const AnalysisConfig &Cfg) {
   std::string J;
   J += "{\n";
   J += "  \"tool\": \"race_cli\",\n";
   J += "  \"mode\": \"" + std::string(runModeName(Cfg.Mode)) + "\",\n";
-  J += "  \"streamed\": " + std::string(Streamed ? "true" : "false") + ",\n";
   J += "  \"status\": " + jsonQuote(R.firstError().ok() ? "ok"
                                                       : R.firstError().str()) +
        ",\n";
@@ -201,8 +190,6 @@ int main(int Argc, char **Argv) {
       Opts.RunSyncP = true;
     else if (Arg == "--stats")
       Opts.ShowStats = true;
-    else if (Arg == "--stream")
-      Opts.Stream = true;
     else if (Arg == "--json")
       Opts.Json = true;
     else if (Arg == "--dry-run")
@@ -232,24 +219,6 @@ int main(int Argc, char **Argv) {
   if (!Opts.RunHb && !Opts.RunWcp && !Opts.RunFastTrack && !Opts.RunEraser &&
       !Opts.RunSyncP)
     Opts.RunHb = Opts.RunWcp = true;
-  if (Opts.Stream && Opts.Path.empty() && !Opts.DryRun) {
-    std::fprintf(stderr, "error: --stream needs a trace file\n");
-    return 1;
-  }
-  if (Opts.Path == "-" && !Opts.Stream) {
-    // Stdin cannot seek: the batch loaders need a rewindable file, so '-'
-    // only composes with the streaming session.
-    std::fprintf(stderr,
-                 "error: reading from '-' (stdin) requires --stream (stdin "
-                 "cannot seek)\n");
-    return 1;
-  }
-  if (!Opts.TraceOut.empty() && !Opts.Stream) {
-    // The timeline is exported from the live session; analyzeTrace
-    // returns only the result.
-    std::fprintf(stderr, "error: --trace-out requires --stream\n");
-    return 1;
-  }
   if (Opts.ShowMetrics && Opts.NoMetrics) {
     std::fprintf(stderr, "error: --metrics and --no-metrics conflict\n");
     return 1;
@@ -276,67 +245,47 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   if (Opts.DryRun) {
-    std::printf("dry-run ok: mode=%s detectors=%zu%s\n",
-                runModeName(Cfg.Mode), Cfg.Detectors.size(),
-                Opts.Stream ? " streamed" : "");
+    std::printf("dry-run ok: mode=%s detectors=%zu\n",
+                runModeName(Cfg.Mode), Cfg.Detectors.size());
     return 0;
   }
 
-  // Run: either a streaming session over the file (ingest overlaps
-  // analysis) or analyzeTrace over a trace loaded up front. The session
-  // (when used) stays alive so its trace can be rendered without a copy.
-  AnalysisResult R;
-  Trace Batch;
-  std::optional<AnalysisSession> Session;
-  double IngestSeconds = 0;
-  if (Opts.Stream) {
-    Session.emplace(Cfg);
-    // Even on ingest failure, finish and render: the session's contract
-    // is that the validated/published prefix stays analyzed, and --json
-    // consumers always get a report (with the failure in its status).
-    // A failed feed is the session's sticky status, so R.Overall carries
-    // it and it is reported once, below, as in the loaded-trace path.
-    (void)Session->feedFile(Opts.Path);
-    R = Session->finish();
-    IngestSeconds = R.IngestSeconds;
-    if (!Opts.TraceOut.empty()) {
-      std::string Timeline = Session->exportTimeline();
-      std::FILE *F = std::fopen(Opts.TraceOut.c_str(), "wb");
-      if (!F || std::fwrite(Timeline.data(), 1, Timeline.size(), F) !=
-                    Timeline.size()) {
-        std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                     Opts.TraceOut.c_str());
-        if (F)
-          std::fclose(F);
-        return 1;
-      }
-      std::fclose(F);
-      if (!Opts.Json)
-        std::printf("timeline written to %s (open at ui.perfetto.dev)\n",
-                    Opts.TraceOut.c_str());
-    }
+  // Run: one session for every input. A file (or '-') streams through
+  // feedFile, so ingest overlaps analysis; the built-in model is fed from
+  // memory. The session stays alive so its trace renders without a copy.
+  AnalysisSession Session(Cfg);
+  if (Opts.Path.empty()) {
+    if (!Opts.Json)
+      std::printf("no trace file given; analyzing the built-in "
+                  "'mergesort' workload model\n\n");
+    (void)Session.feedTrace(makeWorkload(workloadSpec("mergesort")));
   } else {
-    if (Opts.Path.empty()) {
-      if (!Opts.Json)
-        std::printf("no trace file given; analyzing the built-in "
-                    "'mergesort' workload model\n\n");
-      Batch = makeWorkload(workloadSpec("mergesort"));
-    } else {
-      Timer Ingest;
-      TraceLoadResult Load = loadTraceFile(Opts.Path);
-      if (!Load.Ok) {
-        std::fprintf(stderr, "error: %s\n", Load.status().str().c_str());
-        return 1;
-      }
-      IngestSeconds = Ingest.seconds();
-      Batch = std::move(Load.T);
-    }
-    R = analyzeTrace(Cfg, Batch);
+    // Even on ingest failure, finish and render: the validated/published
+    // prefix stays analyzed, and --json consumers always get a report. A
+    // failed feed is the session's sticky status, so R.Overall carries it
+    // (an ill-formed trace surfaces as its first ValidationError, exit 1)
+    // and it is reported once, below.
+    (void)Session.feedFile(Opts.Path);
   }
-  const Trace &T = Opts.Stream ? Session->trace() : Batch;
-  // Both paths validate inside the session, event by event before
-  // publication: an ill-formed trace surfaces as the first
-  // ValidationError in R.Overall (exit 1), in --json mode too.
+  AnalysisResult R = Session.finish();
+  const Trace &T = Session.trace();
+
+  if (!Opts.TraceOut.empty()) {
+    std::string Timeline = Session.exportTimeline();
+    std::FILE *F = std::fopen(Opts.TraceOut.c_str(), "wb");
+    if (!F || std::fwrite(Timeline.data(), 1, Timeline.size(), F) !=
+                  Timeline.size()) {
+      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
+                   Opts.TraceOut.c_str());
+      if (F)
+        std::fclose(F);
+      return 1;
+    }
+    std::fclose(F);
+    if (!Opts.Json)
+      std::printf("timeline written to %s (open at ui.perfetto.dev)\n",
+                  Opts.TraceOut.c_str());
+  }
 
   if (!Opts.ReportOut.empty()) {
     const std::string Canon = canonicalReport(R, T);
@@ -353,7 +302,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (Opts.Json) {
-    std::fputs(renderJson(R, Cfg, Opts.Stream).c_str(), stdout);
+    std::fputs(renderJson(R, Cfg).c_str(), stdout);
     return R.ok() ? 0 : 1;
   }
 
@@ -421,14 +370,12 @@ int main(int Argc, char **Argv) {
     LaneFailed = true;
   }
 
-  if (Opts.Stream) {
-    std::printf("\npipeline: %u thread(s), streamed\n", R.ThreadsUsed);
-    double LaneTotal = R.laneSecondsTotal();
-    std::printf("lane analysis %.3fs total in %.3fs wall", LaneTotal,
-                R.WallSeconds);
-    if (R.WallSeconds > 0 && LaneTotal > 0)
-      std::printf(" (%.2fx concurrency)", LaneTotal / R.WallSeconds);
-    std::printf("; ingest %.3fs\n", IngestSeconds);
-  }
+  std::printf("\npipeline: %u thread(s)\n", R.ThreadsUsed);
+  double LaneTotal = R.laneSecondsTotal();
+  std::printf("lane analysis %.3fs total in %.3fs wall", LaneTotal,
+              R.WallSeconds);
+  if (R.WallSeconds > 0 && LaneTotal > 0)
+    std::printf(" (%.2fx concurrency)", LaneTotal / R.WallSeconds);
+  std::printf("; ingest %.3fs\n", R.IngestSeconds);
   return LaneFailed ? 1 : 0;
 }

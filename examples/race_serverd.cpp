@@ -64,7 +64,7 @@ struct Options {
   bool RunFastTrack = false;
   bool RunEraser = false;
   bool RunSyncP = false;
-  uint64_t StreamBatch = 0; ///< 0 = the session default.
+  uint64_t BatchEvents = 0; ///< 0 = the session default.
   uint64_t BudgetLag = 1u << 20;
   uint64_t MaxEvents = 0;
   unsigned IngestThreads = 2;
@@ -162,7 +162,7 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--socket")
       Opts.Socket = NeedsValue(I);
     else if (Arg == "--stream-batch")
-      Opts.StreamBatch = NeedsUnsigned(I, 1);
+      Opts.BatchEvents = NeedsUnsigned(I, 1);
     else if (Arg == "--budget-lag")
       Opts.BudgetLag = NeedsUnsigned(I);
     else if (Arg == "--max-events")
@@ -209,8 +209,8 @@ int main(int Argc, char **Argv) {
   Cfg.RosterMax = static_cast<size_t>(Opts.RosterMax);
   Cfg.RetryAfterMs = static_cast<uint32_t>(Opts.RetryAfterMs);
   AnalysisConfig &S = Cfg.Session;
-  if (Opts.StreamBatch)
-    S.StreamBatchEvents = Opts.StreamBatch;
+  if (Opts.BatchEvents)
+    S.StreamBatchEvents = Opts.BatchEvents;
   if (Opts.RunHb)
     S.addDetector(DetectorKind::Hb);
   if (Opts.RunWcp)

@@ -11,8 +11,8 @@
 /// combinations up front with a structured Status.
 ///
 /// A config names its detectors either by kind (the built-in HB, WCP,
-/// FastTrack, Eraser) or by custom factory, and selects exactly one run
-/// mode:
+/// FastTrack, Eraser, SyncP) or by custom factory, and selects exactly one
+/// run mode:
 ///
 ///   Sequential  one independent full-trace walk per detector lane (the
 ///               paper's unwindowed single-pass mode); lanes run

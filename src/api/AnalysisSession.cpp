@@ -242,6 +242,14 @@ struct AnalysisSession::Impl {
   /// state they reference dies.
   std::unique_ptr<ThreadPool> Pool;
 
+  /// AnalysisResult::ThreadsUsed, the one value partialResult() and
+  /// finish() both report: the pool width in var-sharded sessions, one
+  /// consumer thread per lane otherwise.
+  unsigned threadsUsed() const {
+    return Pool ? Pool->numThreads()
+                : static_cast<unsigned>(std::max<size_t>(Lanes.size(), 1));
+  }
+
   void start();
   template <typename StartFn, typename RangeFn>
   bool walkLane(LaneRuntime &Rt, const char *Span, StartFn &&Start,
@@ -688,12 +696,7 @@ void AnalysisSession::Impl::stopConsumers() {
   Store.wakeAll();
   for (std::thread &T : Consumers)
     T.join();
-  {
-    // partialResult() (possibly on a monitoring thread) reads the
-    // consumer count under M; clearing must synchronize with it.
-    std::lock_guard<std::mutex> Lk(M);
-    Consumers.clear();
-  }
+  Consumers.clear();
   if (Pool)
     Pool->wait(); // In-flight stragglers, if any.
 }
@@ -1026,11 +1029,6 @@ Status AnalysisSession::feedFile(const std::string &Path) {
   return I->SessionStatus;
 }
 
-uint64_t AnalysisSession::eventsFed() const {
-  std::lock_guard<std::mutex> Lk(I->M);
-  return I->Live->size();
-}
-
 bool AnalysisSession::finished() const {
   std::lock_guard<std::mutex> Lk(I->M);
   return I->Finished;
@@ -1078,10 +1076,8 @@ AnalysisResult AnalysisSession::partialResult() {
     std::lock_guard<std::mutex> Lk(I->M);
     R.Overall = I->SessionStatus;
     R.IngestSeconds = I->IngestSeconds;
-    R.ThreadsUsed = static_cast<unsigned>(
-        std::max<size_t>(I->Consumers.size(), 1) +
-        (I->Pool ? I->Pool->numThreads() : 0));
   }
+  R.ThreadsUsed = I->threadsUsed();
   R.WallSeconds = I->Wall.seconds();
   if (I->Cfg.Mode == RunMode::VarSharded)
     R.VarShards = I->Cfg.VarShards;
@@ -1098,13 +1094,12 @@ AnalysisResult AnalysisSession::finish() {
     }
     I->Finished = true;
   }
-  unsigned NumConsumers = static_cast<unsigned>(I->Consumers.size());
   I->stopConsumers();
 
   AnalysisResult R = I->snapshotLanes(/*Partial=*/false);
   R.Overall = I->SessionStatus;
   R.EventsIngested = I->Store.published();
-  R.ThreadsUsed = std::max(NumConsumers, 1u);
+  R.ThreadsUsed = I->threadsUsed();
   switch (I->Cfg.Mode) {
   case RunMode::Sequential:
     break;
@@ -1112,10 +1107,8 @@ AnalysisResult AnalysisSession::finish() {
     R.VarShards = I->Cfg.VarShards;
     // No pool exists when the config failed validation (start() bailed
     // before creating one).
-    if (I->Pool) {
-      R.ThreadsUsed = I->Pool->numThreads();
+    if (I->Pool)
       R.TasksStolen = I->Pool->tasksStolen();
-    }
     break;
   }
   R.WallSeconds = I->Wall.seconds();

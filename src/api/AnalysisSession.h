@@ -127,8 +127,6 @@ public:
   /// error.
   Status feedFile(const std::string &Path);
 
-  /// Events ingested (== published to lanes).
-  uint64_t eventsFed() const;
   bool finished() const;
 
   /// Producer/consumer watermarks for backpressure decisions (the serving

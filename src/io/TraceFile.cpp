@@ -27,50 +27,6 @@ bool rapid::hasTraceSuffix(const std::string &S, const char *Suffix) {
   return true;
 }
 
-static bool readFile(const std::string &Path, std::string &Out,
-                     std::string &Error) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    Error = "cannot open '" + Path + "' for reading: " + std::strerror(errno);
-    return false;
-  }
-  char Buf[1 << 16];
-  size_t Got;
-  while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, Got);
-  bool Bad = std::ferror(F) != 0;
-  std::fclose(F);
-  if (Bad) {
-    Error = "read error on '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-TraceLoadResult rapid::loadTraceFile(const std::string &Path) {
-  TraceLoadResult Result;
-  std::string Bytes;
-  if (!readFile(Path, Bytes, Result.Error)) {
-    Result.Code = StatusCode::IoError;
-    return Result;
-  }
-
-  if (hasTraceSuffix(Path, ".bin")) {
-    BinaryParseResult B = parseBinaryTrace(Bytes);
-    Result.Ok = B.Ok;
-    Result.Code = B.Ok ? StatusCode::Ok : StatusCode::ParseError;
-    Result.Error = B.Error;
-    Result.T = std::move(B.T);
-    return Result;
-  }
-  TextParseResult P = parseTextTrace(Bytes);
-  Result.Ok = P.Ok;
-  Result.Code = P.Ok ? StatusCode::Ok : StatusCode::ParseError;
-  Result.Error = P.Error;
-  Result.T = std::move(P.T);
-  return Result;
-}
-
 std::string rapid::saveTraceFile(const Trace &T, const std::string &Path) {
   std::string Bytes =
       hasTraceSuffix(Path, ".bin") ? writeBinaryTrace(T) : writeTextTrace(T);

@@ -1,47 +1,26 @@
-//===- io/TraceFile.h - Load/save traces by file path -----------*- C++ -*-===//
+//===- io/TraceFile.h - Save traces by file path ---------------*- C++ -*-===//
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// File-level entry points: dispatches to the text or binary codec by
+/// File-level helpers shared by the codecs' file paths: saving a trace by
 /// extension (".bin" in any letter case → binary, anything else → text)
-/// and reports IO and parse errors — including the OS errno text for
-/// open failures — without throwing.
+/// and the suffix test that dispatch rests on. Loading a file is
+/// streaming: pipeline/ChunkedReader parses it chunk by chunk, and
+/// AnalysisSession::feedFile runs that reader while lanes analyze.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAPID_IO_TRACEFILE_H
 #define RAPID_IO_TRACEFILE_H
 
-#include "support/Status.h"
 #include "trace/Trace.h"
 
 #include <string>
 
 namespace rapid {
-
-/// Result of loading a trace file. `Ok`/`Error` are the legacy fields;
-/// `Code` additionally classifies failures (IoError for open/read
-/// problems, ParseError for malformed bytes) so the session API can
-/// surface structured statuses without re-parsing message text.
-struct TraceLoadResult {
-  bool Ok = false;
-  StatusCode Code = StatusCode::Ok;
-  std::string Error;
-  Trace T;
-
-  /// The structured view of Ok/Code/Error.
-  Status status() const {
-    if (Ok)
-      return Status::success();
-    return Status(Code == StatusCode::Ok ? StatusCode::IoError : Code, Error);
-  }
-};
-
-/// Loads the trace at \p Path.
-TraceLoadResult loadTraceFile(const std::string &Path);
 
 /// Saves \p T at \p Path; returns an empty string on success, otherwise
 /// the error message.

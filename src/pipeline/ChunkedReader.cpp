@@ -8,6 +8,7 @@
 
 #include "io/BinaryFormat.h"
 #include "io/TextFormat.h"
+#include "io/TraceFile.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -24,7 +25,7 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string &Path,
     this->Opts.MaxEventsPerChunk = 1;
   if (Path == "-") {
     // stdin: text format through the buffered backend. Not seekable (no
-    // size probe) and not ours to close. This is how `race_cli --stream -`
+    // size probe) and not ours to close. This is how `race_cli -`
     // and FIFO redirections feed the session without a named file.
     File = stdin;
     OwnsFile = false;
@@ -47,7 +48,9 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string &Path,
   }
   File = std::fopen(Path.c_str(), "rb");
   if (!File) {
-    Error = "cannot open '" + Path + "' for reading: " + std::strerror(errno);
+    St = Status(StatusCode::IoError, "cannot open '" + Path +
+                                         "' for reading: " +
+                                         std::strerror(errno));
     return;
   }
   // Regular files report their size, which bounds how much we ever
@@ -85,7 +88,7 @@ bool ChunkedTraceReader::refill() {
   TotalRead += Got;
   if (Got < Opts.ChunkBytes) {
     if (std::ferror(File)) {
-      Error = "read error";
+      St = Status(StatusCode::IoError, "read error");
       return false;
     }
     Eof = true;
@@ -138,8 +141,8 @@ uint64_t ChunkedTraceReader::nextTextChunk() {
       continue;
     std::string LineError;
     if (!parseTextTraceLine(Line, Builder, LineError)) {
-      Error = "line " + std::to_string(LineNo) + ": " + LineError;
-      Code = StatusCode::ParseError;
+      St = Status(StatusCode::ParseError,
+                  "line " + std::to_string(LineNo) + ": " + LineError);
       return Appended;
     }
     ++Appended;
@@ -156,9 +159,9 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
     std::string_view Head = view().substr(Pos);
     size_t HeaderSize = 0;
     BinaryHeaderStatus S = parseBinaryHeader(Head, BinTrace, RemainingEvents,
-                                             HeaderSize, Error);
+                                             HeaderSize, St.Message);
     if (S == BinaryHeaderStatus::Error) {
-      Code = StatusCode::ParseError;
+      St.Code = StatusCode::ParseError;
       return 0;
     }
     if (S == BinaryHeaderStatus::Ok) {
@@ -180,9 +183,9 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
     if (Eof) {
       // Match parseBinaryTrace's wording: a file too short to even carry
       // magic + version is "not a binary trace", not a truncated one.
-      Error = TotalRead < 8 ? "not a rapidpp binary trace (bad magic)"
-                            : "truncated binary trace";
-      Code = StatusCode::ParseError;
+      St = Status(StatusCode::ParseError,
+                  TotalRead < 8 ? "not a rapidpp binary trace (bad magic)"
+                                : "truncated binary trace");
       return 0;
     }
     size_t Target = std::max<size_t>(2 * Head.size(), Opts.ChunkBytes);
@@ -198,16 +201,15 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
     if (view().size() - Pos < BinaryEventRecordSize) {
       if (refill())
         continue;
-      if (ok()) {
-        Error = "truncated binary trace";
-        Code = StatusCode::ParseError;
-      }
+      if (ok())
+        St = Status(StatusCode::ParseError, "truncated binary trace");
       return Appended;
     }
     Event E;
-    if (!decodeBinaryEvent(view().data() + Pos, BinTrace, E, Error)) {
-      Error += " " + std::to_string(BinTrace.size());
-      Code = StatusCode::ParseError;
+    // Decoders write the message only on failure, so St stays ok here.
+    if (!decodeBinaryEvent(view().data() + Pos, BinTrace, E, St.Message)) {
+      St.Message += " " + std::to_string(BinTrace.size());
+      St.Code = StatusCode::ParseError;
       return Appended;
     }
     Pos += BinaryEventRecordSize;
@@ -218,20 +220,4 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
   if (RemainingEvents == 0)
     Done = true; // Trailing bytes are ignored, as in parseBinaryTrace.
   return Appended;
-}
-
-TraceLoadResult rapid::loadTraceFileChunked(const std::string &Path,
-                                            ChunkedReaderOptions Opts) {
-  TraceLoadResult Result;
-  ChunkedTraceReader Reader(Path, Opts);
-  while (!Reader.done())
-    Reader.nextChunk();
-  if (!Reader.ok()) {
-    Result.Error = Reader.error();
-    Result.Code = Reader.status().Code;
-    return Result;
-  }
-  Result.Ok = true;
-  Result.T = Reader.take();
-  return Result;
 }

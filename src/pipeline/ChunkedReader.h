@@ -33,7 +33,6 @@
 #define RAPID_PIPELINE_CHUNKEDREADER_H
 
 #include "io/MappedFile.h"
-#include "io/TraceFile.h"
 #include "support/Status.h"
 #include "trace/TraceBuilder.h"
 
@@ -64,25 +63,14 @@ public:
   ChunkedTraceReader(const ChunkedTraceReader &) = delete;
   ChunkedTraceReader &operator=(const ChunkedTraceReader &) = delete;
 
-  /// False once an IO or parse error has occurred; error() explains.
-  bool ok() const { return Error.empty(); }
-  const std::string &error() const { return Error; }
-  /// Structured view of the failure: IoError for open/read problems,
-  /// ParseError for malformed bytes, Ok while healthy.
-  Status status() const {
-    return ok() ? Status::success() : Status(Code, Error);
-  }
+  /// False once an IO or parse error has occurred; status() explains.
+  bool ok() const { return St.ok(); }
+  /// Ok while healthy; IoError for open/read problems, ParseError for
+  /// malformed bytes.
+  const Status &status() const { return St; }
 
   /// True when the file is fully consumed (or an error stopped progress).
   bool done() const { return Done || !ok(); }
-
-  /// True once every id that any future event may reference is already
-  /// interned in current()'s tables. Binary headers carry all name tables
-  /// up front, so this holds right after the header parses; text traces
-  /// intern lazily, so it only holds at the end. The streaming session
-  /// keys overlapped analysis off this: stable tables mean detectors can
-  /// be constructed against a growing trace without ever restarting.
-  bool tablesComplete() const { return Done || (Binary && HeaderParsed); }
 
   /// Parses the next batch of at most MaxEventsPerChunk events, appending
   /// them to the trace under construction. Returns the number of events
@@ -125,8 +113,7 @@ private:
   bool Binary = false;
   bool Eof = false;  ///< Underlying file exhausted.
   bool Done = false; ///< Eof and buffer drained.
-  std::string Error;
-  StatusCode Code = StatusCode::IoError; ///< Classification when Error set.
+  Status St;
   uint64_t FileSize = UINT64_MAX; ///< From fseek/ftell; MAX if unknown.
   uint64_t TotalRead = 0;         ///< Raw bytes consumed from the file.
 
@@ -141,11 +128,6 @@ private:
   bool HeaderParsed = false; ///< Binary: container header decoded.
   uint64_t RemainingEvents = 0; ///< Binary: records left per the header.
 };
-
-/// Convenience wrapper: loads the whole file through the chunked reader.
-/// Behaviorally equivalent to loadTraceFile, with bounded raw-byte memory.
-TraceLoadResult loadTraceFileChunked(const std::string &Path,
-                                     ChunkedReaderOptions Opts = {});
 
 } // namespace rapid
 

@@ -1,13 +1,10 @@
-# tests/CheckRaceCliStdin.cmake - Pin `race_cli --stream -` (stdin traces).
+# tests/CheckRaceCliStdin.cmake - Pin `race_cli -` (stdin traces).
 #
 # Part of rapidpp (PLDI'17 WCP reproduction).
 #
-# Writes a small racy text trace, pipes it into `race_cli - --stream` via
+# Writes a small racy text trace, pipes it into `race_cli -` via
 # INPUT_FILE, and asserts the streamed run reports the race — the exact
-# path a FIFO redirection (`race_cli --stream <(...)`) exercises. Then
-# asserts the seek-incompatible spelling `race_cli -` *without* --stream
-# is rejected up front (stdin cannot seek; the batch loaders need a
-# rewindable file). Invoked by the
+# path a FIFO redirection (`race_cli <(...)`) exercises. Invoked by the
 # race_cli_stdin_stream ctest; requires -DRACE_CLI=<path>.
 
 if(NOT RACE_CLI)
@@ -27,11 +24,11 @@ T1|rel(l)|L8
 ")
 
 execute_process(
-  COMMAND ${RACE_CLI} - --stream --hb --json
+  COMMAND ${RACE_CLI} - --hb --json
   INPUT_FILE ${TRACE}
   OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "race_cli --stream - exited ${RC}: ${ERR}")
+  message(FATAL_ERROR "race_cli - exited ${RC}: ${ERR}")
 endif()
 string(JSON STATUS ERROR_VARIABLE JERR GET "${OUT}" status)
 if(JERR)
@@ -49,18 +46,5 @@ if(NOT RACES EQUAL 1)
   message(FATAL_ERROR "HB lane races = ${RACES}, want 1")
 endif()
 
-# The rejection half: '-' without --stream must fail fast with a message
-# that names the constraint, not limp into fopen("-").
-execute_process(
-  COMMAND ${RACE_CLI} - --hb
-  INPUT_FILE ${TRACE}
-  OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
-if(RC EQUAL 0)
-  message(FATAL_ERROR "race_cli - without --stream unexpectedly succeeded")
-endif()
-if(NOT ERR MATCHES "requires --stream")
-  message(FATAL_ERROR "rejection message missing: ${ERR}")
-endif()
-
 file(REMOVE ${TRACE})
-message(STATUS "race_cli --stream -: ok (1 race; non-stream '-' rejected)")
+message(STATUS "race_cli -: ok (1 race)")

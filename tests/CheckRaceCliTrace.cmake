@@ -32,7 +32,7 @@ T1|rel(l)|L8
 ")
 
 execute_process(
-  COMMAND ${RACE_CLI} ${TRACE} --stream --hb --wcp
+  COMMAND ${RACE_CLI} ${TRACE} --hb --wcp
           --trace-out ${TIMELINE} --json
   OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)

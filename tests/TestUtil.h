@@ -9,6 +9,7 @@
 
 #include "api/AnalysisSession.h"
 #include "detect/DetectorRunner.h"
+#include "pipeline/ChunkedReader.h"
 #include "support/Timer.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
@@ -18,8 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +45,29 @@ inline Trace takeValid(TraceBuilder &B, bool RequireClosedSections = false) {
   EXPECT_TRUE(V.ok()) << "test trace violates the trace axioms:\n"
                       << V.result().str();
   return T;
+}
+
+/// Loads the whole file at \p Path by running the one file loader, a
+/// ChunkedTraceReader, to done(). Returns the reader's status; on success
+/// \p Out holds the trace.
+inline Status readTraceFile(const std::string &Path, Trace &Out,
+                            ChunkedReaderOptions Opts = {}) {
+  ChunkedTraceReader Reader(Path, Opts);
+  while (!Reader.done())
+    Reader.nextChunk();
+  if (Reader.ok())
+    Out = Reader.take();
+  return Reader.status();
+}
+
+/// The raw bytes of the file at \p Path (empty if it cannot be read):
+/// the input for the in-memory decoders parseTextTrace/parseBinaryTrace,
+/// which serve as the reference the reader is compared against.
+inline std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Bytes;
+  Bytes << In.rdbuf();
+  return Bytes.str();
 }
 
 /// Bit-for-bit report equality — the determinism contract every parallel

@@ -546,6 +546,31 @@ TEST(ApiSessionTest, PartialReportsSurfaceRacesMidStream) {
   expectLanesMatchSequential(R, S.trace(), "after partials");
 }
 
+// ThreadsUsed means one thing in a snapshot and in the final result: the
+// pool width in var-sharded sessions, one consumer thread per lane
+// otherwise (AnalysisResult.h).
+TEST(ApiSessionTest, PartialAndFinalAgreeOnThreadsUsed) {
+  Trace T = randomTrace(fuzzParams(5, false));
+  for (RunMode Mode : {RunMode::Sequential, RunMode::VarSharded}) {
+    AnalysisConfig Cfg;
+    Cfg.Mode = Mode;
+    Cfg.addDetector(DetectorKind::Hb);
+    Cfg.addDetector(DetectorKind::Wcp);
+    if (Mode == RunMode::VarSharded) {
+      Cfg.VarShards = 2;
+      Cfg.Threads = 3;
+    }
+    AnalysisSession S(Cfg);
+    ASSERT_TRUE(S.feedTrace(T).ok());
+    AnalysisResult Mid = S.partialResult();
+    AnalysisResult R = S.finish();
+    ASSERT_TRUE(R.ok()) << R.firstError().str();
+    EXPECT_EQ(Mid.ThreadsUsed, R.ThreadsUsed) << runModeName(Mode);
+    EXPECT_EQ(R.ThreadsUsed, Mode == RunMode::VarSharded ? 3u : 2u)
+        << runModeName(Mode);
+  }
+}
+
 // progress() is the serving layer's lag check, so it must answer while a
 // lane is stuck: here the lane's detector blocks inside processEvent (its
 // consumer holding the lane's snapshot lock for the whole batch) until
@@ -627,7 +652,7 @@ TEST(ApiSessionTest, IngestPreconditionsAreEnforced) {
     std::vector<Event> Batch = {Event(EventKind::Write, T0, /*var=*/0, L)};
     Status St = S.feed(Batch);
     EXPECT_EQ(St.Code, StatusCode::ValidationError) << St.str();
-    EXPECT_EQ(S.eventsFed(), 0u);
+    EXPECT_EQ(S.progress().Fed, 0u);
     AnalysisResult R = S.finish();
     EXPECT_TRUE(R.Overall.ok()) << "a rejected batch must not poison the "
                                    "session";

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "gen/PaperTraces.h"
 #include "gen/RandomTraceGen.h"
 #include "io/BinaryFormat.h"
@@ -114,19 +115,22 @@ TEST(TraceFileTest, DispatchesByExtension) {
   ASSERT_EQ(saveTraceFile(T, TextPath), "");
   ASSERT_EQ(saveTraceFile(T, BinPath), "");
 
-  TraceLoadResult RT = loadTraceFile(TextPath);
-  ASSERT_TRUE(RT.Ok) << RT.Error;
-  expectSameTrace(T, RT.T);
+  Trace FromText;
+  Status ST = testutil::readTraceFile(TextPath, FromText);
+  ASSERT_TRUE(ST.ok()) << ST.str();
+  expectSameTrace(T, FromText);
 
-  TraceLoadResult RB = loadTraceFile(BinPath);
-  ASSERT_TRUE(RB.Ok) << RB.Error;
-  expectSameTrace(T, RB.T);
+  Trace FromBin;
+  Status SB = testutil::readTraceFile(BinPath, FromBin);
+  ASSERT_TRUE(SB.ok()) << SB.str();
+  expectSameTrace(T, FromBin);
 }
 
 TEST(TraceFileTest, MissingFileReportsError) {
-  TraceLoadResult R = loadTraceFile("/nonexistent/path/trace.txt");
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("cannot open"), std::string::npos);
+  Trace T;
+  Status St = testutil::readTraceFile("/nonexistent/path/trace.txt", T);
+  EXPECT_EQ(St.Code, StatusCode::IoError);
+  EXPECT_NE(St.Message.find("cannot open"), std::string::npos) << St.str();
 }
 
 // ---- Round-trip property tests ----------------------------------------------
@@ -193,12 +197,13 @@ TEST(RoundTripPropertyTest, ChunkedReaderSurvivesPathologicalChunkSizes) {
         Opts.ChunkBytes = ChunkBytes;
         Opts.MaxEventsPerChunk = MaxEvents;
         Opts.UseMmap = false; // Pin the buffered backend's refill seams.
-        TraceLoadResult R = loadTraceFileChunked(Path, Opts);
-        ASSERT_TRUE(R.Ok) << Ext << " chunk=" << ChunkBytes << ": "
-                          << R.Error;
-        ASSERT_EQ(R.T.size(), T.size())
+        Trace Got;
+        Status St = testutil::readTraceFile(Path, Got, Opts);
+        ASSERT_TRUE(St.ok()) << Ext << " chunk=" << ChunkBytes << ": "
+                             << St.str();
+        ASSERT_EQ(Got.size(), T.size())
             << Ext << " chunk=" << ChunkBytes << " batch=" << MaxEvents;
-        expectSameTrace(T, R.T);
+        expectSameTrace(T, Got);
       }
     }
     std::remove(Path.c_str());
@@ -222,16 +227,17 @@ TEST(RoundTripPropertyTest, MappedReaderMatchesBufferedReader) {
             << Ext << ": regular files must select the mmap backend";
         while (!Mapped.done())
           Mapped.nextChunk();
-        ASSERT_TRUE(Mapped.ok()) << Ext << ": " << Mapped.error();
+        ASSERT_TRUE(Mapped.ok()) << Ext << ": " << Mapped.status().str();
 
         ChunkedReaderOptions BufOpts = MapOpts;
         BufOpts.UseMmap = false;
-        TraceLoadResult Buffered = loadTraceFileChunked(Path, BufOpts);
-        ASSERT_TRUE(Buffered.Ok) << Ext << ": " << Buffered.Error;
+        Trace Buffered;
+        Status St = testutil::readTraceFile(Path, Buffered, BufOpts);
+        ASSERT_TRUE(St.ok()) << Ext << ": " << St.str();
 
         Trace FromMap = Mapped.take();
         expectSameTrace(T, FromMap);
-        expectSameTrace(Buffered.T, FromMap);
+        expectSameTrace(Buffered, FromMap);
       }
       std::remove(Path.c_str());
     }
@@ -248,7 +254,7 @@ TEST(RoundTripPropertyTest, MappedReaderHandlesEdgeFiles) {
   EXPECT_TRUE(Reader.mapped());
   while (!Reader.done())
     Reader.nextChunk();
-  EXPECT_TRUE(Reader.ok()) << Reader.error();
+  EXPECT_TRUE(Reader.ok()) << Reader.status().str();
   EXPECT_EQ(Reader.take().size(), 0u);
   std::remove(Empty.c_str());
 

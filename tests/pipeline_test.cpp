@@ -20,6 +20,7 @@
 #include "hb/FastTrackDetector.h"
 #include "hb/HbDetector.h"
 #include "io/BinaryFormat.h"
+#include "io/TextFormat.h"
 #include "io/TraceFile.h"
 #include "lockset/EraserDetector.h"
 #include "pipeline/ChunkedReader.h"
@@ -187,36 +188,38 @@ TEST(PipelineTest, VarShardedLanesMatchSequentialForAnyShardAndThreadCount) {
 
 // ---- Streaming ingestion ----------------------------------------------------
 
-TEST(ChunkedReaderTest, TextMatchesWholeFileLoad) {
+TEST(ChunkedReaderTest, TextMatchesInMemoryDecoder) {
   Trace T = mediumRandomTrace(7);
   std::string Path = tempPath("chunk.txt");
   ASSERT_EQ(saveTraceFile(T, Path), "");
-  TraceLoadResult Whole = loadTraceFile(Path);
+  TextParseResult Whole = parseTextTrace(testutil::fileBytes(Path));
   ASSERT_TRUE(Whole.Ok) << Whole.Error;
   // Deliberately hostile chunk sizes: 7-byte reads split every line.
   ChunkedReaderOptions Opts;
   Opts.ChunkBytes = 7;
   Opts.MaxEventsPerChunk = 3;
-  TraceLoadResult Chunked = loadTraceFileChunked(Path, Opts);
-  ASSERT_TRUE(Chunked.Ok) << Chunked.Error;
-  expectSameTrace(Chunked.T, Whole.T);
+  Trace Chunked;
+  Status St = testutil::readTraceFile(Path, Chunked, Opts);
+  ASSERT_TRUE(St.ok()) << St.str();
+  expectSameTrace(Chunked, Whole.T);
   std::remove(Path.c_str());
 }
 
-TEST(ChunkedReaderTest, BinaryMatchesWholeFileLoadCaseInsensitive) {
+TEST(ChunkedReaderTest, BinaryMatchesInMemoryDecoderCaseInsensitive) {
   Trace T = mediumRandomTrace(11);
   // Upper-case extension must still select the binary codec (both when
   // saving and when loading), per the case-insensitive dispatch fix.
   std::string Path = tempPath("chunk.BIN");
   ASSERT_EQ(saveTraceFile(T, Path), "");
-  TraceLoadResult Whole = loadTraceFile(Path);
+  BinaryParseResult Whole = parseBinaryTrace(testutil::fileBytes(Path));
   ASSERT_TRUE(Whole.Ok) << Whole.Error;
   ChunkedReaderOptions Opts;
   Opts.ChunkBytes = 5; // Smaller than one 13-byte event record.
   Opts.MaxEventsPerChunk = 4;
-  TraceLoadResult Chunked = loadTraceFileChunked(Path, Opts);
-  ASSERT_TRUE(Chunked.Ok) << Chunked.Error;
-  expectSameTrace(Chunked.T, Whole.T);
+  Trace Chunked;
+  Status St = testutil::readTraceFile(Path, Chunked, Opts);
+  ASSERT_TRUE(St.ok()) << St.str();
+  expectSameTrace(Chunked, Whole.T);
   std::remove(Path.c_str());
 }
 
@@ -233,7 +236,7 @@ TEST(ChunkedReaderTest, DeliversBoundedBatches) {
     EXPECT_LE(Got, 10u);
     Calls += Got > 0;
   }
-  ASSERT_TRUE(Reader.ok()) << Reader.error();
+  ASSERT_TRUE(Reader.ok()) << Reader.status().str();
   EXPECT_EQ(Reader.eventsDelivered(), T.size());
   EXPECT_GE(Calls, T.size() / 10);
   expectSameTrace(Reader.take(), T);
@@ -241,19 +244,17 @@ TEST(ChunkedReaderTest, DeliversBoundedBatches) {
 }
 
 TEST(ChunkedReaderTest, MissingFileSurfacesErrnoText) {
-  TraceLoadResult R = loadTraceFileChunked("/nonexistent/dir/trace.txt");
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("cannot open"), std::string::npos) << R.Error;
-  EXPECT_NE(R.Error.find("No such file"), std::string::npos) << R.Error;
-  // The one-shot loader reports the same way.
-  TraceLoadResult R2 = loadTraceFile("/nonexistent/dir/trace.txt");
-  EXPECT_FALSE(R2.Ok);
-  EXPECT_NE(R2.Error.find("No such file"), std::string::npos) << R2.Error;
+  Trace T;
+  Status St = testutil::readTraceFile("/nonexistent/dir/trace.txt", T);
+  EXPECT_EQ(St.Code, StatusCode::IoError) << St.str();
+  EXPECT_NE(St.Message.find("cannot open"), std::string::npos) << St.str();
+  EXPECT_NE(St.Message.find("No such file"), std::string::npos) << St.str();
 }
 
 TEST(ChunkedReaderTest, CorruptHugeEventCountFailsGracefully) {
   // A crafted header declaring ~2^64 events must produce a parse error,
-  // not an allocation throw — in both the one-shot and chunked loaders.
+  // not an allocation throw — in both the in-memory decoder and the file
+  // reader.
   Trace T = mediumRandomTrace(1);
   std::string Bytes = writeBinaryTrace(T);
   // The u64 count sits right before the first 13-byte event record.
@@ -269,10 +270,10 @@ TEST(ChunkedReaderTest, CorruptHugeEventCountFailsGracefully) {
   ASSERT_NE(F, nullptr);
   std::fwrite(Bytes.data(), 1, Bytes.size(), F);
   std::fclose(F);
-  TraceLoadResult Chunked = loadTraceFileChunked(Path);
-  EXPECT_FALSE(Chunked.Ok);
-  EXPECT_NE(Chunked.Error.find("truncated"), std::string::npos)
-      << Chunked.Error;
+  Trace Chunked;
+  Status St = testutil::readTraceFile(Path, Chunked);
+  EXPECT_EQ(St.Code, StatusCode::ParseError) << St.str();
+  EXPECT_NE(St.Message.find("truncated"), std::string::npos) << St.str();
   std::remove(Path.c_str());
 }
 
@@ -282,25 +283,27 @@ TEST(ChunkedReaderTest, MalformedLineReportsLineNumber) {
   ASSERT_NE(F, nullptr);
   std::fputs("T0|w(x)|L1\n# comment\nT1|frobnicate(x)|L2\n", F);
   std::fclose(F);
-  TraceLoadResult R = loadTraceFileChunked(Path, {16, 2});
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("line 3"), std::string::npos) << R.Error;
-  EXPECT_NE(R.Error.find("frobnicate"), std::string::npos) << R.Error;
+  Trace T;
+  Status St = testutil::readTraceFile(Path, T, {16, 2});
+  EXPECT_EQ(St.Code, StatusCode::ParseError) << St.str();
+  EXPECT_NE(St.Message.find("line 3"), std::string::npos) << St.str();
+  EXPECT_NE(St.Message.find("frobnicate"), std::string::npos) << St.str();
   std::remove(Path.c_str());
 }
 
-TEST(ChunkedReaderTest, EmptyBinFileMatchesOneShotLoaderError) {
+TEST(ChunkedReaderTest, EmptyBinFileMatchesInMemoryDecoderError) {
   std::string Path = tempPath("empty.bin");
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(F, nullptr);
   std::fclose(F);
-  TraceLoadResult Whole = loadTraceFile(Path);
-  TraceLoadResult Chunked = loadTraceFileChunked(Path);
+  BinaryParseResult Whole = parseBinaryTrace(testutil::fileBytes(Path));
+  Trace T;
+  Status Chunked = testutil::readTraceFile(Path, T);
   EXPECT_FALSE(Whole.Ok);
-  EXPECT_FALSE(Chunked.Ok);
-  EXPECT_EQ(Whole.Error, Chunked.Error);
-  EXPECT_NE(Chunked.Error.find("bad magic"), std::string::npos)
-      << Chunked.Error;
+  EXPECT_EQ(Chunked.Code, StatusCode::ParseError) << Chunked.str();
+  EXPECT_EQ(Whole.Error, Chunked.Message);
+  EXPECT_NE(Chunked.Message.find("bad magic"), std::string::npos)
+      << Chunked.str();
   std::remove(Path.c_str());
 }
 
