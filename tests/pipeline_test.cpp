@@ -8,7 +8,7 @@
 // single-detector runs they replace — across run modes, thread counts,
 // shard counts and scheduling. These tests pin that contract on the paper
 // figures and on randomized traces against runDetector, and cover the
-// streaming chunked reader against the one-shot loader byte for byte.
+// streaming chunked reader against the in-memory decoders byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
