@@ -269,6 +269,13 @@ int main(int Argc, char **Argv) {
   }
   AnalysisResult R = Session.finish();
   const Trace &T = Session.trace();
+  if (!R.Overall.ok() && T.size() == 0 && !Opts.Json) {
+    // Nothing was read (a file that cannot be opened, or bad from its
+    // first line): there is no prefix to report on, only the error.
+    // --json still prints its object, whose status carries the error.
+    std::fprintf(stderr, "error: %s\n", R.Overall.str().c_str());
+    return 1;
+  }
 
   if (!Opts.TraceOut.empty()) {
     std::string Timeline = Session.exportTimeline();

@@ -230,7 +230,7 @@ struct AnalysisSession::Impl {
   // Cfg.Timeline. Handles below are cached once in start().
   std::unique_ptr<MetricsRegistry> Reg;
   std::unique_ptr<TraceRecorder> Rec;
-  Counter IngestParseNs;    ///< feedFile: chunk parse time.
+  Counter IngestParseNs;    ///< feedFile: time to get the next chunk.
   Counter IngestLockWaitNs; ///< Producer time acquiring the session lock.
   Counter IngestValidateNs; ///< §2.1 streaming validation time.
   Counter PublishBatches;
@@ -981,12 +981,13 @@ Status AnalysisSession::feedFile(const std::string &Path) {
   Timer Ingest;
   ChunkedTraceReader Reader(Path);
   // The reader's internal trace becomes the live published trace while
-  // the loop runs: chunk parsing mutates it under the session mutex, and
-  // every validated chunk publishes immediately — for text inputs too,
-  // whose id tables intern lazily as lines parse. Growable detector state
-  // makes that safe: lanes built against the tables of an early chunk
-  // admit later-interned ids in place, so analysis overlaps ingestion for
-  // both formats and no lane ever restarts.
+  // the loop runs: each chunk (a binary batch, or one text slice merged
+  // from the reader's decoding workers) mutates it under the session
+  // mutex, and every validated chunk publishes immediately — for text
+  // inputs too, whose id tables intern lazily, slice by slice. Growable
+  // detector state makes that safe: lanes built against the tables of an
+  // early chunk admit later-interned ids in place, so analysis overlaps
+  // ingestion for both formats and no lane ever restarts.
   bool Poisoned = false;
   while (!Reader.done() && !Poisoned) {
     int64_t SpanStart = I->Rec ? I->Rec->nowUs() : 0;

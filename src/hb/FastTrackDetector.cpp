@@ -11,7 +11,7 @@ using namespace rapid;
 FastTrackDetector::FastTrackDetector(const Trace &T)
     : NumThreads(T.numThreads()),
       ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
-      LockClocks(T.numLocks(), VectorClock(T.numThreads())),
+      LockClocks(T.numLocks()),
       Vars(T.numVars()) {
   for (uint32_t I = 0; I < NumThreads; ++I)
     ThreadClocks[I].set(ThreadId(I), 1);

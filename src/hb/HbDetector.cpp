@@ -13,7 +13,7 @@ using namespace rapid;
 HbDetector::HbDetector(const Trace &T)
     : ThreadClocks(T.numThreads(), VectorClock(T.numThreads())),
       ClockEpochs(T.numThreads(), 1),
-      LockClocks(T.numLocks(), VectorClock(T.numThreads())),
+      LockClocks(T.numLocks()),
       History(T.numVars(), T.numThreads()) {
   // Every thread starts at local time 1 so that "clock 0" unambiguously
   // means "has not seen this thread at all".

@@ -19,7 +19,7 @@ bool rapid::trimTextTraceLine(std::string_view &Line) {
   return !Line.empty() && Line.front() != '#';
 }
 
-bool rapid::parseTextTraceLine(std::string_view Line, TraceBuilder &Builder,
+bool rapid::splitTextTraceLine(std::string_view Line, TextTraceLine &Out,
                                std::string &Error) {
   auto fail = [&](const std::string &Msg) {
     Error = Msg;
@@ -35,8 +35,6 @@ bool rapid::parseTextTraceLine(std::string_view Line, TraceBuilder &Builder,
   std::string_view Op = Bar2 == std::string_view::npos
                             ? Line.substr(Bar1 + 1)
                             : Line.substr(Bar1 + 1, Bar2 - Bar1 - 1);
-  std::string_view Loc =
-      Bar2 == std::string_view::npos ? std::string_view() : Line.substr(Bar2 + 1);
   if (Thread.empty())
     return fail("empty thread name");
 
@@ -49,19 +47,23 @@ bool rapid::parseTextTraceLine(std::string_view Line, TraceBuilder &Builder,
     return fail("empty operation target");
 
   if (Name == "r")
-    Builder.read(Thread, Target, Loc);
+    Out.Kind = EventKind::Read;
   else if (Name == "w")
-    Builder.write(Thread, Target, Loc);
+    Out.Kind = EventKind::Write;
   else if (Name == "acq")
-    Builder.acquire(Thread, Target, Loc);
+    Out.Kind = EventKind::Acquire;
   else if (Name == "rel")
-    Builder.release(Thread, Target, Loc);
+    Out.Kind = EventKind::Release;
   else if (Name == "fork")
-    Builder.fork(Thread, Target, Loc);
+    Out.Kind = EventKind::Fork;
   else if (Name == "join")
-    Builder.join(Thread, Target, Loc);
+    Out.Kind = EventKind::Join;
   else
     return fail("unknown operation '" + std::string(Name) + "'");
+  Out.Thread = Thread;
+  Out.Target = Target;
+  Out.Loc = Bar2 == std::string_view::npos ? std::string_view()
+                                           : Line.substr(Bar2 + 1);
   return true;
 }
 
@@ -81,10 +83,31 @@ TextParseResult rapid::parseTextTrace(std::string_view Text) {
     if (!trimTextTraceLine(Line))
       continue;
     std::string Error;
-    if (!parseTextTraceLine(Line, Builder, Error)) {
+    TextTraceLine L;
+    if (!splitTextTraceLine(Line, L, Error)) {
       Result.Ok = false;
       Result.Error = "line " + std::to_string(LineNo) + ": " + Error;
       return Result;
+    }
+    switch (L.Kind) {
+    case EventKind::Read:
+      Builder.read(L.Thread, L.Target, L.Loc);
+      break;
+    case EventKind::Write:
+      Builder.write(L.Thread, L.Target, L.Loc);
+      break;
+    case EventKind::Acquire:
+      Builder.acquire(L.Thread, L.Target, L.Loc);
+      break;
+    case EventKind::Release:
+      Builder.release(L.Thread, L.Target, L.Loc);
+      break;
+    case EventKind::Fork:
+      Builder.fork(L.Thread, L.Target, L.Loc);
+      break;
+    case EventKind::Join:
+      Builder.join(L.Thread, L.Target, L.Loc);
+      break;
     }
   }
 

@@ -27,8 +27,6 @@
 
 namespace rapid {
 
-class TraceBuilder;
-
 /// Result of parsing a textual trace.
 struct TextParseResult {
   bool Ok = false;
@@ -39,11 +37,20 @@ struct TextParseResult {
 /// Parses \p Text into a trace.
 TextParseResult parseTextTrace(std::string_view Text);
 
-/// Parses a single already-trimmed, non-empty, non-comment line into
-/// \p Builder. Returns false and sets \p Error (no line-number prefix; the
-/// caller tracks position) on malformed input. This is the incremental
-/// unit the chunked reader in pipeline/ feeds line by line.
-bool parseTextTraceLine(std::string_view Line, TraceBuilder &Builder,
+/// One event line split into its fields. The views point into the line.
+struct TextTraceLine {
+  EventKind Kind = EventKind::Read;
+  std::string_view Thread;
+  std::string_view Target; ///< Variable, lock or child thread, by Kind.
+  std::string_view Loc;    ///< Empty: the default location "L<index>".
+};
+
+/// Splits a single already-trimmed, non-empty, non-comment line into
+/// \p Out. Returns false and sets \p Error (no line-number prefix; the
+/// caller tracks position) on malformed input. Names are not interned
+/// here: parseTextTrace hands the fields to a TraceBuilder, and the
+/// chunked reader in pipeline/ to slice-local tables.
+bool splitTextTraceLine(std::string_view Line, TextTraceLine &Out,
                         std::string &Error);
 
 /// Trims spaces and a trailing '\r' from \p Line in place. Returns false

@@ -12,9 +12,125 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <system_error>
 
 using namespace rapid;
+
+namespace {
+
+constexpr uint32_t kUnmapped = UINT32_MAX;
+/// The local Loc of an event whose line named no location: the merge
+/// names it "L<global event index>", as TraceBuilder does.
+constexpr LocId kDefaultLoc = LocId::invalid();
+
+/// One slice's name table: dense local ids over views into the slice's
+/// bytes, in first-occurrence order, each with its StringInterner hash so
+/// the merge does not hash it again. Open addressing, load <= 3/4.
+class SliceNames {
+public:
+  uint32_t intern(std::string_view Name) {
+    if (4 * (Names.size() + 1) > 3 * Slots.size())
+      grow();
+    const uint64_t H = StringInterner::hashName(Name);
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+      uint32_t Slot = Slots[I];
+      if (Slot == 0) {
+        Names.push_back(Name);
+        Hashes.push_back(H);
+        Slots[I] = static_cast<uint32_t>(Names.size());
+        return Slots[I] - 1;
+      }
+      if (Hashes[Slot - 1] == H && Names[Slot - 1] == Name)
+        return Slot - 1;
+    }
+  }
+  /// Interns local id \p Id's name into \p Table.
+  uint32_t internInto(StringInterner &Table, uint32_t Id) const {
+    return Table.intern(Names[Id], Hashes[Id]);
+  }
+  uint32_t size() const { return static_cast<uint32_t>(Names.size()); }
+  void clear() {
+    Names.clear();
+    Hashes.clear();
+    std::fill(Slots.begin(), Slots.end(), 0);
+  }
+
+private:
+  void grow() {
+    Slots.assign(Slots.empty() ? 64 : 2 * Slots.size(), 0);
+    size_t Mask = Slots.size() - 1;
+    for (uint32_t Id = 0; Id != Names.size(); ++Id) {
+      size_t I = Hashes[Id] & Mask;
+      while (Slots[I])
+        I = (I + 1) & Mask;
+      Slots[I] = Id + 1;
+    }
+  }
+
+  std::vector<std::string_view> Names;
+  std::vector<uint64_t> Hashes;
+  std::vector<uint32_t> Slots; ///< Id + 1; 0 = empty.
+};
+
+/// Merges local id \p Local of \p Names into \p Table at its first use.
+uint32_t globalId(std::vector<uint32_t> &Map, const SliceNames &Names,
+                  uint32_t Local, StringInterner &Table) {
+  uint32_t &G = Map[Local];
+  if (G == kUnmapped)
+    G = Names.internInto(Table, Local);
+  return G;
+}
+
+} // namespace
+
+/// A line-aligned run of text lines, decoded with slice-local ids.
+struct ChunkedTraceReader::TextSlice {
+  std::string Bytes;     ///< Buffered backend: the slice's own copy.
+  std::string_view Text; ///< The slice's lines (into Bytes or the map).
+  std::vector<Event> Events;
+  SliceNames Threads, Locks, Vars, Locs;
+  uint64_t Lines = 0; ///< Lines decoded, the failing one included.
+  std::string Error;  ///< The first malformed line's message.
+  Status Io;          ///< A read error hit after the slice's last line.
+
+  bool failed() const { return !Error.empty() || !Io.ok(); }
+
+  /// Decodes Text, stopping at the first malformed line. Thread-local
+  /// work: touches nothing but the slice.
+  void decode() {
+    Events.clear();
+    Threads.clear();
+    Locks.clear();
+    Vars.clear();
+    Locs.clear();
+    Lines = 0;
+    Error.clear();
+    TextTraceLine L;
+    size_t P = 0;
+    while (P < Text.size()) {
+      size_t End = Text.find('\n', P);
+      if (End == std::string_view::npos)
+        End = Text.size();
+      std::string_view Line = Text.substr(P, End - P);
+      P = End + 1;
+      ++Lines;
+      if (!trimTextTraceLine(Line))
+        continue;
+      if (!splitTextTraceLine(Line, L, Error))
+        return;
+      uint32_t Target = L.Kind == EventKind::Fork || L.Kind == EventKind::Join
+                            ? Threads.intern(L.Target)
+                        : isSync(L.Kind) ? Locks.intern(L.Target)
+                                         : Vars.intern(L.Target);
+      ThreadId Thread(Threads.intern(L.Thread));
+      LocId Loc = L.Loc.empty() ? kDefaultLoc : LocId(Locs.intern(L.Loc));
+      Events.push_back(Event(L.Kind, Thread, Target, Loc));
+    }
+  }
+};
 
 ChunkedTraceReader::ChunkedTraceReader(const std::string &Path,
                                        ChunkedReaderOptions Opts)
@@ -42,7 +158,7 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string &Path,
       // Text lines run ~16-30 bytes ("T0|r(x)|L1" plus names); /16 lands
       // within ~2x of the true count either way, which converts the
       // append path's realloc cascade into at most one final doubling.
-      Builder.reserve(FileSize / 16);
+      Out.reserve(FileSize / 16);
     }
     return;
   }
@@ -64,20 +180,19 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string &Path,
 }
 
 ChunkedTraceReader::~ChunkedTraceReader() {
+  stopWorkers();
   if (File && OwnsFile)
     std::fclose(File);
 }
 
 Trace ChunkedTraceReader::take() {
-  if (Binary) {
-    Trace Out = std::move(BinTrace);
-    BinTrace = Trace();
-    return Out;
-  }
-  return Builder.take();
+  stopWorkers();
+  Trace Result = std::move(Out);
+  Out = Trace();
+  return Result;
 }
 
-bool ChunkedTraceReader::refill() {
+bool ChunkedTraceReader::refill(Status &Err) {
   if (Eof || !File) // The mmap backend is Eof by construction.
     return false;
   compactBuffer();
@@ -88,7 +203,7 @@ bool ChunkedTraceReader::refill() {
   TotalRead += Got;
   if (Got < Opts.ChunkBytes) {
     if (std::ferror(File)) {
-      St = Status(StatusCode::IoError, "read error");
+      Err = Status(StatusCode::IoError, "read error");
       return false;
     }
     Eof = true;
@@ -114,40 +229,230 @@ uint64_t ChunkedTraceReader::nextChunk() {
   return Got;
 }
 
-uint64_t ChunkedTraceReader::nextTextChunk() {
-  uint64_t Appended = 0;
-  while (Appended < Opts.MaxEventsPerChunk) {
-    std::string_view V = view();
-    size_t Nl = V.find('\n', Pos);
-    if (Nl == std::string_view::npos) {
-      if (!Eof) {
-        if (refill())
-          continue;
-        if (!ok())
-          return Appended;
+bool ChunkedTraceReader::cutSlice(TextSlice &S) {
+  // Read until a whole slice is buffered, then extend it to the end of
+  // the line that crosses kTextSliceBytes. Offsets are relative to Pos:
+  // refill() may compact the buffer.
+  S.Io = Status::success();
+  while (!Eof && view().size() - Pos < kTextSliceBytes && refill(S.Io)) {
+  }
+  size_t Scan = kTextSliceBytes - 1;
+  size_t Len = 0;
+  for (;;) {
+    std::string_view Rest = view().substr(Pos);
+    size_t Nl = Scan < Rest.size() ? Rest.find('\n', Scan) : Rest.npos;
+    if (Nl != Rest.npos) {
+      Len = Nl + 1;
+      break;
+    }
+    if (!S.Io.ok()) {
+      // A read error: keep the complete lines, report it after them.
+      size_t LastNl = Rest.rfind('\n');
+      Len = LastNl == Rest.npos ? 0 : LastNl + 1;
+      break;
+    }
+    if (Eof) {
+      Len = Rest.size(); // The final, maybe unterminated, line.
+      break;
+    }
+    Scan = Rest.size();
+    refill(S.Io);
+  }
+  if (Len == 0 && S.Io.ok())
+    return false;
+  if (Mapped) {
+    S.Text = view().substr(Pos, Len);
+  } else {
+    S.Bytes.assign(view().data() + Pos, Len);
+    S.Text = S.Bytes;
+  }
+  Pos += Len;
+  return true;
+}
+
+ChunkedTraceReader::SlicePtr ChunkedTraceReader::spareSlice() {
+  std::lock_guard<std::mutex> Lk(SliceM);
+  if (Spare.empty())
+    return std::make_unique<TextSlice>();
+  SlicePtr S = std::move(Spare.back());
+  Spare.pop_back();
+  return S;
+}
+
+ChunkedTraceReader::SlicePtr ChunkedTraceReader::nextSlice() {
+  if (!Workers.empty()) {
+    std::unique_lock<std::mutex> Lk(SliceM);
+    SlicePtr &Slot = Ready[Taken % Ready.size()];
+    SliceCv.wait(Lk, [&] { return Slot || Taken >= CutEnd; });
+    if (!Slot) {
+      if (!WorkerFailure.ok())
+        St = WorkerFailure;
+      return nullptr;
+    }
+    SlicePtr S = std::move(Slot);
+    ++Taken;
+    Lk.unlock();
+    SliceCv.notify_all(); // Room for one more slice ahead.
+    return S;
+  }
+  // Inline: only slice 0, or every slice when there is no worker.
+  SlicePtr S = spareSlice();
+  if (!cutSlice(*S))
+    return nullptr;
+  ++Cut;
+  ++Taken;
+  if (Cut == 1 && !(Eof && Pos >= view().size())) {
+    // More than one slice: hand the rest to workers, which start cutting
+    // and decoding while this thread decodes slice 0. A worker that
+    // cannot be started leaves the work to the others, or to this
+    // thread. SliceM holds them until Ready is sized.
+    unsigned Hw = std::thread::hardware_concurrency();
+    unsigned N = Hw > 1 ? std::min(3u, Hw - 1) : 0;
+    std::lock_guard<std::mutex> Lk(SliceM);
+    try {
+      for (unsigned I = 0; I != N; ++I)
+        Workers.emplace_back([this] { workerLoop(); });
+    } catch (const std::system_error &) {
+    }
+    Ready.resize(2 * Workers.size());
+  }
+  S->decode();
+  if (S->failed() && !Workers.empty()) {
+    std::lock_guard<std::mutex> Lk(SliceM);
+    CutEnd = std::min(CutEnd, Taken);
+  }
+  return S;
+}
+
+void ChunkedTraceReader::workerLoop() {
+  uint64_t Index = UINT64_MAX; ///< The slice this worker is on, if any.
+  try {
+    for (;;) {
+      SlicePtr S = spareSlice();
+      {
+        std::unique_lock<std::mutex> CutLk(CutM);
+        {
+          std::unique_lock<std::mutex> Lk(SliceM);
+          // Cut only within two slices per worker of the merge.
+          SliceCv.wait(Lk, [&] {
+            return Stopping || Cut >= CutEnd || Cut < Taken + Ready.size();
+          });
+          if (Stopping || Cut >= CutEnd)
+            return;
+          Index = Cut;
+        }
+        bool Got = cutSlice(*S);
+        std::lock_guard<std::mutex> Lk(SliceM);
+        if (!Got) {
+          CutEnd = std::min(CutEnd, Index);
+          SliceCv.notify_all();
+          return;
+        }
+        ++Cut;
       }
-      // EOF: the remainder (if any) is one final unterminated line.
-      V = view();
-      if (Pos >= V.size()) {
+      S->decode();
+      {
+        std::lock_guard<std::mutex> Lk(SliceM);
+        if (S->failed())
+          CutEnd = std::min(CutEnd, Index + 1); // Later slices are moot.
+        Ready[Index % Ready.size()] = std::move(S);
+        Index = UINT64_MAX;
+      }
+      SliceCv.notify_all();
+    }
+  } catch (const std::exception &E) {
+    // Out of memory, say. No slice from this one on is delivered: the
+    // merge stops at it and reports the failure, not a short trace.
+    {
+      std::lock_guard<std::mutex> Lk(SliceM);
+      CutEnd = std::min(CutEnd, Index == UINT64_MAX ? Cut : Index);
+      if (WorkerFailure.ok())
+        WorkerFailure = Status(StatusCode::IoError,
+                               std::string("text decoding failed: ") +
+                                   E.what());
+    }
+    SliceCv.notify_all();
+  }
+}
+
+void ChunkedTraceReader::stopWorkers() {
+  if (Workers.empty())
+    return;
+  {
+    std::lock_guard<std::mutex> Lk(SliceM);
+    Stopping = true;
+  }
+  SliceCv.notify_all();
+  for (std::thread &W : Workers)
+    W.join();
+  Workers.clear();
+}
+
+uint64_t ChunkedTraceReader::nextTextChunk() {
+  for (;;) {
+    if (!Merging) {
+      Merging = nextSlice();
+      if (!Merging) {
         Done = true;
+        return 0;
+      }
+      MergePos = 0;
+      ThreadIds.assign(Merging->Threads.size(), kUnmapped);
+      LockIds.assign(Merging->Locks.size(), kUnmapped);
+      VarIds.assign(Merging->Vars.size(), kUnmapped);
+      LocIds.assign(Merging->Locs.size(), kUnmapped);
+    }
+    // Rewrite local ids to the trace's, interning each name at its first
+    // use in file order: the tables grow exactly as a line-by-line parse
+    // grows them, up to the last event returned. The target goes first:
+    // fork/join intern the child before the parent, as TraceBuilder does.
+    const TextSlice &S = *Merging;
+    size_t End = std::min<uint64_t>(S.Events.size(),
+                                    MergePos + Opts.MaxEventsPerChunk);
+    const uint64_t Appended = End - MergePos;
+    for (; MergePos != End; ++MergePos) {
+      const Event &E = S.Events[MergePos];
+      uint32_t Target;
+      if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
+        Target = globalId(ThreadIds, S.Threads, E.Target, Out.threadTable());
+      else if (isSync(E.Kind))
+        Target = globalId(LockIds, S.Locks, E.Target, Out.lockTable());
+      else
+        Target = globalId(VarIds, S.Vars, E.Target, Out.varTable());
+      ThreadId Thread(
+          globalId(ThreadIds, S.Threads, E.Thread.value(), Out.threadTable()));
+      LocId Loc;
+      if (E.Loc == kDefaultLoc) {
+        char Name[24] = {'L'};
+        char *NameEnd = std::to_chars(Name + 1, Name + sizeof(Name),
+                                      Out.size()).ptr;
+        Loc = LocId(Out.locTable().intern(
+            std::string_view(Name, static_cast<size_t>(NameEnd - Name))));
+      } else {
+        Loc = LocId(globalId(LocIds, S.Locs, E.Loc.value(), Out.locTable()));
+      }
+      Out.append(Event(E.Kind, Thread, Target, Loc));
+    }
+    if (MergePos == S.Events.size()) {
+      if (!S.Error.empty())
+        St = Status(StatusCode::ParseError,
+                    "line " + std::to_string(LineBase + S.Lines) + ": " +
+                        S.Error);
+      else if (!S.Io.ok())
+        St = S.Io;
+      LineBase += S.Lines;
+      {
+        std::lock_guard<std::mutex> Lk(SliceM);
+        Spare.push_back(std::move(Merging));
+      }
+      if (!ok()) {
+        stopWorkers();
         return Appended;
       }
-      Nl = V.size();
     }
-    std::string_view Line(V.data() + Pos, Nl - Pos);
-    Pos = Nl < V.size() ? Nl + 1 : Nl;
-    ++LineNo;
-    if (!trimTextTraceLine(Line))
-      continue;
-    std::string LineError;
-    if (!parseTextTraceLine(Line, Builder, LineError)) {
-      St = Status(StatusCode::ParseError,
-                  "line " + std::to_string(LineNo) + ": " + LineError);
+    if (Appended != 0)
       return Appended;
-    }
-    ++Appended;
   }
-  return Appended;
 }
 
 uint64_t ChunkedTraceReader::nextBinaryChunk() {
@@ -158,7 +463,7 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
   while (!HeaderParsed) {
     std::string_view Head = view().substr(Pos);
     size_t HeaderSize = 0;
-    BinaryHeaderStatus S = parseBinaryHeader(Head, BinTrace, RemainingEvents,
+    BinaryHeaderStatus S = parseBinaryHeader(Head, Out, RemainingEvents,
                                              HeaderSize, St.Message);
     if (S == BinaryHeaderStatus::Error) {
       St.Code = StatusCode::ParseError;
@@ -177,7 +482,7 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
       } else {
         Cap = std::min<uint64_t>(Cap, Opts.MaxEventsPerChunk);
       }
-      BinTrace.reserve(Cap);
+      Out.reserve(Cap);
       break;
     }
     if (Eof) {
@@ -190,7 +495,7 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
     }
     size_t Target = std::max<size_t>(2 * Head.size(), Opts.ChunkBytes);
     while (!Eof && view().size() - Pos < Target)
-      if (!refill() && !ok())
+      if (!refill(St) && !ok())
         return 0;
     if (!ok())
       return 0;
@@ -199,7 +504,7 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
   uint64_t Appended = 0;
   while (Appended < Opts.MaxEventsPerChunk && RemainingEvents > 0) {
     if (view().size() - Pos < BinaryEventRecordSize) {
-      if (refill())
+      if (refill(St))
         continue;
       if (ok())
         St = Status(StatusCode::ParseError, "truncated binary trace");
@@ -207,13 +512,13 @@ uint64_t ChunkedTraceReader::nextBinaryChunk() {
     }
     Event E;
     // Decoders write the message only on failure, so St stays ok here.
-    if (!decodeBinaryEvent(view().data() + Pos, BinTrace, E, St.Message)) {
-      St.Message += " " + std::to_string(BinTrace.size());
+    if (!decodeBinaryEvent(view().data() + Pos, Out, E, St.Message)) {
+      St.Message += " " + std::to_string(Out.size());
       St.Code = StatusCode::ParseError;
       return Appended;
     }
     Pos += BinaryEventRecordSize;
-    BinTrace.append(E);
+    Out.append(E);
     --RemainingEvents;
     ++Appended;
   }

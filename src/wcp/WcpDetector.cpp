@@ -16,10 +16,7 @@ using namespace rapid;
 WcpDetector::WcpDetector(const Trace &T)
     : NumThreads(T.numThreads()),
       Threads(T.numThreads(), WcpThreadState(T.numThreads())),
-      History(T.numVars(), T.numThreads()) {
-  Locks.reserve(T.numLocks());
-  for (uint32_t I = 0; I < T.numLocks(); ++I)
-    Locks.emplace_back(NumThreads);
+      Locks(T.numLocks()), History(T.numVars(), T.numThreads()) {
   // Initialization (§3.2): N_t = 1, P_t = ⊥, H_t = K_t = ⊥[t := N_t].
   for (uint32_t I = 0; I < NumThreads; ++I) {
     Threads[I].H.set(ThreadId(I), 1);
@@ -117,6 +114,7 @@ void WcpDetector::collectLockGarbage(WcpLockState &LS) {
     ++LS.Base;
     --RetainedEntries;
     QueuedCopies -= 2; // A collected entry always carries its release.
+    LS.Queued -= 2;
   }
 }
 
@@ -144,17 +142,12 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
     ++TS.PEpoch;
 
   // First contact with ℓ: this thread's abstract queues become live, and
-  // all pending entries of other threads now count against them.
+  // all retained entries now count against them (none is T's own: T
+  // enqueues its first below).
   if (!LS.touched(T.value())) {
     LS.threadOf(T.value()).Touched = true;
-    uint64_t Pending = 0;
-    for (uint64_t I = LS.Base; I < LS.logicalEnd(); ++I) {
-      const WcpQueueEntry &E = LS.entry(I);
-      if (E.Thread != T)
-        Pending += E.HasRelease ? 2 : 1;
-    }
-    LS.PerThread[T.value()].Live = Pending;
-    bumpLive(static_cast<int64_t>(Pending));
+    ++LS.Touchers;
+    bumpLive(static_cast<int64_t>(LS.Queued));
   }
 
   // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t. One shared entry
@@ -166,15 +159,8 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   Stats.MaxRetainedQueueEntries =
       std::max(Stats.MaxRetainedQueueEntries, ++RetainedEntries);
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  // Touchers beyond the per-thread array's physical size don't exist, so
-  // its size bounds the live accounting loop.
-  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.PerThread.size()); U < E;
-       ++U) {
-    if (U != T.value() && LS.PerThread[U].Touched) {
-      ++LS.PerThread[U].Live;
-      bumpLive(1);
-    }
-  }
+  ++LS.Queued;
+  bumpLive(static_cast<int64_t>(LS.Touchers) - 1);
   Stats.MaxSharedQueueEntries = std::max(
       Stats.MaxSharedQueueEntries, static_cast<uint64_t>(LS.Entries.size()));
 
@@ -190,7 +176,6 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   // predecessors of this release. C_t changes as P_t grows, so the guard
   // is re-evaluated every iteration, exactly like the pseudocode's while.
   uint64_t &Cur = LS.cursorOf(T.value());
-  uint64_t &MyLive = LS.PerThread[T.value()].Live;
   for (;;) {
     // Entries by T itself are not part of T's abstract queues (Line 3
     // enqueues only to other threads).
@@ -208,8 +193,6 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
       ++TS.PEpoch;
     ++Cur;
     bumpAbstract(-2); // One entry leaves Acq_ℓ(T) and one leaves Rel_ℓ(T).
-    assert(MyLive >= 2 && "live count out of sync");
-    MyLive -= 2;
     bumpLive(-2);
   }
 
@@ -240,13 +223,8 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   Own.HasRelease = true;
   ++QueuedCopies;
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  for (uint32_t U = 0, E = static_cast<uint32_t>(LS.PerThread.size()); U < E;
-       ++U) {
-    if (U != T.value() && LS.PerThread[U].Touched) {
-      ++LS.PerThread[U].Live;
-      bumpLive(1);
-    }
-  }
+  ++LS.Queued;
+  bumpLive(static_cast<int64_t>(LS.Touchers) - 1);
 
   collectLockGarbage(LS);
 

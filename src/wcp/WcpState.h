@@ -282,19 +282,15 @@ struct WcpLockThread {
   /// Entries by the thread itself are skipped (they are not in its
   /// abstract queue).
   uint64_t Cursor = 0;
-  /// Acq+Rel entries pending in the thread's abstract queues, counted
-  /// once it has touched the lock — the "live" portion of the paper's
-  /// column 11 metric (queues of threads that never use the lock are
-  /// dead weight a real deployment elides).
-  uint64_t Live = 0;
   /// The thread has acquired this lock at least once. Only queues of
   /// touchers can ever pop.
   bool Touched = false;
 };
 
-/// Per-lock state. The per-thread array is growable: a thread first seen
-/// mid-stream gets the zero state the batch constructor would have given
-/// it, and threads beyond the physical size read as that zero state.
+/// Per-lock state, empty until the lock is used: the clocks start as ⊥
+/// and the per-thread array grows on first touch. A thread beyond the
+/// array's physical size reads as the zero state, so a lock holds no
+/// per-thread memory until some thread acquires it.
 struct WcpLockState {
   VectorClock P; ///< P_ℓ: WCP-predecessor time of the last release.
   VectorClock H; ///< H_ℓ: HB time of the last release.
@@ -303,18 +299,23 @@ struct WcpLockState {
   WcpEntryQueue Entries;
   uint64_t Base = 0;
 
-  /// Per-thread cursors, live counts and touched flags, one array so a
-  /// lock operation reads one buffer.
+  /// Per-thread cursors and touched flags, one array so a lock operation
+  /// reads one buffer.
   std::vector<WcpLockThread> PerThread;
   /// Threads [0, Cursors) have a cursor of their own; later ones sit
   /// implicitly at 0 for collection (see collectibleEnd).
   uint32_t Cursors = 0;
 
-  WcpReleaseTable Releases; ///< L^r_{ℓ,x} / L^w_{ℓ,x} for every x.
+  /// Live-queue telemetry, the "live" portion of the paper's column 11
+  /// metric: the threads that have acquired ℓ, and the Acq+Rel copies
+  /// of the retained entries (one per enqueue, one per release, two off
+  /// per collected entry). Every toucher's abstract queues hold all
+  /// retained entries but its own and the ones it popped, so a first
+  /// contact adds Queued and an enqueue or release adds Touchers - 1.
+  uint32_t Touchers = 0;
+  uint64_t Queued = 0;
 
-  explicit WcpLockState(uint32_t NumThreads = 0)
-      : P(NumThreads), H(NumThreads), PerThread(NumThreads),
-        Cursors(NumThreads) {}
+  WcpReleaseTable Releases; ///< L^r_{ℓ,x} / L^w_{ℓ,x} for every x.
 
   uint64_t logicalEnd() const { return Base + Entries.size(); }
   WcpQueueEntry &entry(uint64_t LogicalIdx) {

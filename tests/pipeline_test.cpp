@@ -94,6 +94,10 @@ void expectSameTrace(const Trace &A, const Trace &B) {
   }
   for (uint32_t I = 0; I != A.numThreads(); ++I)
     ASSERT_EQ(A.threadName(ThreadId(I)), B.threadName(ThreadId(I)));
+  for (uint32_t I = 0; I != A.numLocks(); ++I)
+    ASSERT_EQ(A.lockName(LockId(I)), B.lockName(LockId(I)));
+  for (uint32_t I = 0; I != A.numVars(); ++I)
+    ASSERT_EQ(A.varName(VarId(I)), B.varName(VarId(I)));
   for (uint32_t I = 0; I != A.numLocs(); ++I)
     ASSERT_EQ(A.locName(LocId(I)), B.locName(LocId(I)));
 }
@@ -305,6 +309,185 @@ TEST(ChunkedReaderTest, EmptyBinFileMatchesInMemoryDecoderError) {
   EXPECT_NE(Chunked.Message.find("bad magic"), std::string::npos)
       << Chunked.str();
   std::remove(Path.c_str());
+}
+
+// ---- Parallel text slices ---------------------------------------------------
+//
+// Text files longer than one ChunkedTraceReader::kTextSliceBytes slice are
+// decoded slice by slice into local name tables and merged in file order.
+// Each case below compares the reader, on both backends, with the
+// line-by-line parseTextTrace of the same bytes.
+
+/// Text of at least \p MinBytes whose lines mix, across slice boundaries:
+/// default locations, fresh and reused explicit ones, explicit names of
+/// the form "L<k>" that collide with default ones (before and after the
+/// default is minted), comments, blank and CRLF lines, forks and joins
+/// that introduce threads (child and parent both new, in some), and
+/// locks and variables first named late. The
+/// last line is unterminated. \p BadAtByte > 0 puts one malformed line at
+/// the first line start at or past that offset; \p EventsBefore receives
+/// the number of event lines before it.
+std::string sliceText(size_t MinBytes, size_t BadAtByte = 0,
+                      uint64_t *EventsBefore = nullptr) {
+  std::string Text;
+  uint64_t Events = 0;
+  uint32_t NextChild = 1;
+  bool BadDone = false;
+  for (uint64_t I = 0; Text.size() < MinBytes; ++I) {
+    if (BadAtByte != 0 && !BadDone && Text.size() >= BadAtByte) {
+      Text += "T1|frobnicate(x3)|site\n";
+      if (EventsBefore)
+        *EventsBefore = Events;
+      BadDone = true;
+    }
+    if (I % 53 == 0) {
+      Text += "# comment " + std::to_string(I) + "\n";
+      continue;
+    }
+    if (I % 41 == 0) {
+      Text += I % 2 ? "\n" : "   \r\n";
+      continue;
+    }
+    std::string Thread = "T" + std::to_string(I % NextChild);
+    std::string Line;
+    if (I % 509 == 0) {
+      // Every other fork comes from a parent seen for the first time, so
+      // the child-before-parent interning order shows in the ids.
+      Line = (I % 2 ? "P" + std::to_string(I) : std::string("T0")) +
+             "|fork(T" + std::to_string(NextChild++) + ")";
+    } else if (I % 997 == 0 && NextChild > 2) {
+      Line = "T0|join(T" + std::to_string(NextChild - 1) + ")|J" +
+             std::to_string(I);
+    } else if (I % 7 == 0) {
+      Line = Thread + "|acq(m" + std::to_string(I / 2000) + ")";
+    } else if (I % 7 == 1) {
+      Line = Thread + "|rel(m" + std::to_string((I - 1) / 2000) + ")|rl";
+    } else {
+      Line = Thread + (I % 3 ? "|w(x" : "|r(x") + std::to_string(I % 301) +
+             ")";
+      switch (I % 6) {
+      case 0:
+        Line += "|site" + std::to_string(I); // Fresh explicit name.
+        break;
+      case 1:
+        Line += "|hot" + std::to_string(I % 11); // Reused explicit name.
+        break;
+      case 2: // Names the default location of an event three ahead...
+        Line += "|L" + std::to_string(Events + 3);
+        break;
+      case 3: // ... and of one already minted.
+        Line += "|L" + std::to_string(Events > 5 ? Events - 5 : 0);
+        break;
+      default:
+        break; // Default location.
+      }
+    }
+    Text += Line;
+    Text += I % 13 == 0 ? "\r\n" : "\n";
+    ++Events;
+  }
+  Text += "T1|r(xlast)"; // Unterminated final line.
+  return Text;
+}
+
+void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr);
+  std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+  std::fclose(F);
+}
+
+TEST(ChunkedReaderTest, ParallelSlicesMatchInMemoryDecoder) {
+  const size_t Slices = 6;
+  std::string Text = sliceText(Slices * ChunkedTraceReader::kTextSliceBytes);
+  TextParseResult Whole = parseTextTrace(Text);
+  ASSERT_TRUE(Whole.Ok) << Whole.Error;
+  std::string Path = tempPath("slices.txt");
+  writeBytes(Path, Text);
+  for (bool UseMmap : {true, false}) {
+    for (uint64_t MaxEvents : {uint64_t(64 * 1024), uint64_t(1000)}) {
+      SCOPED_TRACE("mmap=" + std::to_string(UseMmap) +
+                   " batch=" + std::to_string(MaxEvents));
+      ChunkedReaderOptions Opts;
+      Opts.UseMmap = UseMmap;
+      Opts.MaxEventsPerChunk = MaxEvents;
+      ChunkedTraceReader Reader(Path, Opts);
+      EXPECT_EQ(Reader.mapped(), UseMmap);
+      uint64_t Batches = 0;
+      while (!Reader.done()) {
+        uint64_t Got = Reader.nextChunk();
+        EXPECT_LE(Got, MaxEvents);
+        Batches += Got > 0;
+      }
+      ASSERT_TRUE(Reader.ok()) << Reader.status().str();
+      // One batch per slice at least: the merge never joins two slices.
+      EXPECT_GE(Batches, Slices);
+      EXPECT_EQ(Reader.eventsDelivered(), Whole.T.size());
+      expectSameTrace(Reader.take(), Whole.T);
+    }
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(ChunkedReaderTest, ParseErrorInLateSliceMatchesInMemoryDecoder) {
+  const size_t Slice = ChunkedTraceReader::kTextSliceBytes;
+  uint64_t Before = 0;
+  std::string Text = sliceText(6 * Slice, 4 * Slice + Slice / 2, &Before);
+  TextParseResult Whole = parseTextTrace(Text);
+  ASSERT_FALSE(Whole.Ok);
+  ASSERT_NE(Whole.Error.find("frobnicate"), std::string::npos);
+  // The delivered prefix is what a parse of the bytes before the bad line
+  // gives.
+  size_t BadLine = Text.find("T1|frobnicate");
+  TextParseResult Prefix = parseTextTrace(Text.substr(0, BadLine));
+  ASSERT_TRUE(Prefix.Ok) << Prefix.Error;
+  ASSERT_EQ(Prefix.T.size(), Before);
+  std::string Path = tempPath("slices_bad.txt");
+  writeBytes(Path, Text);
+  for (bool UseMmap : {true, false}) {
+    SCOPED_TRACE("mmap=" + std::to_string(UseMmap));
+    ChunkedReaderOptions Opts;
+    Opts.UseMmap = UseMmap;
+    ChunkedTraceReader Reader(Path, Opts);
+    while (!Reader.done())
+      Reader.nextChunk();
+    EXPECT_EQ(Reader.status().Code, StatusCode::ParseError);
+    EXPECT_EQ(Reader.status().Message, Whole.Error);
+    EXPECT_EQ(Reader.eventsDelivered(), Before);
+    expectSameTrace(Reader.take(), Prefix.T);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(ChunkedReaderTest, SessionPublishesTextPerSliceAndBinaryPer64k) {
+  // Past one 64k-event binary chunk, and many text slices long.
+  WorkloadSpec Spec = workloadSpec("eclipse");
+  Trace T = makeWorkload(Spec, 80000.0 / static_cast<double>(Spec.Events));
+  ASSERT_GT(T.size(), 64u * 1024);
+  auto Batches = [](const std::string &Path) -> uint64_t {
+    AnalysisConfig Cfg;
+    Cfg.addDetector(DetectorKind::Hb);
+    AnalysisSession S(Cfg);
+    Status St = S.feedFile(Path);
+    EXPECT_TRUE(St.ok()) << Path << ": " << St.str();
+    AnalysisResult R = S.finish();
+    EXPECT_TRUE(R.ok()) << R.firstError().str();
+    for (const MetricSample &M : R.Telemetry)
+      if (M.Name == "publish.batches")
+        return M.Value;
+    ADD_FAILURE() << "no publish.batches";
+    return 0;
+  };
+  std::string Text = tempPath("publish_slices.txt");
+  std::string Bin = tempPath("publish_slices.bin");
+  ASSERT_EQ(saveTraceFile(T, Text), "");
+  ASSERT_EQ(saveTraceFile(T, Bin), "");
+  uint64_t TextBytes = testutil::fileBytes(Text).size();
+  ASSERT_GE(TextBytes, 3 * ChunkedTraceReader::kTextSliceBytes);
+  EXPECT_GE(Batches(Text), TextBytes / ChunkedTraceReader::kTextSliceBytes);
+  EXPECT_EQ(Batches(Bin), (T.size() + 64 * 1024 - 1) / (64 * 1024));
+  std::remove(Text.c_str());
+  std::remove(Bin.c_str());
 }
 
 // ---- Thread pool ------------------------------------------------------------

@@ -21,7 +21,9 @@
 
 #include "detect/DetectorRunner.h"
 #include "gen/Workloads.h"
+#include "hb/FastTrackDetector.h"
 #include "hb/HbDetector.h"
+#include "trace/TraceBuilder.h"
 #include "wcp/WcpDetector.h"
 
 #include <gtest/gtest.h>
@@ -93,7 +95,54 @@ template <typename D> double allocationsPerEvent(const Trace &T) {
   return static_cast<double>(After - Before) / static_cast<double>(T.size());
 }
 
+/// Empty tables of \p Threads threads, \p Locks locks and \p Vars
+/// variables, as a trace declares them up front.
+Trace declaredTables(uint32_t Threads, uint32_t Locks, uint32_t Vars) {
+  TraceBuilder B;
+  for (uint32_t I = 0; I != Threads; ++I)
+    B.declareThread("T" + std::to_string(I));
+  for (uint32_t I = 0; I != Locks; ++I)
+    B.declareLock("l" + std::to_string(I));
+  for (uint32_t I = 0; I != Vars; ++I)
+    B.declareVar("x" + std::to_string(I));
+  return B.take();
+}
+
+/// Allocations made by constructing a \p D against \p T.
+template <typename D> uint64_t constructionAllocations(const Trace &T) {
+  const uint64_t Before = Allocations.load(std::memory_order_relaxed);
+  {
+    D Detector(T);
+  }
+  return Allocations.load(std::memory_order_relaxed) - Before;
+}
+
 } // namespace
+
+// A detector is built on the ingest path, at a session's first publish,
+// so its constructor must not pay per declared lock: lock state grows on
+// first touch in the walk. eclipse's tables (8,263 locks, 14 threads, so
+// every full-width clock is on the heap) with one lock or with all of
+// them must cost the same allocations, O(threads + vars).
+TEST(WcpAllocTest, ConstructionIsIndependentOfTheLockCount) {
+  const uint32_t Threads = 14, Vars = 64;
+  ASSERT_GT(Threads, VectorClock::kInlineThreads);
+  Trace Many = declaredTables(Threads, 8263, Vars);
+  Trace One = declaredTables(Threads, 1, Vars);
+  const uint64_t Bound = 4 * (Threads + Vars) + 16;
+  auto check = [&](const char *Name, uint64_t WithMany, uint64_t WithOne) {
+    RecordProperty(std::string(Name) + "_construction_allocs",
+                   std::to_string(WithMany));
+    EXPECT_EQ(WithMany, WithOne) << Name << " allocates per declared lock";
+    EXPECT_LE(WithMany, Bound) << Name;
+  };
+  check("hb", constructionAllocations<HbDetector>(Many),
+        constructionAllocations<HbDetector>(One));
+  check("fasttrack", constructionAllocations<FastTrackDetector>(Many),
+        constructionAllocations<FastTrackDetector>(One));
+  check("wcp", constructionAllocations<WcpDetector>(Many),
+        constructionAllocations<WcpDetector>(One));
+}
 
 TEST(WcpAllocTest, XalanWalksStayOffTheHeap) {
   // serve's trace: 131k-event xalan (2,494 locks, lock-dense).

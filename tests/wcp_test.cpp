@@ -320,6 +320,33 @@ TEST(WcpStatsTest, LateToucherInheritsPendingEntries) {
   EXPECT_EQ(D.stats().MaxLiveQueueEntries, 5u);
 }
 
+TEST(WcpStatsTest, LateToucherAfterCollectionInheritsRetainedEntriesOnly) {
+  // A thread first seen after some of a lock's entries were collected
+  // inherits only the retained ones: a collected entry is off every live
+  // queue already and must not come back at the first touch.
+  TraceBuilder B;
+  B.acquire("t1", "l").write("t1", "x").release("t1", "l");
+  B.acquire("t2", "l").read("t2", "x").write("t2", "y");
+  B.release("t2", "l"); // Pops t1's section (rule (a) on x).
+  B.acquire("t1", "l").read("t1", "y");
+  B.release("t1", "l"); // Pops t2's section; the first one is collected.
+  B.acquire("t2", "l").read("t2", "x");
+  B.release("t2", "l");
+  B.acquire("t3", "l"); // First touch.
+  B.release("t3", "l");
+  Trace T = testutil::takeValid(B);
+  // Built over no threads, so t3 is admitted at its first event, after
+  // the collection.
+  WcpDetector D{Trace()};
+  for (EventIdx I = 0; I != T.size(); ++I)
+    D.processEvent(T.event(I), I);
+  // Five sections, never more than three retained at once.
+  EXPECT_EQ(D.stats().MaxRetainedQueueEntries, 3u);
+  // The per-thread recount this accounting replaced gives the same peak;
+  // counting the collected entry again would give 16.
+  EXPECT_EQ(D.stats().MaxLiveQueueEntries, 12u);
+}
+
 TEST(WcpRaceCheckTest, FirstRaceMatchesPaperSemantics) {
   // §3.2: the detector flags the *second* event of a racing pair; our
   // per-thread history recovers the first. Check both on fig2b.
