@@ -7,7 +7,6 @@
 #include "serve/RaceServer.h"
 
 #include "api/AnalysisSession.h"
-#include "io/FeedSource.h"
 #include "io/WireFormat.h"
 #include "serve/ReportCanon.h"
 #include "serve/WireIngestor.h"
@@ -34,6 +33,9 @@
 namespace rapid {
 
 namespace {
+
+/// Bytes per socket read.
+constexpr size_t ReadChunkBytes = 64 * 1024;
 
 void setNonBlocking(int Fd) {
   const int Flags = ::fcntl(Fd, F_GETFL, 0);
@@ -116,7 +118,7 @@ uint64_t nowMs() {
 
 struct RaceServer::Impl {
   explicit Impl(RaceServerConfig C)
-      : Cfg(std::move(C)), Reg(Cfg.Metrics), Scope(&Reg, "serve."),
+      : Cfg(std::move(C)), Scope(&Reg, "serve."),
         Pool(Cfg.IngestThreads), TokenRng(nowMs() ^ 0x9e3779b97f4a7c15ull) {
     Accepted = Scope.counter("accepted");
     FinishedC = Scope.counter("finished");
@@ -169,9 +171,14 @@ struct RaceServer::Impl {
   /// frame decoder dies with it, so torn bytes from a cut connection
   /// never poison the session's ingestor.
   struct Conn {
+    explicit Conn(int Fd) : Fd(Fd) {}
+    Conn(const Conn &) = delete;
+    Conn &operator=(const Conn &) = delete;
+    /// The last reference (IO thread, task or stop()) closes the socket.
+    ~Conn() { ::close(Fd); }
+
     uint64_t Id = 0;
-    int Fd = -1; ///< Write side; the read side lives in Src.
-    std::unique_ptr<FeedSource> Src;
+    const int Fd;          ///< The accepted socket, non-blocking.
     FrameDecoder Dec;      ///< Task-only.
     std::string Out;       ///< Staged replies (task-only / finalize).
     bool HelloSeen = false;
@@ -351,7 +358,7 @@ struct RaceServer::Impl {
   void ioLoop() {
     std::vector<pollfd> Fds;
     std::vector<std::shared_ptr<Conn>> Polled;
-    std::vector<char> Buf(Cfg.ReadChunkBytes ? Cfg.ReadChunkBytes : 4096);
+    std::vector<char> Buf(ReadChunkBytes);
     uint64_t LastTickMs = nowMs();
     scheduleHousekeeping();
     while (!Stopping.load(std::memory_order_relaxed)) {
@@ -365,7 +372,7 @@ struct RaceServer::Impl {
           Conn &C = *KV.second;
           if (C.State == Conn::St::Streaming && !C.TaskInFlight &&
               !C.PeerClosed) {
-            Fds.push_back({C.Src->pollFd(), POLLIN, 0});
+            Fds.push_back({C.Fd, POLLIN, 0});
             Polled.push_back(KV.second);
           }
         }
@@ -394,21 +401,23 @@ struct RaceServer::Impl {
       if (Fd < 0)
         return;
       setNonBlocking(Fd);
-      auto C = std::make_shared<Conn>();
-      C->Fd = Fd;
+      auto C = std::make_shared<Conn>(Fd);
       {
         std::lock_guard<std::mutex> G(M);
         C->Id = NextConnId++;
-        C->Src = makeFdFeedSource(Fd, "unix:client#" + std::to_string(C->Id));
         Conns.emplace(C->Id, C);
         Accepted.add();
       }
     }
   }
 
+  /// A read of 0 (hangup) or a hard error closes the peer's side.
   void readConn(const std::shared_ptr<Conn> &C, std::vector<char> &Buf) {
-    const long N = C->Src->read(Buf.data(), Buf.size());
-    if (N == FeedSource::WouldBlock)
+    ssize_t N;
+    do
+      N = ::read(C->Fd, Buf.data(), Buf.size());
+    while (N < 0 && errno == EINTR);
+    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
       return;
     std::lock_guard<std::mutex> G(M);
     if (N > 0)
@@ -460,7 +469,6 @@ struct RaceServer::Impl {
       return nullptr;
     }
     Ss->Ing = std::make_unique<WireIngestor>(*Ss->S);
-    Ss->Ing->noteHello(); // The server consumed the Hello itself.
     {
       std::lock_guard<std::mutex> G(M);
       Ss->Id = NextSessId++;

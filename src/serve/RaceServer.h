@@ -10,9 +10,12 @@
 /// one poll loop plus one shared ThreadPool. `race_serverd` is a thin
 /// CLI around this class; tests drive it in-process.
 ///
-/// Threading model. The IO thread owns accept() and all socket *reads*;
-/// raw bytes are handed to pool tasks that decode frames and feed the
-/// session (serve/WireIngestor.h). At most one task per connection is in
+/// Threading model. The IO thread owns accept() and all socket *reads*
+/// (64 KiB per read); raw bytes are handed to pool tasks that decode
+/// frames with the connection's FrameDecoder, run the Hello/Resume
+/// handshake, answer control queries and apply data frames to the
+/// session (serve/WireIngestor.h). This is the only path by which wire
+/// frames reach a session. At most one task per connection is in
 /// flight, and consecutive tasks for a connection are ordered by the
 /// pool's queue synchronization — which preserves the session's
 /// single-producer contract without any per-event locking. Each
@@ -83,11 +86,8 @@ struct RaceServerConfig {
   ServeBudgets Budgets;
   /// Workers in the shared ingest pool (0 = hardware concurrency).
   unsigned IngestThreads = 2;
-  /// Bytes per socket read.
-  size_t ReadChunkBytes = 64 * 1024;
   /// Poll tick; also the parked-connection recheck cadence.
   int PollTimeoutMs = 20;
-  bool Metrics = true;
 
   // -- Fault tolerance / degradation knobs -----------------------------------
 

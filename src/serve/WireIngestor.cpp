@@ -7,61 +7,18 @@
 #include "serve/WireIngestor.h"
 
 #include "api/AnalysisSession.h"
-#include "io/FeedSource.h"
-
-#include <poll.h>
 
 namespace rapid {
 
-void WireIngestor::freeze(StatusCode Code, std::string Message) {
-  if (Sticky.ok())
-    Sticky = Status(Code, std::move(Message));
-}
-
-void WireIngestor::ingest(const char *Data, size_t N) {
-  // A dead stream still consumes bytes (so a pumping caller drains to
-  // EOF instead of spinning) but applies nothing.
+void WireIngestor::applyFrame(const WireFrameView &F) {
   if (!Sticky.ok())
     return;
-  Dec.append(Data, N);
-  WireFrameView F;
-  int R;
-  while ((R = Dec.next(F)) == 1) {
-    apply(F);
-    if (!Sticky.ok())
-      return;
-  }
-  if (R == -1)
-    freeze(StatusCode::ValidationError, Dec.error());
-}
-
-void WireIngestor::eof() {
-  if (!Sticky.ok())
-    return;
-  if (Dec.buffered() != 0)
-    freeze(StatusCode::ValidationError,
-           "peer disconnected mid-frame (" +
-               std::to_string(Dec.buffered()) + " bytes of partial frame)");
-}
-
-void WireIngestor::apply(const WireFrameView &F) {
-  if (!SawHello && F.Type != WireFrame::Hello) {
-    freeze(StatusCode::ValidationError,
-           std::string("first frame must be hello, got ") +
-               wireFrameName(F.Type));
-    return;
-  }
   switch (F.Type) {
-  case WireFrame::Hello: {
-    std::string Err;
-    if (SawHello)
-      freeze(StatusCode::ValidationError, "duplicate hello");
-    else if (!wireCheckHello(F.Payload, Err))
-      freeze(StatusCode::ValidationError, std::move(Err));
-    else
-      SawHello = true;
+  case WireFrame::Hello:
+    // The connection consumed the stream's one Hello before any frame
+    // reached the ingestor.
+    freeze(StatusCode::ValidationError, "duplicate hello");
     return;
-  }
   case WireFrame::Declare: {
     if (SawFinish) {
       freeze(StatusCode::InvalidState, "declare after finish");
@@ -145,10 +102,7 @@ void WireIngestor::apply(const WireFrameView &F) {
   case WireFrame::TimelineQuery:
   case WireFrame::ListSessions:
   case WireFrame::FinalQuery:
-    if (OnControl) {
-      OnControl(F);
-      return;
-    }
+    // The server answers queries before frames reach the ingestor.
     freeze(StatusCode::ValidationError,
            std::string("control frame ") + wireFrameName(F.Type) +
                " on a data-only feed");
@@ -171,31 +125,6 @@ void WireIngestor::apply(const WireFrameView &F) {
                " from a client");
     return;
   }
-}
-
-Status pumpFeedSource(FeedSource &Src, AnalysisSession &S, size_t ChunkBytes) {
-  WireIngestor Ing(S);
-  std::vector<char> Buf(ChunkBytes ? ChunkBytes : 1);
-  for (;;) {
-    const long N = Src.read(Buf.data(), Buf.size());
-    if (N == FeedSource::Eof) {
-      Ing.eof();
-      break;
-    }
-    if (N == FeedSource::WouldBlock) {
-      // Non-blocking fds (and injected EAGAIN faults) land here: wait for
-      // readability instead of spinning.
-      pollfd P{Src.pollFd(), POLLIN, 0};
-      (void)::poll(&P, 1, 10);
-      continue;
-    }
-    if (N < 0)
-      return Src.status();
-    Ing.ingest(Buf.data(), static_cast<size_t>(N));
-    if (Ing.sawFinish())
-      break;
-  }
-  return Ing.status();
 }
 
 } // namespace rapid

@@ -5,19 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The protocol layer between a FeedSource's byte stream and one
-/// AnalysisSession: an incremental FrameDecoder plus the data-plane frame
-/// semantics. The ingestor owns the serving layer's *sticky failure*
-/// contract: the first malformed frame (decoder desync, bad payload,
-/// missing Hello, undeclared ids) freezes the stream with a
-/// ValidationError — every later data frame is ignored, never
-/// half-applied — while the session's already-analyzed prefix stays
-/// queryable and finishable. Control frames (queries) are not handled
-/// here; they are handed to the caller, because only the server knows
-/// where replies go.
+/// The data-plane frame semantics between RaceServer and one
+/// AnalysisSession. The server decodes each connection's bytes with its
+/// own FrameDecoder, performs the Hello/Resume handshake and answers
+/// control queries itself; every other frame goes through applyFrame().
+/// The ingestor owns the serving layer's *sticky failure* contract: the
+/// first bad frame (bad payload, undeclared ids, a second Hello, a
+/// mid-stream Resume) freezes the stream with a ValidationError — every
+/// later data frame is ignored, never half-applied — while the session's
+/// already-analyzed prefix stays queryable and finishable.
 ///
-/// Single-producer like the session itself: one thread calls ingest()/
-/// eof() per ingestor.
+/// Single-producer like the session itself: one thread at a time calls
+/// applyFrame() per ingestor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,50 +27,27 @@
 #include "support/Status.h"
 #include "trace/Event.h"
 
-#include <functional>
 #include <vector>
 
 namespace rapid {
 
 class AnalysisSession;
-class FeedSource;
 
-/// Applies a wire frame stream to a session.
+/// Applies a session's decoded data frames.
 class WireIngestor {
 public:
-  /// \p OnControl receives PartialQuery/TimelineQuery/ListSessions/
-  /// FinalQuery frames; null treats them as protocol errors.
-  using ControlFn = std::function<void(const WireFrameView &)>;
+  explicit WireIngestor(AnalysisSession &S) : S(S) {}
 
-  explicit WireIngestor(AnalysisSession &S, ControlFn OnControl = nullptr)
-      : S(S), OnControl(std::move(OnControl)) {}
-
-  /// Decodes and applies every complete frame in \p Data. Safe to call
-  /// after a failure (bytes are discarded).
-  void ingest(const char *Data, size_t N);
-
-  /// The peer hung up: a partially buffered frame becomes the sticky
-  /// "disconnected mid-frame" error.
-  void eof();
-
-  /// Applies one already-decoded frame. The resumable server path decodes
-  /// per-connection (a reconnect starts a fresh decoder while the session
-  /// — and this ingestor — persist), so the decoder inside ingest() is
-  /// bypassed there.
-  void applyFrame(const WireFrameView &F) { apply(F); }
-
-  /// Marks the hello handshake as done when the caller performed it
-  /// itself (the resumable server owns Hello/Resume negotiation).
-  void noteHello() { SawHello = true; }
+  /// Applies one decoded frame. A no-op once the stream is frozen.
+  void applyFrame(const WireFrameView &F);
 
   /// Freezes the stream with an externally detected failure (connection
-  /// decoder desync, resume-grace expiry, ...).
+  /// decoder desync, torn frame at disconnect, resume-grace expiry, ...).
   void fail(Status S) {
     if (Sticky.ok())
       Sticky = std::move(S);
   }
 
-  bool sawHello() const { return SawHello; }
   /// The client sent Finish: no more data frames are accepted; the
   /// caller finalizes the session and replies.
   bool sawFinish() const { return SawFinish; }
@@ -90,27 +66,18 @@ public:
   const Status &status() const { return Sticky; }
 
 private:
-  void apply(const WireFrameView &F);
-  void freeze(StatusCode Code, std::string Message);
+  void freeze(StatusCode Code, std::string Message) {
+    fail(Status(Code, std::move(Message)));
+  }
 
   AnalysisSession &S;
-  ControlFn OnControl;
-  FrameDecoder Dec;
   std::vector<Event> Batch; ///< Reused decode buffer.
   Status Sticky;
-  bool SawHello = false;
   bool SawFinish = false;
   uint64_t EventsApplied = 0;
   uint64_t FramesApplied = 0;
   uint64_t DupFrames = 0;
 };
-
-/// Blocking convenience pump: reads \p Src until EOF/Finish/failure,
-/// applying everything to \p S. Returns the ingestor's sticky status (ok
-/// for a clean stream). Does not call S.finish() — the caller owns the
-/// session lifecycle. Control frames are protocol errors in this mode.
-Status pumpFeedSource(FeedSource &Src, AnalysisSession &S,
-                      size_t ChunkBytes = 64 * 1024);
 
 } // namespace rapid
 

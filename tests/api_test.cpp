@@ -26,6 +26,7 @@
 #include "gen/RandomTraceGen.h"
 #include "hb/HbDetector.h"
 #include "io/TraceFile.h"
+#include "pipeline/ChunkedReader.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
 
@@ -412,16 +413,29 @@ TEST(ApiSessionTest, FeedFileBinaryStreamsBitForBit) {
   std::remove(Path.c_str());
 }
 
+// Two inputs: a file inside one text slice (decoded inline), and one
+// longer than four slices, so feedFile's reader runs its decoding workers
+// while the four lanes consume slice-by-slice publications.
 TEST(ApiSessionTest, FeedFileTextMatchesBatchBitForBit) {
-  Trace T = randomTrace(fuzzParams(23, false));
-  std::string Path = tempPath("stream.txt");
-  ASSERT_EQ(saveTraceFile(T, Path), "");
-  AnalysisSession S(allDetectorConfig(RunMode::Sequential));
-  ASSERT_TRUE(S.feedFile(Path).ok());
-  AnalysisResult R = S.finish();
-  ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
-  expectLanesMatchSequential(R, S.trace(), "feedFile text");
-  std::remove(Path.c_str());
+  RandomTraceParams Large = fuzzParams(23, false);
+  Large.OpsPerThread = 12000;
+  for (const RandomTraceParams &P : {fuzzParams(23, false), Large}) {
+    Trace T = randomTrace(P);
+    std::string Path = tempPath("stream.txt");
+    ASSERT_EQ(saveTraceFile(T, Path), "");
+    const std::string Label =
+        "feedFile text, " + std::to_string(T.size()) + " events";
+    if (P.OpsPerThread == Large.OpsPerThread)
+      ASSERT_GT(testutil::fileBytes(Path).size(),
+                4 * ChunkedTraceReader::kTextSliceBytes)
+          << Label;
+    AnalysisSession S(allDetectorConfig(RunMode::Sequential));
+    ASSERT_TRUE(S.feedFile(Path).ok()) << Label;
+    AnalysisResult R = S.finish();
+    ASSERT_TRUE(R.Overall.ok()) << R.Overall.str();
+    expectLanesMatchSequential(R, S.trace(), Label);
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(ApiSessionTest, FeedFileFailuresAreStructured) {

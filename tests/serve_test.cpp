@@ -1,17 +1,19 @@
-//===- tests/serve_test.cpp - Serving layer: transports, protocol, server -----===//
+//===- tests/serve_test.cpp - Serving layer: protocol and server --------------===//
 //
 // Part of rapidpp (PLDI'17 WCP reproduction).
 //
-// Three legs of the serving layer's contract, pinned in-process:
+// Three legs of the serving layer's contract, pinned in-process on the
+// one path frames take to a session (RaceServer's per-connection
+// FrameDecoder, then WireIngestor::applyFrame):
 //
-//   1. transport equivalence — the same wire stream pumped through a
-//      socket, with or without injected delivery faults, produces a
-//      canonical report bit-for-bit identical to feeding the trace
-//      directly;
+//   1. delivery equivalence — a stream sent whole, or in seeded random
+//      fragments with tiny stalls between them, produces a canonical
+//      report bit-for-bit identical to feeding the trace directly;
 //   2. sticky failure — the first malformed frame (missing hello, bad
-//      kind, undeclared ids, oversized length, truncation at EOF)
-//      freezes the stream with a ValidationError, later frames are
-//      ignored, and the already-analyzed prefix stays finishable;
+//      kind, undeclared ids, unknown type, oversized length, a second
+//      hello, a torn frame at disconnect) freezes the stream with a
+//      ValidationError, later frames are ignored, and the
+//      already-analyzed prefix stays finishable;
 //   3. server discipline — RaceServer finalizes on Finish *and* on
 //      disconnect, parks over-budget producers instead of buffering or
 //      dropping (events complete, parks counted), enforces the hard
@@ -23,25 +25,24 @@
 #include "api/AnalysisSession.h"
 #include "gen/Workloads.h"
 #include "hb/HbDetector.h"
-#include "io/FaultInjector.h"
-#include "io/FeedSource.h"
 #include "io/WireFormat.h"
 #include "serve/RaceServer.h"
 #include "serve/ReportCanon.h"
 #include "serve/WireClient.h"
 #include "serve/WireIngestor.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
-
-#include <sys/socket.h>
-#include <unistd.h>
 
 using namespace rapid;
 
@@ -71,13 +72,12 @@ std::string fullWireStream(const Trace &T, uint64_t BatchEvents = 8192) {
   return Bytes;
 }
 
-/// Pumps \p Src into a fresh session and canonicalizes the outcome.
-std::string pumpToCanon(const AnalysisConfig &Cfg, FeedSource &Src) {
-  AnalysisSession S(Cfg);
-  EXPECT_TRUE(pumpFeedSource(Src, S).ok()) << Src.name();
-  AnalysisResult R = S.finish();
-  EXPECT_TRUE(R.ok()) << R.firstError().str();
-  return canonicalReport(R, S.trace());
+/// The CI chaos matrix varies the delivery schedule via RAPID_FAULT_SEED;
+/// locally the default seed keeps the run reproducible.
+uint64_t faultSeed() {
+  if (const char *S = std::getenv("RAPID_FAULT_SEED"))
+    return std::strtoull(S, nullptr, 10);
+  return 41;
 }
 
 std::string tempPath(const std::string &Name) {
@@ -122,121 +122,57 @@ bool eventually(const std::function<bool()> &Pred) {
   return Pred();
 }
 
-// ---- 1. Transport round trips ---------------------------------------------
-
-class FeedRoundTripTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    T = makeWorkload(workloadSpec("mergesort"));
-    Want = directCanon(hbWcpConfig(), T);
-    // Small batches force many Events frames — the interesting framing.
-    Bytes = fullWireStream(T, 257);
-    ASSERT_FALSE(Want.empty());
-  }
-  Trace T;
-  std::string Want;
-  std::string Bytes;
-};
-
-TEST_F(FeedRoundTripTest, SocketMatchesDirectFeedBitForBit) {
-  int Sv[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
-  // Writer thread: socketpair buffers are finite, so a single-threaded
-  // write-all-then-pump could deadlock on a large stream.
-  std::thread Writer([&] {
-    size_t Off = 0;
-    while (Off < Bytes.size()) {
-      ssize_t N = ::write(Sv[0], Bytes.data() + Off, Bytes.size() - Off);
-      if (N <= 0)
-        break;
-      Off += static_cast<size_t>(N);
-    }
-    ::close(Sv[0]);
-  });
-  auto Src = makeFdFeedSource(Sv[1], "unix:test");
-  EXPECT_EQ(pumpToCanon(hbWcpConfig(), *Src), Want);
-  Writer.join();
+/// Reads the next frame from \p C, expects a WireError with the
+/// machine-readable \p Code, and returns its message.
+std::string expectWireError(WireClient &C, WireErrorCode Code) {
+  WireFrame Type;
+  std::string Payload;
+  Status R = C.readFrame(Type, Payload);
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(Type, WireFrame::WireError);
+  WireErrorInfo E;
+  EXPECT_TRUE(wireParseError(Payload, E));
+  EXPECT_EQ(E.Wire, Code) << E.Message;
+  return E.Message;
 }
 
-// Deterministic delivery faults (io/FaultInjector.h) over a real socket:
-// short reads, spurious EAGAIN, and tiny delays reshape every read, yet
-// the report must stay bit-for-bit identical — the decorator perturbs
-// delivery, never content, and the pump's retry discipline absorbs it.
-TEST_F(FeedRoundTripTest, FaultySocketDeliveryStillMatchesBitForBit) {
-  int Sv[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
-  std::thread Writer([&] {
-    size_t Off = 0;
-    while (Off < Bytes.size()) {
-      ssize_t N = ::write(Sv[0], Bytes.data() + Off, Bytes.size() - Off);
-      if (N <= 0)
-        break;
-      Off += static_cast<size_t>(N);
-    }
-    ::close(Sv[0]);
-  });
-  FaultStats Stats;
-  FaultyFeedConfig FC;
-  FC.Seed = 41;
-  FC.ShortReadPermille = 500;
-  FC.WouldBlockPermille = 200;
-  FC.DelayPermille = 100;
-  FC.MaxDelayUs = 50;
-  FC.Stats = &Stats;
-  auto Src = makeFaultyFeedSource(makeFdFeedSource(Sv[1], "unix:test"), FC);
-  // Small chunks force many reads, so the per-read schedule gets enough
-  // draws to fire every fault class for this seed.
-  AnalysisSession S(hbWcpConfig());
-  ASSERT_TRUE(pumpFeedSource(*Src, S, /*ChunkBytes=*/1024).ok());
-  AnalysisResult R = S.finish();
-  ASSERT_TRUE(R.ok()) << R.firstError().str();
-  EXPECT_EQ(canonicalReport(R, S.trace()), Want);
-  Writer.join();
-  // The schedule is seeded, so the faults deterministically happened.
-  EXPECT_GT(Stats.ShortReads, 0u);
-  EXPECT_GT(Stats.WouldBlocks, 0u);
+/// A frozen session still reports its analyzed prefix: reads the final
+/// Report frame that follows the error and returns its canonical listing.
+std::string expectFinalReport(WireClient &C) {
+  WireFrame Type;
+  std::string Payload;
+  EXPECT_TRUE(C.readFrame(Type, Payload).ok());
+  EXPECT_EQ(Type, WireFrame::Report);
+  if (Payload.size() < 9)
+    return std::string();
+  EXPECT_EQ(Payload[0], 0); // final
+  return Payload.substr(9);
 }
 
-// A mid-frame cut freezes the stream exactly like a torn disconnect: the
-// whole-frame prefix is applied, the tail is a loud ValidationError.
-TEST_F(FeedRoundTripTest, CutFeedFreezesWithTornFrameErrorPrefixApplied) {
-  int Sv[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
-  std::thread Writer([&] {
-    size_t Off = 0;
-    while (Off < Bytes.size()) {
-      ssize_t N = ::write(Sv[0], Bytes.data() + Off, Bytes.size() - Off);
-      if (N <= 0)
-        break;
-      Off += static_cast<size_t>(N);
-    }
-    ::close(Sv[0]);
-  });
-  FaultStats Stats;
-  FaultyFeedConfig FC;
-  FC.Seed = 47;
-  FC.CutAfterBytes = Bytes.size() - 2; // inside the trailing Finish frame
-  FC.Stats = &Stats;
-  auto Src = makeFaultyFeedSource(makeFdFeedSource(Sv[1], "unix:test"), FC);
-  AnalysisSession S(hbWcpConfig());
-  Status Pumped = pumpFeedSource(*Src, S);
-  EXPECT_EQ(Pumped.Code, StatusCode::ValidationError);
-  EXPECT_NE(Pumped.Message.find("disconnected mid-frame"), std::string::npos)
-      << Pumped.str();
-  AnalysisResult R = S.finish();
-  EXPECT_EQ(R.EventsIngested, T.size()) << "whole-frame prefix must survive";
-  EXPECT_EQ(Stats.Cuts, 1u);
-  Writer.join();
-  ::close(Sv[1]);
+/// The server hung up after its last reply: the next read fails with an
+/// IoError (EOF or reset) instead of yielding a frame.
+void expectClosed(WireClient &C) {
+  WireFrame Type = WireFrame::Hello;
+  std::string Payload;
+  EXPECT_EQ(C.readFrame(Type, Payload).Code, StatusCode::IoError)
+      << "unexpected frame " << wireFrameName(Type);
 }
 
-// ---- 2. Sticky protocol failures ------------------------------------------
+// ---- 1. Frame semantics (applyFrame) --------------------------------------
 
+/// Drives an ingestor the way a server connection does after its
+/// handshake: decode frames, hand each to applyFrame().
 class WireIngestorTest : public ::testing::Test {
 protected:
   WireIngestorTest() : S(hbWcpConfig()), Ing(S) {}
-  void ingest(const std::string &Bytes) { Ing.ingest(Bytes.data(), Bytes.size()); }
-  /// A valid one-thread declare + one-event stream prefix.
+  void apply(const std::string &Bytes) {
+    FrameDecoder Dec;
+    Dec.append(Bytes.data(), Bytes.size());
+    WireFrameView F;
+    while (Dec.next(F) == 1)
+      Ing.applyFrame(F);
+    ASSERT_EQ(Dec.buffered(), 0u) << "test bytes must be whole frames";
+  }
   std::string declareOneThread() {
     std::string P;
     wireDeclareEntry(P, WireDeclareKind::Thread, "T0");
@@ -248,93 +184,32 @@ protected:
   WireIngestor Ing;
 };
 
-TEST_F(WireIngestorTest, DataBeforeHelloFreezes) {
-  ingest(declareOneThread());
-  EXPECT_EQ(Ing.status().Code, StatusCode::ValidationError);
-  // Sticky: a valid hello afterwards does not unfreeze.
-  ingest(wireHelloFrame());
-  EXPECT_FALSE(Ing.sawHello());
-  EXPECT_EQ(Ing.status().Code, StatusCode::ValidationError);
-}
-
 TEST_F(WireIngestorTest, BadEventKindFreezesWithoutApplying) {
-  ingest(wireHelloFrame());
-  ingest(declareOneThread());
+  apply(declareOneThread());
   std::string P;
   wireEventsHeader(P, /*Seq=*/0, /*Count=*/1);
   wireEventRecord(P, /*Kind=*/9, 0, 0, 0); // 9 is not an EventKind.
   std::string F;
   wireAppendFrame(F, WireFrame::Events, P);
-  ingest(F);
+  apply(F);
   EXPECT_EQ(Ing.status().Code, StatusCode::ValidationError);
   EXPECT_EQ(Ing.eventsApplied(), 0u);
 }
 
 TEST_F(WireIngestorTest, UndeclaredIdsFreeze) {
-  ingest(wireHelloFrame());
   std::string P;
   wireEventsHeader(P, /*Seq=*/0, /*Count=*/1);
   wireEventRecord(P, /*Kind=*/0, /*Thread=*/5, /*Target=*/0, /*Loc=*/0);
   std::string F;
   wireAppendFrame(F, WireFrame::Events, P);
-  ingest(F);
+  apply(F);
   EXPECT_EQ(Ing.status().Code, StatusCode::ValidationError);
+  // Sticky: a valid prefix afterwards applies nothing.
+  apply(declareOneThread());
+  EXPECT_EQ(Ing.framesApplied(), 0u);
 }
 
-TEST_F(WireIngestorTest, UnknownFrameTypeAndOversizedLengthFreeze) {
-  {
-    AnalysisSession S2(hbWcpConfig());
-    WireIngestor I2(S2);
-    std::string Hello = wireHelloFrame();
-    I2.ingest(Hello.data(), Hello.size());
-    std::string F;
-    wirePutU32(F, 1);
-    F.push_back(static_cast<char>(99)); // No such frame type.
-    F.push_back('x');
-    I2.ingest(F.data(), F.size());
-    EXPECT_EQ(I2.status().Code, StatusCode::ValidationError);
-  }
-  {
-    AnalysisSession S3(hbWcpConfig());
-    WireIngestor I3(S3);
-    std::string F;
-    wirePutU32(F, WireMaxPayload + 1); // Length alone must desync.
-    F.push_back(static_cast<char>(WireFrame::Events));
-    I3.ingest(F.data(), F.size());
-    EXPECT_EQ(I3.status().Code, StatusCode::ValidationError);
-  }
-}
-
-TEST_F(WireIngestorTest, TruncationAtEofFreezesButPrefixSurvives) {
-  Trace T = makeWorkload(workloadSpec("mergesort"));
-  std::string Bytes = wireHelloFrame() + encodeTraceFrames(T, 64);
-  // Keep a valid prefix of whole frames, then 3 bytes of a torn frame.
-  size_t Keep = Bytes.size() / 2;
-  ingest(Bytes.substr(0, Keep));
-  ASSERT_TRUE(Ing.status().ok()) << Ing.status().str();
-  uint64_t Applied = Ing.eventsApplied();
-  Ing.eof();
-  // Whether the cut landed on a frame boundary or not, EOF without Finish
-  // must not pass silently... a boundary cut is a clean disconnect story
-  // for the *server*, but the ingestor only flags a *torn* frame.
-  if (!Ing.status().ok()) {
-    EXPECT_EQ(Ing.status().Code, StatusCode::ValidationError);
-  }
-  // The analyzed prefix stays finishable either way.
-  AnalysisResult R = S.finish();
-  uint64_t Total = 0;
-  for (const auto &L : R.Lanes) {
-    EXPECT_TRUE(L.LaneStatus.ok());
-    Total = L.EventsConsumed;
-  }
-  EXPECT_EQ(Total, Applied);
-  // Later data after the freeze (or EOF) is ignored.
-  std::string More = encodeTraceFrames(T, 64);
-  ingest(More);
-  EXPECT_EQ(Ing.eventsApplied(), Applied);
-}
-
-// ---- 3. RaceServer ---------------------------------------------------------
+// ---- 2. RaceServer ---------------------------------------------------------
 
 class RaceServerTest : public ::testing::Test {
 protected:
@@ -406,6 +281,58 @@ TEST_F(RaceServerTest, CleanSessionMatchesOfflineAndPartialIsPrefix) {
   Server.stop();
 }
 
+// Seeded delivery faults on the client side: the stream goes out in
+// random pieces of 1..300 bytes with occasional stalls of up to 50 us, so
+// the server's reads split frames at arbitrary offsets (headers included)
+// and its per-connection decoder must reassemble them. Delivery changes,
+// content does not: the report must stay bit-for-bit identical.
+TEST_F(RaceServerTest, FragmentedDeliveryMatchesOfflineBitForBit) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("fragmented");
+  const std::string Want = directCanon(Cfg.Session, T);
+  // Small batches force many Events frames: the interesting framing.
+  const std::string Bytes = fullWireStream(T, 257);
+  size_t Frames = 0;
+  {
+    FrameDecoder Dec;
+    Dec.append(Bytes.data(), Bytes.size());
+    WireFrameView F;
+    while (Dec.next(F) == 1)
+      ++Frames;
+  }
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  WireClient C;
+  ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
+  Prng Rng(faultSeed());
+  size_t Pieces = 0;
+  for (size_t Off = 0; Off < Bytes.size(); ++Pieces) {
+    const size_t N = std::min<size_t>(Rng.nextInRange(1, 300),
+                                      Bytes.size() - Off);
+    ASSERT_TRUE(C.sendBytes(Bytes.substr(Off, N)).ok());
+    Off += N;
+    if (Rng.chance(1, 8))
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(Rng.nextBelow(51)));
+  }
+  EXPECT_GT(Pieces, Frames) << "the schedule never split a frame";
+
+  WireFrame Type;
+  std::string Payload;
+  ASSERT_TRUE(C.readFrame(Type, Payload).ok());
+  ASSERT_EQ(Type, WireFrame::Report);
+  ASSERT_GE(Payload.size(), 9u);
+  EXPECT_EQ(Payload[0], 0); // final
+  EXPECT_EQ(Payload.substr(9), Want) << "seed " << faultSeed();
+
+  ASSERT_TRUE(eventually([&] { return Server.finishedSessions().size() == 1; }));
+  SessionSummary Done = Server.finishedSessions()[0];
+  EXPECT_TRUE(Done.CleanFinish);
+  EXPECT_EQ(Done.Events, T.size());
+  Server.stop();
+}
+
 TEST_F(RaceServerTest, DisconnectMidFrameEvictsWithTornFrameError) {
   Trace T = makeWorkload(workloadSpec("mergesort"));
   RaceServerConfig Cfg = baseConfig("evict");
@@ -457,6 +384,99 @@ TEST_F(RaceServerTest, MalformedFrameGetsStickyErrorNotUb) {
   ASSERT_TRUE(eventually([&] { return Server.finishedSessions().size() == 1; }));
   EXPECT_EQ(Server.finishedSessions()[0].Outcome.Code,
             StatusCode::ValidationError);
+  Server.stop();
+}
+
+TEST_F(RaceServerTest, DataBeforeHelloIsMalformedAndClosed) {
+  RaceServerConfig Cfg = baseConfig("nohello");
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  std::string P;
+  wireDeclareEntry(P, WireDeclareKind::Thread, "T0");
+  std::string F;
+  wireAppendFrame(F, WireFrame::Declare, P);
+  WireClient C;
+  ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
+  ASSERT_TRUE(C.sendBytes(F).ok());
+  EXPECT_NE(expectWireError(C, WireErrorCode::Malformed)
+                .find("first frame must be hello"),
+            std::string::npos);
+  expectClosed(C);
+  // No Hello, no session: nothing was opened, so nothing was finalized.
+  EXPECT_EQ(Server.activeSessions(), 0u);
+  EXPECT_TRUE(Server.finishedSessions().empty());
+  Server.stop();
+}
+
+TEST_F(RaceServerTest, UnknownFrameTypeAndOversizedLengthAreMalformedAndClosed) {
+  RaceServerConfig Cfg = baseConfig("desync");
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+  {
+    // After the handshake: the decoder desync freezes the open session.
+    WireClient C;
+    ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
+    ASSERT_TRUE(C.sendHello().ok());
+    std::string F;
+    wirePutU32(F, 1);
+    F.push_back(static_cast<char>(99)); // No such frame type.
+    F.push_back('x');
+    ASSERT_TRUE(C.sendBytes(F).ok());
+    EXPECT_NE(expectWireError(C, WireErrorCode::Malformed)
+                  .find("unknown frame type"),
+              std::string::npos);
+    expectFinalReport(C);
+    expectClosed(C);
+    ASSERT_TRUE(
+        eventually([&] { return Server.finishedSessions().size() == 1; }));
+    EXPECT_EQ(Server.finishedSessions()[0].Outcome.Code,
+              StatusCode::ValidationError);
+  }
+  {
+    // Before any Hello: the length field alone must desync.
+    WireClient C;
+    ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
+    std::string F;
+    wirePutU32(F, WireMaxPayload + 1);
+    F.push_back(static_cast<char>(WireFrame::Events));
+    ASSERT_TRUE(C.sendBytes(F).ok());
+    EXPECT_NE(expectWireError(C, WireErrorCode::Malformed).find("cap"),
+              std::string::npos);
+    expectClosed(C);
+  }
+  EXPECT_EQ(Server.finishedSessions().size(), 1u);
+  Server.stop();
+}
+
+// The connection owns the handshake, so a second Hello reaches the
+// ingestor as a data-plane protocol error: the session freezes with the
+// sticky "duplicate hello", and what it applied before stays analyzed.
+TEST_F(RaceServerTest, SecondHelloMidStreamFreezesWithDuplicateHello) {
+  Trace T = makeWorkload(workloadSpec("mergesort"));
+  RaceServerConfig Cfg = baseConfig("rehello");
+  RaceServer Server(Cfg);
+  ASSERT_TRUE(Server.start().ok());
+
+  WireClient C;
+  ASSERT_TRUE(C.connectUnix(Cfg.SocketPath, 2000).ok());
+  ASSERT_TRUE(C.sendHello().ok());
+  ASSERT_TRUE(C.sendTrace(T, 256).ok());
+  ASSERT_TRUE(C.sendHello().ok());
+  EXPECT_NE(expectWireError(C, WireErrorCode::Malformed)
+                .find("duplicate hello"),
+            std::string::npos);
+  // Every event preceded the second Hello, so the prefix is the trace.
+  EXPECT_EQ(expectFinalReport(C), directCanon(Cfg.Session, T));
+  expectClosed(C);
+
+  ASSERT_TRUE(eventually([&] { return Server.finishedSessions().size() == 1; }));
+  SessionSummary Done = Server.finishedSessions()[0];
+  EXPECT_FALSE(Done.CleanFinish);
+  EXPECT_EQ(Done.Outcome.Code, StatusCode::ValidationError);
+  EXPECT_NE(Done.Outcome.Message.find("duplicate hello"), std::string::npos)
+      << Done.Outcome.str();
+  EXPECT_EQ(Done.Events, T.size()) << "the applied prefix must survive";
   Server.stop();
 }
 
