@@ -15,6 +15,21 @@
       bench/BASELINE.json. A metric is flagged when its median moved from
       the baseline median by more than the baseline's interquartile range;
       exits 1 when any flagged metric got worse.
+
+  check_bench.py pairs REV --workload W [--pairs 10] [--seconds 20]
+                 [--seed S] [--trace 0|1]
+      Measures the working tree against commit REV on one workload.
+      REV's committed files are extracted with git archive into a
+      temporary directory, and each tree runs its own perfbench/run.py
+      (and so its own build). Each pair runs both sides once on the same
+      seed, alternating which side runs first. Prints, per metric, each
+      side's median and quartiles, the pairs the working tree won (ties
+      count for neither side) and a verdict: "gain" when the working tree
+      won at least 9/10 of the pairs and its median is better by more
+      than REV's interquartile range, "WORSE" when its median is worse
+      than REV's by more than the metric's bound in BENCHMARK.json (end-
+      to-end metrics only), else "no gain". Exits 1 when a run is not
+      correct or fails a request.
 """
 
 import argparse
@@ -23,6 +38,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(ROOT, "bench", "BASELINE.json")
@@ -97,12 +113,75 @@ def compare(base, new):
     return 1 if worse else 0
 
 
+def run_side(tree, workload, seed, seconds, trace):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)], cwd=tree, text=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    if done.returncode != 0:
+        sys.exit(f"{tree}: perfbench failed:\n{done.stderr}")
+    res = json.loads(done.stdout.strip().splitlines()[-1])
+    if not res["correct"] or res["failed"]:
+        sys.exit(f"{tree}: correct={res['correct']} failed={res['failed']}")
+    return {k: v["value"] for k, v in res["metrics"].items()}
+
+
+def pairs(rev, workload, n, seconds, seed, trace):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    metrics = spec["per_layer" if trace else "end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="check_bench-") as tmp:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = {"base": [], "new": []}
+        trees = {"base": tmp, "new": ROOT}
+        for i in range(n):
+            order = ("base", "new") if i % 2 == 0 else ("new", "base")
+            for side in order:
+                sides[side].append(run_side(trees[side], workload, seed,
+                                            seconds, trace))
+            print(f"pair {i + 1}/{n} done ({order[0]} first)",
+                  file=sys.stderr)
+    print(f"{workload}, {n} pairs, seed {seed}, {seconds} s, --trace {trace}:"
+          f" {rev} (base) vs working tree (new)")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        b = [r[name] for r in sides["base"]]
+        c = [r[name] for r in sides["new"]]
+        bq = statistics.quantiles(b, n=4, method="inclusive")
+        cq = statistics.quantiles(c, n=4, method="inclusive")
+        won = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        gain = (cq[1] - bq[1]) * (-1 if lower else 1)
+        bound = m.get("bound")
+        verdict = "no gain"
+        if won >= 0.9 * n and gain > bq[2] - bq[0]:
+            verdict = "gain"
+        elif bound is not None and -gain > bound * bq[1]:
+            verdict = "WORSE"
+        print(f"{name:26} base {bq[1]:10.4g} [{bq[0]:.4g}, {bq[2]:.4g}]"
+              f"  new {cq[1]:10.4g} [{cq[0]:.4g}, {cq[2]:.4g}] {m['unit']:5}"
+              f" won {won}/{n}  {verdict}")
+    return 0
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("command", choices=("record", "compare"))
+    p.add_argument("command", choices=("record", "compare", "pairs"))
     p.add_argument("file", nargs="?", help="record: OUT.json; "
-                   "compare: NEW.json")
+                   "compare: NEW.json; pairs: the base commit REV")
+    p.add_argument("--workload", help="pairs: the workload to run")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     a = p.parse_args()
+    if a.command == "pairs":
+        if not a.file or not a.workload or a.pairs < 2:
+            p.error("pairs needs REV, --workload and --pairs >= 2")
+        return pairs(a.file, a.workload, a.pairs, a.seconds, a.seed,
+                     a.trace)
     if a.command == "record":
         result = record()  # Before opening: a failed run keeps the file.
         with open(a.file or BASELINE, "w") as f:

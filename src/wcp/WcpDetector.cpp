@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 
 using namespace rapid;
 
@@ -49,21 +50,44 @@ VectorClock WcpDetector::currentC(ThreadId T) const {
   return C;
 }
 
-bool WcpDetector::frontLeqCt(const VectorClock &Front,
-                             const WcpThreadState &TS, ThreadId T) const {
-  // The guard tests "acquire ordered before this release" — hard
-  // (fork/join) order counts, so the comparison is against P_t ⊔ K_t.
-  // Only Front's physical components can exceed anything (the implicit
-  // tail is 0), so the loop bound is Front's size, not the thread count.
-  for (uint32_t U = 0, E = Front.size(); U < E; ++U) {
-    ClockValue Mine =
-        U == T.value()
-            ? TS.N
-            : std::max(TS.P.get(ThreadId(U)), TS.K.get(ThreadId(U)));
-    if (Front.get(ThreadId(U)) > Mine)
-      return false;
-  }
+bool WcpDetector::joinReleaseTime(VectorClock &Into,
+                                  const WcpQueueEntry &E) const {
+  assert(E.hasRelease() && "joining an open critical section");
+  // Into already covers H_r when it knows r's thread at r's N (the epoch
+  // test, WcpQueueEntry). Otherwise joining the snapshot, whose own
+  // component is at most ReleaseN, and then raising that component to
+  // ReleaseN joins H_r exactly.
+  if (Into.get(ThreadId(E.Thread)) >= E.ReleaseN)
+    return false;
+  Into.joinWith(Snapshots[E.ReleaseH]);
+  Into.set(ThreadId(E.Thread), E.ReleaseN);
   return true;
+}
+
+uint32_t WcpDetector::snapshot(const VectorClock &C, uint64_t Version,
+                               uint32_t &Snap, uint64_t &SnapVersion) {
+  if (SnapVersion != Version) {
+    Snapshots.release(Snap);
+    Snap = Snapshots.take(C);
+    SnapVersion = Version;
+  }
+  return Snap;
+}
+
+void WcpDetector::rebaseCells(WcpLockState &LS) {
+  // Cells count from CellOrigin in 32 bits. Indices below Base name
+  // collected entries, which every pick skips, so moving the origin to
+  // Base loses nothing as long as the retained entries fit the range.
+  if (LS.logicalEnd() - LS.Base >= WcpReleaseClocks::kNone)
+    throw std::length_error("WCP lock queue retains 2^32 entries");
+  LS.Releases.rebase(static_cast<uint32_t>(LS.Base - LS.CellOrigin));
+  LS.CellOrigin = LS.Base;
+}
+
+void WcpDetector::noteStateBytes() {
+  const uint64_t Bytes = Arena.bytes() + Snapshots.bytes() +
+                         Locks.capacity() * sizeof(WcpLockState);
+  Stats.MaxStateBytes = std::max(Stats.MaxStateBytes, Bytes);
 }
 
 void WcpDetector::ensureThread(ThreadId T) {
@@ -89,8 +113,10 @@ void WcpDetector::ensureThread(ThreadId T) {
 }
 
 void WcpDetector::ensureLock(LockId L) {
-  if (L.value() >= Locks.size())
+  if (L.value() >= Locks.size()) {
     Locks.resize(L.value() + 1);
+    noteStateBytes();
+  }
 }
 
 void WcpDetector::collectLockGarbage(WcpLockState &LS) {
@@ -107,14 +133,15 @@ void WcpDetector::collectLockGarbage(WcpLockState &LS) {
   uint64_t End = LS.collectibleEnd(NumThreads);
   while (LS.Base < End && !LS.Entries.empty()) {
     const WcpQueueEntry &E = LS.Entries.front();
-    if (!E.HasRelease ||
-        !E.ReleaseTime.lessOrEqual(Threads[E.Thread.value()].P))
+    // H_r ⊑ P, by the epoch test (WcpQueueEntry).
+    if (!E.hasRelease() ||
+        E.ReleaseN > Threads[E.Thread].P.get(ThreadId(E.Thread)))
       break;
+    Snapshots.release(E.ReleaseH);
     LS.Entries.popFront();
     ++LS.Base;
     --RetainedEntries;
     QueuedCopies -= 2; // A collected entry always carries its release.
-    LS.Queued -= 2;
   }
 }
 
@@ -136,35 +163,51 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   WcpThreadState &TS = Threads[T.value()];
   WcpLockState &LS = Locks[L.value()];
 
-  // Lines 1-2: receive the H/P times of the last release of ℓ.
-  TS.H.joinWith(LS.H);
-  if (TS.P.joinWith(LS.P))
-    ++TS.PEpoch;
+  // Lines 1-2: receive the H/P times of the last release r of ℓ. When T
+  // performed r itself, both are T's own earlier H_t and P_t, which its
+  // clocks already cover (they only grow): nothing to join. Otherwise a
+  // clock that knows r's thread at r's N covers H_r (the epoch test,
+  // WcpQueueEntry), and with it P_ℓ ⊑ H_r.
+  if (LS.LastThread != T.value() &&
+      LS.LastThread != WcpLockState::kNoThread) {
+    const ThreadId R(LS.LastThread);
+    if (TS.H.get(R) < LS.LastN) {
+      TS.H.joinWith(Snapshots[LS.LastH]);
+      TS.H.set(R, LS.LastN);
+      ++TS.HEpoch;
+    }
+    if (TS.P.get(R) < LS.LastN && TS.P.joinWith(Snapshots[LS.LastP]))
+      ++TS.PEpoch;
+  }
 
   // First contact with ℓ: this thread's abstract queues become live, and
   // all retained entries now count against them (none is T's own: T
   // enqueues its first below).
   if (!LS.touched(T.value())) {
-    LS.threadOf(T.value()).Touched = true;
+    if (LS.Logging && LS.Touchers != 0)
+      buildCells(LS); // The second toucher's picks need the cells.
+    LS.threadOf(Arena, T.value()).Touched = true;
     ++LS.Touchers;
-    bumpLive(static_cast<int64_t>(LS.Queued));
+    bumpLive(static_cast<int64_t>(LS.queuedCopies()));
   }
 
-  // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t. One shared entry
-  // stands for all T-1 abstract copies.
-  uint64_t LogicalIdx = LS.logicalEnd();
-  WcpQueueEntry &Entry = LS.Entries.pushBack(TS.P, T);
-  Entry.AcquireTime.set(T, TS.N); // Materialize C_t = P_t[t := N_t].
+  // Line 3: enqueue C_t into Acq_ℓ(t') for every t' ≠ t, as the epoch
+  // N_t@t (WcpQueueEntry). One shared entry stands for all T-1 abstract
+  // copies.
+  const uint64_t LogicalIdx = LS.logicalEnd();
+  if (LogicalIdx - LS.CellOrigin >= WcpReleaseClocks::kNone)
+    rebaseCells(LS);
+  LS.Entries.pushBack(Arena, {T.value(), TS.N});
   ++QueuedCopies;
   Stats.MaxRetainedQueueEntries =
       std::max(Stats.MaxRetainedQueueEntries, ++RetainedEntries);
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  ++LS.Queued;
   bumpLive(static_cast<int64_t>(LS.Touchers) - 1);
   Stats.MaxSharedQueueEntries = std::max(
       Stats.MaxSharedQueueEntries, static_cast<uint64_t>(LS.Entries.size()));
 
   TS.CsStack.push_back({L, LogicalIdx});
+  noteStateBytes();
 }
 
 void WcpDetector::handleRelease(ThreadId T, LockId L) {
@@ -175,21 +218,24 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   // acquire is already ⊑ C_t; their release H-times become WCP
   // predecessors of this release. C_t changes as P_t grows, so the guard
   // is re-evaluated every iteration, exactly like the pseudocode's while.
-  uint64_t &Cur = LS.cursorOf(T.value());
+  uint64_t &Cur = LS.cursorOf(Arena, T.value());
   for (;;) {
     // Entries by T itself are not part of T's abstract queues (Line 3
     // enqueues only to other threads).
-    while (Cur < LS.logicalEnd() && LS.entry(Cur).Thread == T)
+    while (Cur < LS.logicalEnd() && LS.entry(Cur).Thread == T.value())
       ++Cur;
     if (Cur >= LS.logicalEnd())
       break;
-    WcpQueueEntry &Front = LS.entry(Cur);
-    if (!frontLeqCt(Front.AcquireTime, TS, T))
+    // Line 4's guard, Acq_ℓ(t).Front() ⊑ C_t, by the epoch test
+    // (WcpQueueEntry). Hard (fork/join) order counts, so C_t is
+    // P_t ⊔ K_t with N_t for t; the front is another thread's entry.
+    const WcpQueueEntry &Front = LS.entry(Cur);
+    const ThreadId U(Front.Thread);
+    if (Front.AcquireN > std::max(TS.P.get(U), TS.K.get(U)))
       break;
     // Lock semantics guarantees this critical section closed before our
     // matching acquire, so its release time is present (see WcpState.h).
-    assert(Front.HasRelease && "popping an open critical section");
-    if (TS.P.joinWith(Front.ReleaseTime))
+    if (joinReleaseTime(TS.P, Front))
       ++TS.PEpoch;
     ++Cur;
     bumpAbstract(-2); // One entry leaves Acq_ℓ(T) and one leaves Rel_ℓ(T).
@@ -211,46 +257,86 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   const uint64_t OwnIdx = TS.CsStack[FrameIdx].EntryLogicalIdx;
   TS.CsStack.erase(TS.CsStack.begin() + static_cast<ptrdiff_t>(FrameIdx));
 
-  // Line 9: this release becomes the last release of ℓ.
-  LS.H = TS.H;
-  LS.P = TS.P;
+  // Line 9: this release becomes the last release of ℓ (P_ℓ := P_t,
+  // H_ℓ := H_t, by reference).
+  const uint32_t HSnap = snapshot(TS.H, TS.HEpoch, TS.HSnap, TS.HSnapEpoch);
+  Snapshots.assign(LS.LastP,
+                   snapshot(TS.P, TS.PEpoch, TS.PSnap, TS.PSnapEpoch));
+  Snapshots.assign(LS.LastH, HSnap);
+  LS.LastThread = T.value();
+  LS.LastN = TS.N;
 
   // Line 10: enqueue H_t into Rel_ℓ(t') for t' ≠ t — i.e. complete the
   // shared entry our matching acquire created.
   WcpQueueEntry &Own = LS.entry(OwnIdx);
-  assert(Own.Thread == T && !Own.HasRelease && "queue entry mismatch");
-  Own.ReleaseTime = TS.H;
-  Own.HasRelease = true;
+  assert(Own.Thread == T.value() && !Own.hasRelease() &&
+         "queue entry mismatch");
+  Snapshots.retain(HSnap);
+  Own.ReleaseH = HSnap;
+  Own.ReleaseN = TS.N;
   ++QueuedCopies;
   bumpAbstract(static_cast<int64_t>(NumThreads) - 1);
-  ++LS.Queued;
   bumpLive(static_cast<int64_t>(LS.Touchers) - 1);
 
   collectLockGarbage(LS);
+  noteStateBytes();
 
   // Local clock increment: N_t advances before the next event of T
   // because this event is a release.
   TS.IncrementNext = true;
 }
 
-void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
-  WcpThreadState &TS = Threads[T.value()];
-  // Line 11: Rule (a). For every enclosing critical section over ℓ,
-  // releases of ℓ (by other threads) whose sections *wrote* x precede
-  // this read: P_t ⊔= ⊔_{ℓ∈L} L^w_{ℓ,x}. The access belongs to the R set
-  // of *every* open section (sections may overlap without nesting, so
-  // bubbling on release would be wrong), and enters it here rather than
-  // at release (Lines 7-8): L^r_{ℓ,x} names the section's queue entry
-  // now (see WcpReleaseClocks for why that is exact).
+void WcpDetector::buildCells(WcpLockState &LS) {
+  // Replaying the logs in queue order gives each cell the two latest
+  // releases it would hold had the sections recorded there. Collected
+  // entries are not replayed: every pick skips them (WcpReleaseClocks).
+  for (uint64_t I = LS.Base; I != LS.logicalEnd(); ++I) {
+    const WcpQueueEntry &E = LS.entry(I);
+    if (E.Logged == WcpQueueEntry::kNotLogged)
+      continue;
+    WcpVarReleases &C = LS.Releases.cell(Arena, VarId(E.Logged >> 2));
+    if (E.Logged & WcpQueueEntry::kLoggedRead)
+      C.Read.add(E.Thread, LS.cellIndex(I));
+    if (E.Logged & WcpQueueEntry::kLoggedWrite)
+      C.Write.add(E.Thread, LS.cellIndex(I));
+  }
+  LS.Logging = false;
+}
+
+void WcpDetector::applyRuleA(WcpThreadState &TS, ThreadId T, VarId X,
+                             bool IsWrite) {
+  // For every enclosing critical section over ℓ, releases of ℓ (by other
+  // threads) whose sections wrote x precede a read (Line 11: P_t ⊔=
+  // ⊔_{ℓ∈L} L^w_{ℓ,x}), and those whose sections read or wrote x precede
+  // a write (Line 12: P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x})). The access
+  // belongs to the R or W set of *every* open section (sections may
+  // overlap without nesting, so bubbling on release would be wrong), and
+  // enters it here rather than at release (Lines 7-8): the cell names
+  // the section's queue entry now (see WcpReleaseClocks for why that is
+  // exact).
   for (const WcpCsFrame &Frame : TS.CsStack) {
     WcpLockState &LS = Locks[Frame.Lock.value()];
-    WcpVarReleases &C = LS.Releases.cell(X);
-    if (const VectorClock *H =
-            LS.releaseTime(C.Write.latestExcluding(T.value())))
-      if (TS.P.joinWith(*H))
+    if (LS.Logging) {
+      if (LS.entry(Frame.EntryLogicalIdx).log(X, IsWrite))
+        continue; // T is ℓ's one toucher: no other thread's release.
+      buildCells(LS);
+    }
+    WcpVarReleases &C = LS.Releases.cell(Arena, X);
+    const uint32_t Pick = IsWrite ? C.latestAccessExcluding(T.value())
+                                  : C.Write.latestExcluding(T.value());
+    if (const WcpQueueEntry *E = LS.releaseEntry(Pick))
+      if (joinReleaseTime(TS.P, *E))
         ++TS.PEpoch;
-    C.Read.add(T.value(), Frame.EntryLogicalIdx);
+    (IsWrite ? C.Write : C.Read)
+        .add(T.value(), LS.cellIndex(Frame.EntryLogicalIdx));
   }
+  if (!TS.CsStack.empty())
+    noteStateBytes();
+}
+
+void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
+  WcpThreadState &TS = Threads[T.value()];
+  applyRuleA(TS, T, X, /*IsWrite=*/false);
 
   // Race check (§3.2): W_x ⊑ C_e, with C_e = P_t[t := N_t]. The history
   // check reads only other threads' components, so P_t stands in for C_e.
@@ -269,19 +355,7 @@ void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {
 void WcpDetector::handleWrite(ThreadId T, VarId X, LocId Loc,
                               EventIdx Index) {
   WcpThreadState &TS = Threads[T.value()];
-  // Line 12: Rule (a). Releases of enclosing locks (by other threads)
-  // whose sections read *or* wrote x precede this write:
-  // P_t ⊔= ⊔_{ℓ∈L} (L^r_{ℓ,x} ⊔ L^w_{ℓ,x}). The write enters each open
-  // section's W set as a read enters its R set.
-  for (const WcpCsFrame &Frame : TS.CsStack) {
-    WcpLockState &LS = Locks[Frame.Lock.value()];
-    WcpVarReleases &C = LS.Releases.cell(X);
-    if (const VectorClock *H =
-            LS.releaseTime(C.latestAccessExcluding(T.value())))
-      if (TS.P.joinWith(*H))
-        ++TS.PEpoch;
-    C.Write.add(T.value(), Frame.EntryLogicalIdx);
-  }
+  applyRuleA(TS, T, X, /*IsWrite=*/true);
 
   // Race check (§3.2): R_x ⊔ W_x ⊑ C_e.
   if (Capture) {
@@ -337,7 +411,8 @@ void WcpDetector::processEvent(const Event &E, EventIdx Index) {
     // then advances so its later events stay unordered with the child.
     ThreadId Child = E.targetThread();
     WcpThreadState &CS = Threads[Child.value()];
-    CS.H.joinWith(TS.H);
+    if (CS.H.joinWith(TS.H))
+      ++CS.HEpoch;
     CS.H.set(Child, CS.N); // Preserve H_u(u) = N_u.
     if (CS.P.joinWith(TS.P))
       ++CS.PEpoch;
@@ -352,7 +427,8 @@ void WcpDetector::processEvent(const Event &E, EventIdx Index) {
     // join(t, u): symmetric.
     ThreadId Child = E.targetThread();
     WcpThreadState &CS = Threads[Child.value()];
-    TS.H.joinWith(CS.H);
+    if (TS.H.joinWith(CS.H))
+      ++TS.HEpoch;
     TS.H.set(T, TS.N);
     if (TS.P.joinWith(CS.P))
       ++TS.PEpoch;

@@ -70,6 +70,8 @@ public:
                    Stats.MaxSharedQueueEntries});
     Out.push_back({"wcp.queue_retained", MetricKind::HighWater,
                    Stats.MaxRetainedQueueEntries});
+    Out.push_back({"wcp.state_bytes", MetricKind::HighWater,
+                   Stats.MaxStateBytes});
     Out.push_back({"wcp.events_processed", MetricKind::Counter,
                    EventsProcessed});
   }
@@ -92,11 +94,24 @@ private:
   void handleRelease(ThreadId T, LockId L);
   void handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index);
   void handleWrite(ThreadId T, VarId X, LocId Loc, EventIdx Index);
+  /// Rule (a) for a read or write of \p X by \p T in each of its open
+  /// critical sections (Lines 11-12, with Lines 7-8's bookkeeping).
+  void applyRuleA(WcpThreadState &TS, ThreadId T, VarId X, bool IsWrite);
+  /// Builds \p LS's rule-(a) cells from its retained entries' logs and
+  /// stops logging.
+  void buildCells(WcpLockState &LS);
 
-  /// Line 4's guard: Acq_ℓ(t).Front() ⊑ C_t, evaluated without
-  /// materializing C_t (= P_t except component t, which is N_t).
-  bool frontLeqCt(const VectorClock &Front, const WcpThreadState &TS,
-                  ThreadId T) const;
+  /// \p Into ⊔= H_r of the closed section \p E; true iff it changed.
+  bool joinReleaseTime(VectorClock &Into, const WcpQueueEntry &E) const;
+  /// The snapshot of clock \p C at version \p Version: the thread's
+  /// cached one (\p Snap, showing \p SnapVersion), retaken only if the
+  /// version moved. The thread keeps a reference to it.
+  uint32_t snapshot(const VectorClock &C, uint64_t Version, uint32_t &Snap,
+                    uint64_t &SnapVersion);
+  /// Starts \p LS's cell indices at its Base once the next entry's index
+  /// would not fit them.
+  void rebaseCells(WcpLockState &LS);
+  void noteStateBytes();
 
   void bumpAbstract(int64_t Delta);
   void bumpLive(int64_t Delta);
@@ -115,6 +130,10 @@ private:
 
   uint32_t NumThreads; ///< High-water thread count (telemetry sizing).
   std::vector<WcpThreadState> Threads;
+  /// Before Locks: the locks' arrays live in the arena and their
+  /// snapshot references in the pool.
+  WcpArena Arena;
+  WcpSnapshots Snapshots;
   std::vector<WcpLockState> Locks;
   AccessHistory History;
   std::vector<RaceInstance> Scratch;

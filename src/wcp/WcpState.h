@@ -5,33 +5,45 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The state components of the paper's Algorithm 1 (§3.2):
+/// The state components of the paper's Algorithm 1 (§3.2), stored by
+/// version:
 ///
 ///   * per thread t:  local clock N_t, WCP-predecessor clock P_t, HB clock
-///     H_t (with the invariants C_t = P_t[t := N_t] and H_t(t) = N_t);
-///   * per lock ℓ:    P_ℓ and H_ℓ, the P/H times of the last rel(ℓ), and
-///     a small open-addressed table keyed by variable x whose cell stands
-///     for L^r_{ℓ,x} and L^w_{ℓ,x}, the joins of the HB times of releases
-///     of ℓ whose critical sections read/wrote x (a cell exists once some
-///     section of ℓ touched x). A cell holds no clock: it names the queue
-///     entries of the latest two such releases, whose H-times the entries
-///     already store (see WcpReleaseClocks for why that is exact);
+///     H_t (with the invariants C_t = P_t[t := N_t] and H_t(t) = N_t), and
+///     the version counters PEpoch and HEpoch. P_t changes only at joins,
+///     and H_t's non-own part only when t learns another thread's time
+///     (an acquire after another thread's release, fork, join), so on
+///     lock-dense traces a thread keeps one version across many critical
+///     sections;
+///   * snapshots:     immutable, reference-counted copies of a thread's
+///     P_t or H_t (WcpSnapshots), taken at a release only when the version
+///     moved since the thread's last snapshot;
+///   * per lock ℓ:    P_ℓ and H_ℓ as references to the releasing thread's
+///     snapshots plus its N at the release (H_ℓ is the H snapshot with the
+///     releaser's own component set to that N), a small open-addressed
+///     table keyed by variable x whose cell stands for L^r_{ℓ,x} and
+///     L^w_{ℓ,x} (see WcpReleaseClocks), and per-thread queue cursors;
 ///   * per (ℓ, t):    FIFO queues Acq_ℓ(t) and Rel_ℓ(t) of the C-times of
 ///     acquires / H-times of releases performed by *other* threads.
 ///
 /// The queues are realized as one shared per-lock buffer with per-thread
 /// cursors: the value enqueued for every t' ≠ t is identical, so storing it
 /// once per critical section implements the same abstract queues with a
-/// factor-T less memory. Queue-length telemetry (Table 1 column 11) is
-/// reported in terms of the *abstract* per-(ℓ,t) queues so the numbers are
-/// comparable with the paper.
+/// factor-T less memory. An entry stores no clock: C_a is held as the
+/// epoch of the acquire, and H_r as an H snapshot with component t set to
+/// the N at the release (see WcpQueueEntry for why both are exact). While
+/// a lock has one toucher, its rule-(a) cells are not built: the sections
+/// log their accesses in their entries (WcpLockState::Releases).
+/// Queue-length telemetry (Table 1 column 11) is reported in terms of the
+/// *abstract* per-(ℓ,t) queues so the numbers are comparable with the
+/// paper.
 ///
-/// Per-event processing does not allocate for traces of at most
-/// VectorClock::kInlineThreads threads: clocks are inline, a shared queue
-/// reuses the blocks its pops empty, a thread's stack of open critical
-/// sections keeps its capacity, and a rule-(a) cell is two queue
-/// references. What remains is growth: a new block per eight entries of
-/// a queue that only grows, a table that fills up.
+/// Memory: a lock's queue, cells and cursors are arrays in the detector's
+/// WcpArena, whose freed blocks are reused, and snapshots live in one
+/// pool whose freed slots are reused. Per-event processing therefore does
+/// not allocate for traces of at most VectorClock::kInlineThreads threads
+/// once the arrays stop growing; what remains is the arena's chunks, the
+/// pool's and the lock table's growth, and race reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,119 +54,224 @@
 #include "vc/VectorClock.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
-#include <new>
-#include <utility>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace rapid {
 
-/// One critical section's times, shared across the abstract per-thread
-/// queues of its lock.
-struct WcpQueueEntry {
-  VectorClock AcquireTime; ///< C_a of the acquire (enqueued at acquire).
-  VectorClock ReleaseTime; ///< H_r of the release (set at release).
-  ThreadId Thread;         ///< Thread that performed the critical section.
-  bool HasRelease = false;
-
-  WcpQueueEntry(const VectorClock &AcquireTime, ThreadId Thread)
-      : AcquireTime(AcquireTime), Thread(Thread) {}
-};
-
-/// A lock's shared queue: a FIFO over fixed-size blocks of entries.
-/// Entries are constructed in place when pushed and never move, so a push
-/// only writes (no read of a cold slot, no relocation of older entries
-/// when the queue grows). A block emptied by pops is kept as a spare for
-/// the next block the queue needs, so a queue whose length stays bounded
-/// stops allocating, and an unused lock holds no block at all.
-class WcpEntryQueue {
+/// Storage for the per-lock arrays (queue entries, rule-(a) cells,
+/// cursors): blocks of 2^C bytes for a size class C, carved from large
+/// chunks, with one free list per class. A freed block is reused by the
+/// next request of its class and goes back to the system only with the
+/// arena, so a walk whose arrays stop growing stops calling operator
+/// new, and the arrays a lock allocates together sit together. Blocks
+/// hold trivially copyable values only: nothing is destroyed.
+class WcpArena {
 public:
-  WcpEntryQueue() = default;
-  WcpEntryQueue(WcpEntryQueue &&Other) noexcept
-      : Blocks(std::move(Other.Blocks)),
-        Spare(std::exchange(Other.Spare, nullptr)),
-        First(std::exchange(Other.First, 0)),
-        Head(std::exchange(Other.Head, 0)),
-        Count(std::exchange(Other.Count, 0)) {}
-  WcpEntryQueue(const WcpEntryQueue &) = delete;
-  WcpEntryQueue &operator=(const WcpEntryQueue &) = delete;
-  ~WcpEntryQueue() {
-    while (Count != 0)
-      popFront();
-    for (size_t I = First; I != Blocks.size(); ++I)
-      freeBlock(Blocks[I]);
-    freeBlock(Spare);
+  /// The smallest class holding \p Bytes (at least the free-list link).
+  static uint8_t classFor(size_t Bytes) {
+    uint8_t C = kMinClass;
+    while ((size_t(1) << C) < Bytes)
+      ++C;
+    return C;
+  }
+  static size_t bytesOf(uint8_t Class) { return size_t(1) << Class; }
+
+  void *allocate(uint8_t Class) {
+    InUse += bytesOf(Class);
+    if (void *Block = Free[Class]) {
+      std::memcpy(&Free[Class], Block, sizeof(void *));
+      return Block;
+    }
+    return carve(Class);
+  }
+  void deallocate(void *Block, uint8_t Class) {
+    InUse -= bytesOf(Class);
+    std::memcpy(Block, &Free[Class], sizeof(void *));
+    Free[Class] = Block;
   }
 
+  /// Bytes in blocks handed out and not returned.
+  uint64_t bytes() const { return InUse; }
+
+private:
+  static constexpr uint8_t kMinClass = 4;
+  static constexpr size_t kChunk = size_t(64) << 10;
+
+  void *carve(uint8_t Class);
+
+  std::vector<std::unique_ptr<char[]>> Chunks;
+  char *Next = nullptr; ///< Uncarved rest of the newest small-block chunk.
+  char *End = nullptr;
+  void *Free[64] = {};
+  uint64_t InUse = 0;
+};
+
+/// Names no snapshot (an open section's H side, a lock never released).
+constexpr uint32_t kWcpNoSnapshot = UINT32_MAX;
+
+/// Immutable clock copies shared by reference count: the thread that took
+/// one keeps a reference while its version is current, and every queue
+/// entry and lock that names one holds another. A slot whose count drops
+/// to zero goes on a free list and is reused (its clock keeps any heap
+/// buffer), so snapshots cost no allocation once the pool stops growing.
+class WcpSnapshots {
+public:
+  /// A new snapshot of \p C, holding one reference. Invalidates
+  /// references returned by operator[].
+  uint32_t take(const VectorClock &C) {
+    uint32_t S = FreeHead;
+    if (S == kWcpNoSnapshot) {
+      S = static_cast<uint32_t>(Slots.size());
+      Slots.emplace_back();
+    } else {
+      FreeHead = Slots[S].NextFree;
+    }
+    Slots[S].Clock = C;
+    Slots[S].Refs = 1;
+    return S;
+  }
+  void retain(uint32_t S) { ++Slots[S].Refs; }
+  void release(uint32_t S) {
+    if (S != kWcpNoSnapshot && --Slots[S].Refs == 0) {
+      Slots[S].NextFree = FreeHead;
+      FreeHead = S;
+    }
+  }
+  /// Points the reference \p Ref at \p S.
+  void assign(uint32_t &Ref, uint32_t S) {
+    if (Ref == S)
+      return;
+    retain(S);
+    release(Ref);
+    Ref = S;
+  }
+  const VectorClock &operator[](uint32_t S) const {
+    assert(Slots[S].Refs != 0 && "snapshot read after release");
+    return Slots[S].Clock;
+  }
+  /// The pool's slots (a clock wider than kInlineThreads also holds a
+  /// heap buffer, not counted).
+  uint64_t bytes() const { return Slots.capacity() * sizeof(Slot); }
+
+private:
+  struct Slot {
+    VectorClock Clock;
+    uint32_t Refs = 0;
+    uint32_t NextFree = kWcpNoSnapshot;
+  };
+  std::vector<Slot> Slots;
+  uint32_t FreeHead = kWcpNoSnapshot;
+};
+
+/// One critical section, shared across the abstract per-thread queues of
+/// its lock. Its acquire's C_a is held as the epoch AcquireN@Thread and,
+/// once the section closed, its release's H_r as snapshot ReleaseH with
+/// component Thread set to ReleaseN (the snapshot's own component never
+/// exceeds ReleaseN: it was taken at or before the release).
+///
+/// Epochs are exact for both, the property FastTrack uses for HB, here
+/// for P as well. Every P and H clock of the walk is a join of H-times
+/// that threads published: at a release (into H_ℓ and the queue), at a
+/// fork (to the child), at a join (the child's last one); P_ℓ is a P
+/// clock, and K carries a P along every fork/join edge it follows. N_u
+/// advances right after each release and fork of u, so the only
+/// publications of u whose u-component is at least N_e, for an event e
+/// of u, are the ones at or after e, and each covers H_u at e, which
+/// covers P_u at e (P_t ⊑ H_t throughout). Hence, for such a clock V:
+///
+///   * H_r ⊑ V iff V(u) ≥ N_r, for a release r of u;
+///   * C_a ⊑ C_t iff max(P_t(u), K_t(u)) ≥ N_a, for an acquire a of
+///     u ≠ t: C_a = P_u at a, with N_a for u, and the thread that knows
+///     u at N_a or later learned a P_u from at or after a with it.
+///
+/// So rule (b)'s guard reads one component, a join of H_r is skipped
+/// without reading the snapshot when the target already knows N_r, and
+/// collection tests one component.
+struct WcpQueueEntry {
+  uint32_t Thread;                     ///< Thread of the critical section.
+  ClockValue AcquireN;                 ///< N_t at the acquire.
+  ClockValue ReleaseN = 0;             ///< N_t at the release.
+  uint32_t ReleaseH = kWcpNoSnapshot;  ///< Snapshot of H_t at the release.
+  /// While the lock has one toucher, the section logs its accesses here
+  /// instead of in the lock's rule-(a) cells (WcpLockState::Logging):
+  /// (x << 2) | kLoggedRead | kLoggedWrite for the one variable x it
+  /// accessed, or kNotLogged.
+  uint32_t Logged = kNotLogged;
+
+  static constexpr uint32_t kNotLogged = UINT32_MAX;
+  static constexpr uint32_t kLoggedRead = 1;
+  static constexpr uint32_t kLoggedWrite = 2;
+
+  bool hasRelease() const { return ReleaseH != kWcpNoSnapshot; }
+
+  /// Logs a read or write of \p X; false when the section already logged
+  /// another variable or X's id does not fit the log.
+  bool log(VarId X, bool IsWrite) {
+    if (X.value() >= kNotLogged >> 2)
+      return false;
+    const uint32_t Kind = IsWrite ? kLoggedWrite : kLoggedRead;
+    if (Logged == kNotLogged)
+      Logged = X.value() << 2 | Kind;
+    else if (Logged >> 2 == X.value())
+      Logged |= Kind;
+    else
+      return false;
+    return true;
+  }
+};
+static_assert(sizeof(WcpQueueEntry) == 20, "queue entry grew");
+
+/// A lock's shared queue: the entries [Head, Head + Count) of one arena
+/// array. A push into a full array slides the live entries to the front
+/// when at most half of it is live and doubles it otherwise, so pushes and
+/// pops cost O(1) amortized and the entries of a lock stay contiguous.
+class WcpEntryQueue {
+public:
   size_t size() const { return Count; }
   bool empty() const { return Count == 0; }
   WcpQueueEntry &operator[](size_t I) {
     assert(I < Count && "queue index out of range");
-    const size_t Pos = Head + I;
-    return Blocks[First + Pos / kBlock][Pos % kBlock];
+    return Data[Head + I];
   }
   WcpQueueEntry &front() { return (*this)[0]; }
+  WcpQueueEntry &back() { return (*this)[Count - 1]; }
 
-  /// Appends an open section's entry: acquire time \p AcquireTime, by
-  /// \p Thread.
-  WcpQueueEntry &pushBack(const VectorClock &AcquireTime, ThreadId Thread) {
-    const size_t Pos = Head + Count;
-    if (First + Pos / kBlock == Blocks.size()) {
-      Blocks.push_back(Spare ? Spare : allocBlock());
-      Spare = nullptr;
-    }
-    WcpQueueEntry *Slot = &Blocks[First + Pos / kBlock][Pos % kBlock];
-    ++Count;
-    return *new (Slot) WcpQueueEntry(AcquireTime, Thread);
+  void pushBack(WcpArena &A, const WcpQueueEntry &E) {
+    if (Head + Count == capacity())
+      makeRoom(A);
+    Data[Head + Count++] = E;
   }
-
   void popFront() {
     assert(Count != 0 && "pop from an empty queue");
-    front().~WcpQueueEntry();
-    --Count;
-    if (++Head == kBlock) {
-      retireFrontBlock();
-      Head = 0;
-    } else if (Count == 0) {
-      Head = 0; // Empty: refill the front block from its start.
-    }
+    ++Head;
+    if (--Count == 0)
+      Head = 0; // Empty: refill from the start.
   }
 
 private:
-  static constexpr size_t kBlock = 8; ///< Entries per block.
-
-  static WcpQueueEntry *allocBlock() {
-    return static_cast<WcpQueueEntry *>(
-        ::operator new(kBlock * sizeof(WcpQueueEntry)));
+  uint32_t capacity() const {
+    return Data ? static_cast<uint32_t>(WcpArena::bytesOf(Class) /
+                                        sizeof(WcpQueueEntry))
+                : 0;
   }
-  static void freeBlock(WcpQueueEntry *B) { ::operator delete(B); }
+  void makeRoom(WcpArena &A);
 
-  /// Drops the (empty) front block, keeping it as the spare if there is
-  /// none, and compacts the block list once half of it is dead.
-  void retireFrontBlock() {
-    if (Spare)
-      freeBlock(Blocks[First]);
-    else
-      Spare = Blocks[First];
-    if (2 * ++First >= Blocks.size()) {
-      Blocks.erase(Blocks.begin(),
-                   Blocks.begin() + static_cast<std::ptrdiff_t>(First));
-      First = 0;
-    }
-  }
-
-  /// Blocks[First, end) hold the entries; each block is raw storage for
-  /// kBlock entries, of which the live ones are constructed.
-  std::vector<WcpQueueEntry *> Blocks;
-  WcpQueueEntry *Spare = nullptr; ///< An emptied block kept for reuse.
-  size_t First = 0; ///< Index of the front block in Blocks.
-  size_t Head = 0;  ///< Index of the front entry in the front block.
-  size_t Count = 0;
+  WcpQueueEntry *Data = nullptr;
+  uint32_t Head = 0;
+  uint32_t Count = 0;
+  uint8_t Class = 0;
 };
 
-/// One L^r_{ℓ,x} / L^w_{ℓ,x} cell, held by reference: the logical queue
-/// indices of the latest release of ℓ whose section read (or wrote) x,
-/// and of the latest such release by a thread other than that one's.
+/// One L^r_{ℓ,x} / L^w_{ℓ,x} cell, held by reference: the queue indices
+/// (relative to the lock's CellOrigin, see WcpLockState) of the latest
+/// release of ℓ whose section read (or wrote) x, and of the latest such
+/// release by a thread other than that one's.
 ///
 /// Rule (a) of WCP fires only when the release's critical section contains
 /// an event *conflicting* with the current access, and conflicting events
@@ -184,14 +301,14 @@ private:
 /// release stores the entry's H-time.
 struct WcpReleaseClocks {
   static constexpr uint32_t kNoThread = ThreadId::invalid().value();
-  static constexpr uint64_t kNone = UINT64_MAX;
-  uint64_t Latest = kNone; ///< Queue index of the latest release.
-  uint64_t Other = kNone;  ///< ... of the latest by another thread.
+  static constexpr uint32_t kNone = UINT32_MAX;
+  uint32_t Latest = kNone; ///< Queue index of the latest release.
+  uint32_t Other = kNone;  ///< ... of the latest by another thread.
   uint32_t LatestThread = kNoThread; ///< The thread of Latest.
 
   /// Records that the section of queue entry \p Idx, by thread \p T,
   /// accessed x; it is the lock's latest section so far.
-  void add(uint32_t T, uint64_t Idx) {
+  void add(uint32_t T, uint32_t Idx) {
     if (LatestThread != T) {
       Other = Latest;
       LatestThread = T;
@@ -201,8 +318,17 @@ struct WcpReleaseClocks {
 
   /// The queue index of the latest recorded release by a thread other
   /// than \p T, or kNone.
-  uint64_t latestExcluding(uint32_t T) const {
+  uint32_t latestExcluding(uint32_t T) const {
     return LatestThread != T ? Latest : Other;
+  }
+
+  /// Renumbers the indices for a lock whose cell origin moves up by
+  /// \p Shift: an index below the shift named a collected entry, which
+  /// every pick skips, and becomes kNone, which every pick skips too.
+  void rebase(uint32_t Shift) {
+    for (uint32_t *I : {&Latest, &Other})
+      if (*I != kNone)
+        *I = *I < Shift ? kNone : *I - Shift;
   }
 };
 
@@ -216,29 +342,29 @@ struct WcpVarReleases {
   /// The write rule's L^r_{ℓ,x} ⊔ L^w_{ℓ,x}: the queue index of the
   /// latest release by a thread other than \p T whose section read or
   /// wrote x, or kNone. The later entry's H-time covers the earlier's.
-  uint64_t latestAccessExcluding(uint32_t T) const {
-    const uint64_t R = Read.latestExcluding(T);
-    const uint64_t W = Write.latestExcluding(T);
+  uint32_t latestAccessExcluding(uint32_t T) const {
+    const uint32_t R = Read.latestExcluding(T);
+    const uint32_t W = Write.latestExcluding(T);
     if (R == WcpReleaseClocks::kNone || W == WcpReleaseClocks::kNone)
       return std::min(R, W);
     return std::max(R, W);
   }
 };
-// Every access inside a critical section writes a cell. One that grew a
-// clock or a heap list would bring back the per-variable joins and
-// cache misses that naming queue entries removed.
-static_assert(sizeof(WcpVarReleases) <= 64, "rule-(a) cell grew");
+// Every access inside a critical section reads and writes a cell, and a
+// lock's table is scanned at its accesses: keep a cell to seven words.
+static_assert(sizeof(WcpVarReleases) == 28, "rule-(a) cell grew");
 
 /// One lock's L^r/L^w cells, keyed by variable: open addressing with
-/// linear probing over a power-of-two slot array, at most 3/4 full. A
-/// lock's sections touch few variables, so the table stays a few slots
-/// wide and a lookup is one or two probes.
+/// linear probing over a power-of-two slot array in the arena, at most
+/// 7/8 full. A lock's sections touch few variables, so the table stays a
+/// few slots wide (eight hold seven variables) and a lookup reads one or
+/// two cache lines.
 class WcpReleaseTable {
 public:
   /// The cell of \p X, created empty (no release recorded) on first use.
-  WcpVarReleases &cell(VarId X) {
-    if (4 * (Used + 1) > 3 * Slots.size())
-      rehash(Slots.empty() ? 4 : 2 * Slots.size());
+  WcpVarReleases &cell(WcpArena &A, VarId X) {
+    if (8 * (Used + 1) > 7 * slots())
+      grow(A);
     size_t I = home(X.value());
     while (Slots[I].Var != X.value()) {
       if (Slots[I].Var == WcpVarReleases::kEmpty) {
@@ -246,34 +372,29 @@ public:
         ++Used;
         break;
       }
-      I = (I + 1) & (Slots.size() - 1);
+      I = (I + 1) & (slots() - 1);
     }
     return Slots[I];
   }
 
-private:
-  /// Fibonacci hashing: the top bits of X·⌊2^32/φ⌋.
-  size_t home(uint32_t X) const { return (X * 0x9e3779b9u) >> Shift; }
-
-  void rehash(size_t NewSlots) {
-    std::vector<WcpVarReleases> Old(NewSlots);
-    Old.swap(Slots);
-    Shift = 32;
-    for (size_t N = NewSlots; N > 1; N >>= 1)
-      --Shift;
-    for (WcpVarReleases &S : Old) {
-      if (S.Var == WcpVarReleases::kEmpty)
-        continue;
-      size_t I = home(S.Var);
-      while (Slots[I].Var != WcpVarReleases::kEmpty)
-        I = (I + 1) & (Slots.size() - 1);
-      Slots[I] = std::move(S);
+  /// Applies WcpReleaseClocks::rebase to every cell.
+  void rebase(uint32_t Shift) {
+    for (size_t I = 0; I != slots(); ++I) {
+      Slots[I].Read.rebase(Shift);
+      Slots[I].Write.rebase(Shift);
     }
   }
 
-  std::vector<WcpVarReleases> Slots;
+private:
+  size_t slots() const { return Slots ? size_t(1) << Log2 : 0; }
+  /// Fibonacci hashing: the top bits of X·⌊2^32/φ⌋.
+  size_t home(uint32_t X) const { return (X * 0x9e3779b9u) >> (32 - Log2); }
+  void grow(WcpArena &A);
+
+  WcpVarReleases *Slots = nullptr;
   uint32_t Used = 0;
-  uint32_t Shift = 32;
+  uint8_t Log2 = 0;
+  uint8_t Class = 0;
 };
 
 /// One thread's view of one lock's shared queue.
@@ -287,35 +408,52 @@ struct WcpLockThread {
   bool Touched = false;
 };
 
-/// Per-lock state, empty until the lock is used: the clocks start as ⊥
-/// and the per-thread array grows on first touch. A thread beyond the
-/// array's physical size reads as the zero state, so a lock holds no
-/// per-thread memory until some thread acquires it.
+/// Per-lock state, empty until the lock is used: no release yet (P_ℓ =
+/// H_ℓ = ⊥) and no arrays. A thread beyond the per-thread array's size
+/// reads as the zero state, so a lock holds no per-thread memory until
+/// some thread acquires it. The fields an acquire, an access and a
+/// release read come first; all of them fit in two cache lines.
 struct WcpLockState {
-  VectorClock P; ///< P_ℓ: WCP-predecessor time of the last release.
-  VectorClock H; ///< H_ℓ: HB time of the last release.
+  static constexpr uint32_t kNoThread = ThreadId::invalid().value();
+
+  /// The last release of ℓ: P_ℓ is snapshot LastP, and H_ℓ is snapshot
+  /// LastH with component LastThread set to LastN.
+  uint32_t LastThread = kNoThread;
+  ClockValue LastN = 0;
+  uint32_t LastP = kWcpNoSnapshot;
+  uint32_t LastH = kWcpNoSnapshot;
 
   /// Shared queue buffer; logical index of Entries[i] is Base + i.
   WcpEntryQueue Entries;
   uint64_t Base = 0;
 
+  /// L^r_{ℓ,x} / L^w_{ℓ,x} for every x, once built: while ℓ has had at
+  /// most one toucher, every release of ℓ is that thread's own, so no
+  /// access in a section on ℓ has anything to join, and the sections log
+  /// their accesses in their queue entries (WcpQueueEntry::Logged), which
+  /// the acquire already brought into cache. A second toucher, or a
+  /// section that does not fit the log, builds the cells from the logs of
+  /// the retained entries (WcpDetector::buildCells).
+  WcpReleaseTable Releases;
+  /// The logical index the cells' 32-bit indices count from.
+  uint64_t CellOrigin = 0;
+
   /// Per-thread cursors and touched flags, one array so a lock operation
-  /// reads one buffer.
-  std::vector<WcpLockThread> PerThread;
+  /// reads one buffer: PerThread[0, PerThreadSize) in a block of class
+  /// PerThreadClass.
+  WcpLockThread *PerThread = nullptr;
+  uint32_t PerThreadSize = 0;
   /// Threads [0, Cursors) have a cursor of their own; later ones sit
   /// implicitly at 0 for collection (see collectibleEnd).
   uint32_t Cursors = 0;
-
   /// Live-queue telemetry, the "live" portion of the paper's column 11
-  /// metric: the threads that have acquired ℓ, and the Acq+Rel copies
-  /// of the retained entries (one per enqueue, one per release, two off
-  /// per collected entry). Every toucher's abstract queues hold all
-  /// retained entries but its own and the ones it popped, so a first
-  /// contact adds Queued and an enqueue or release adds Touchers - 1.
+  /// metric: the threads that have acquired ℓ. Every toucher's abstract
+  /// queues hold all retained entries but its own and the ones it popped
+  /// (see queuedCopies).
   uint32_t Touchers = 0;
-  uint64_t Queued = 0;
-
-  WcpReleaseTable Releases; ///< L^r_{ℓ,x} / L^w_{ℓ,x} for every x.
+  uint8_t PerThreadClass = 0;
+  /// Accesses are logged in the queue entries; the cells are not built.
+  bool Logging = true;
 
   uint64_t logicalEnd() const { return Base + Entries.size(); }
   WcpQueueEntry &entry(uint64_t LogicalIdx) {
@@ -323,16 +461,27 @@ struct WcpLockState {
            "queue entry out of range");
     return Entries[LogicalIdx - Base];
   }
-  /// The H-time of the release whose section's entry has logical index
-  /// \p LogicalIdx, or nullptr for WcpReleaseClocks::kNone and for a
-  /// collected entry (one every thread in a section on ℓ already covers;
-  /// see WcpReleaseClocks).
-  const VectorClock *releaseTime(uint64_t LogicalIdx) {
-    if (LogicalIdx == WcpReleaseClocks::kNone || LogicalIdx < Base)
+  /// The cell index of the entry with logical index \p LogicalIdx.
+  uint32_t cellIndex(uint64_t LogicalIdx) const {
+    return static_cast<uint32_t>(LogicalIdx - CellOrigin);
+  }
+  /// The entry of the release a rule-(a) cell names by \p CellIdx, or
+  /// nullptr for WcpReleaseClocks::kNone and for a collected entry (one
+  /// every thread in a section on ℓ already covers; see WcpReleaseClocks).
+  const WcpQueueEntry *releaseEntry(uint32_t CellIdx) {
+    if (CellIdx == WcpReleaseClocks::kNone || CellOrigin + CellIdx < Base)
       return nullptr;
-    const WcpQueueEntry &E = entry(LogicalIdx);
-    assert(E.HasRelease && "rule-(a) cell names an open section");
-    return &E.ReleaseTime;
+    const WcpQueueEntry &E = entry(CellOrigin + CellIdx);
+    assert(E.hasRelease() && "rule-(a) cell names an open section");
+    return &E;
+  }
+
+  /// The Acq+Rel copies of the retained entries, one per enqueue and one
+  /// per release: at most one section of a lock is open at a time, and
+  /// its entry is the last.
+  uint64_t queuedCopies() {
+    return 2 * Entries.size() -
+           (!Entries.empty() && !Entries.back().hasRelease());
   }
 
   /// Growable component accessors (untouched defaults, exactly the batch
@@ -341,21 +490,21 @@ struct WcpLockState {
   /// their release times already flow to every possible future thread
   /// through P_ℓ, so skipping them is a semantic no-op; see
   /// WcpDetector::collectLockGarbage).
-  WcpLockThread &threadOf(uint32_t T) {
-    if (T >= PerThread.size())
-      PerThread.resize(T + 1);
+  WcpLockThread &threadOf(WcpArena &A, uint32_t T) {
+    if (T >= PerThreadSize)
+      growPerThread(A, T + 1);
     return PerThread[T];
   }
-  uint64_t &cursorOf(uint32_t T) {
+  uint64_t &cursorOf(WcpArena &A, uint32_t T) {
     if (T >= Cursors) {
-      threadOf(T);
+      threadOf(A, T);
       for (; Cursors <= T; ++Cursors)
         PerThread[Cursors].Cursor = Base;
     }
     return PerThread[T].Cursor;
   }
   bool touched(uint32_t T) const {
-    return T < PerThread.size() && PerThread[T].Touched;
+    return T < PerThreadSize && PerThread[T].Touched;
   }
 
   /// The largest logical index every thread's cursor has passed (the
@@ -373,7 +522,12 @@ struct WcpLockState {
       Min = std::min(Min, PerThread[U].Cursor);
     return Min;
   }
+
+private:
+  void growPerThread(WcpArena &A, uint32_t NewSize);
 };
+static_assert(std::is_trivially_destructible_v<WcpLockState>,
+              "lock state lives in arena blocks it never frees itself");
 
 /// One open critical section of a thread: the lock and the shared queue
 /// entry created by its acquire. The section's accesses name that entry
@@ -395,15 +549,21 @@ struct WcpThreadState {
   /// guard. (Folding it into P_t would leak through rule (c)'s
   /// HB-composition channels and over-order independent threads.)
   VectorClock K;
-  /// Capture-mode change epochs of P / K: bumped on every mutation of the
-  /// respective clock (spurious bumps are only a missed dedup; a missed
-  /// bump would be unsound, so every joinWith/set site bumps). An access
-  /// whose epoch matches the thread's last broadcast snapshot reuses it
-  /// without the O(threads) content compare — the common case, since P/K
-  /// mutate only at sync events and (for P) rule-(a) joins that actually
-  /// add something.
+  /// Versions of P / K / H's non-own part: bumped on every mutation of
+  /// the respective clock (spurious bumps only cost a redundant snapshot
+  /// or broadcast; a missed bump would be unsound, so every joinWith site
+  /// bumps). PEpoch and HEpoch decide when a new snapshot is due; capture
+  /// mode reuses a thread's last broadcast clocks while PEpoch/KEpoch
+  /// match, without an O(threads) content compare.
   uint64_t PEpoch = 1;
   uint64_t KEpoch = 1;
+  uint64_t HEpoch = 1;
+  /// The snapshots of P_t and H_t last taken, and the versions they show
+  /// (0: none yet). The thread holds one reference to each.
+  uint32_t PSnap = kWcpNoSnapshot;
+  uint32_t HSnap = kWcpNoSnapshot;
+  uint64_t PSnapEpoch = 0;
+  uint64_t HSnapEpoch = 0;
   bool IncrementNext = false; ///< Previous event was a release/fork.
   /// The open critical sections, innermost last.
   std::vector<WcpCsFrame> CsStack;
@@ -436,6 +596,10 @@ struct WcpStats {
   /// Peak of the shared buffers' entries summed over *all* locks — what
   /// this implementation actually retains at once.
   uint64_t MaxRetainedQueueEntries = 0;
+  /// Peak, sampled after each lock event and rule-(a) access, of the
+  /// bytes of per-lock state: the lock table, the arena blocks of queue
+  /// entries, cells and cursors, and the snapshot pool.
+  uint64_t MaxStateBytes = 0;
 };
 
 } // namespace rapid

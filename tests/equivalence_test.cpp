@@ -13,6 +13,8 @@
 #include "gen/RandomTraceGen.h"
 #include "hb/HbDetector.h"
 #include "reference/ClosureEngine.h"
+#include "support/Prng.h"
+#include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
 #include "wcp/WcpDetector.h"
 
@@ -201,3 +203,147 @@ TEST_P(WideEquivalenceTest, WcpRaceInstancesAgreeWithClosure) {
 
 INSTANTIATE_TEST_SUITE_P(WideTraces, WideEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 17));
+
+// Theorem 2 on lock-dense traces, the shape of the Table 1 models the
+// detector is slowest on: most sections take a lock private to their
+// thread, two locks are shared, a thread often re-acquires the lock it
+// released last, and each lock sees several variables. Now and then a
+// thread takes another thread's private lock, so a lock gains its second
+// toucher late, with retained sections behind it. One thread appears
+// only halfway through; the timestamps are checked both from a detector
+// built over the whole trace and from one that admits each thread at its
+// first event.
+namespace {
+
+Trace lockDenseTrace(uint64_t Seed, uint32_t NumThreads) {
+  Prng Rng(Seed);
+  const uint32_t PrivatePerThread = 2, NumVars = 6;
+  std::vector<std::vector<uint32_t>> Held(NumThreads);
+  std::vector<bool> IsHeld(NumThreads * PrivatePerThread + 2);
+  auto LockName = [&](uint32_t L) {
+    return L < 2 ? "shared" + std::to_string(L)
+                 : "p" + std::to_string(L - 2);
+  };
+  auto ThreadName = [](uint32_t T) { return "t" + std::to_string(T); };
+  TraceBuilder B;
+  const uint32_t Steps = 40 + 12 * NumThreads;
+  for (uint32_t Step = 0; Step != Steps; ++Step) {
+    // The last thread is declared (first seen) only halfway through.
+    const uint32_t Active = Step < Steps / 2 ? NumThreads - 1 : NumThreads;
+    const uint32_t T = static_cast<uint32_t>(Rng.nextBelow(Active));
+    const std::string Name = ThreadName(T);
+    std::vector<uint32_t> &Mine = Held[T];
+    if (!Mine.empty() && Rng.chance(2, 5)) {
+      IsHeld[Mine.back()] = false;
+      B.release(Name, LockName(Mine.back()));
+      Mine.pop_back();
+      continue;
+    }
+    if (Mine.size() < 2 && Rng.chance(2, 5)) {
+      // Mostly the thread's own private locks, sometimes a shared one,
+      // rarely another thread's private lock.
+      uint32_t L;
+      const uint64_t Pick = Rng.nextBelow(10);
+      if (Pick < 7)
+        L = 2 + T * PrivatePerThread +
+            static_cast<uint32_t>(Rng.nextBelow(PrivatePerThread));
+      else if (Pick < 9)
+        L = static_cast<uint32_t>(Rng.nextBelow(2));
+      else
+        L = 2 + static_cast<uint32_t>(
+                    Rng.nextBelow(NumThreads * PrivatePerThread));
+      if (IsHeld[L])
+        continue;
+      IsHeld[L] = true;
+      Mine.push_back(L);
+      B.acquire(Name, LockName(L));
+      continue;
+    }
+    const std::string X = "x" + std::to_string(Rng.nextBelow(NumVars));
+    if (Rng.chance(1, 2))
+      B.read(Name, X);
+    else
+      B.write(Name, X);
+  }
+  for (uint32_t T = 0; T != NumThreads; ++T)
+    for (; !Held[T].empty(); Held[T].pop_back())
+      B.release(ThreadName(T), LockName(Held[T].back()));
+  return testutil::takeValid(B);
+}
+
+void expectLockDenseTheorem2(uint64_t Seed, uint32_t NumThreads) {
+  Trace T = lockDenseTrace(Seed, NumThreads);
+  ASSERT_EQ(T.numThreads(), NumThreads);
+  ClosureEngine Ref(T);
+  std::vector<VectorClock> UpFront =
+      testutil::captureTimestamps<WcpDetector>(T);
+  WcpDetector Grown{Trace()};
+  std::vector<VectorClock> Late(T.size());
+  for (EventIdx I = 0; I != T.size(); ++I) {
+    Grown.processEvent(T.event(I), I);
+    Grown.currentC(T.event(I).Thread, Late[I]);
+  }
+  for (EventIdx B = 0; B != T.size(); ++B)
+    for (EventIdx A = 0; A != B; ++A) {
+      const bool Order = Ref.ordered(OrderKind::WCP, A, B);
+      ASSERT_EQ(UpFront[A].lessOrEqual(UpFront[B]), Order)
+          << "seed=" << Seed << "\n a=" << T.eventStr(A) << " (#" << A
+          << ")\n b=" << T.eventStr(B) << " (#" << B << ")";
+      ASSERT_EQ(Late[A].lessOrEqual(Late[B]), Order)
+          << "grown, seed=" << Seed << "\n a=" << T.eventStr(A) << " (#"
+          << A << ")\n b=" << T.eventStr(B) << " (#" << B << ")";
+    }
+  RaceReport R = testutil::run<WcpDetector>(T);
+  for (const RaceInstance &I : R.instances())
+    EXPECT_TRUE(Ref.isRace(OrderKind::WCP, I.EarlierIdx, I.LaterIdx))
+        << I.str(T);
+  EXPECT_EQ(R.numDistinctPairs() > 0, !Ref.races(OrderKind::WCP).empty());
+  testutil::expectSameReport(Grown.report(), R, T, "grown vs up front");
+}
+
+class LockDenseEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+} // namespace
+
+TEST_P(LockDenseEquivalenceTest, Theorem2AndRacesMatchClosure) {
+  expectLockDenseTheorem2(GetParam(), 3 + GetParam() % 4); // 3..6 threads
+}
+
+TEST_P(LockDenseEquivalenceTest, WideTheorem2AndRacesMatchClosure) {
+  expectLockDenseTheorem2(GetParam() ^ 0x5a5a, 9 + GetParam() % 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(LockDenseTraces, LockDenseEquivalenceTest,
+                         ::testing::Range<uint64_t>(1, 41));
+
+// A lock whose entries outgrow the cells' 32-bit indices moves the cell
+// origin up to its Base (WcpDetector::rebaseCells). Every pick must then
+// name the same retained entry, or be skipped exactly when it named a
+// collected one (below the shift) before.
+TEST(WcpCellRebaseTest, RebaseKeepsEveryPick) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    Prng Rng(Seed);
+    WcpVarReleases Cell;
+    const uint32_t Adds = 1 + static_cast<uint32_t>(Rng.nextBelow(12));
+    for (uint32_t I = 0; I != Adds; ++I)
+      (Rng.chance(1, 2) ? Cell.Read : Cell.Write)
+          .add(static_cast<uint32_t>(Rng.nextBelow(3)), 5 * I);
+    const uint32_t Shift = static_cast<uint32_t>(Rng.nextBelow(5 * Adds + 1));
+    WcpVarReleases Moved = Cell;
+    Moved.Read.rebase(Shift);
+    Moved.Write.rebase(Shift);
+    auto Same = [&](uint32_t Before, uint32_t After) {
+      if (Before == WcpReleaseClocks::kNone || Before < Shift)
+        return After == WcpReleaseClocks::kNone;
+      return After == Before - Shift;
+    };
+    for (uint32_t T = 0; T <= 3; ++T) {
+      EXPECT_TRUE(Same(Cell.Read.latestExcluding(T),
+                       Moved.Read.latestExcluding(T)))
+          << "seed " << Seed;
+      EXPECT_TRUE(Same(Cell.latestAccessExcluding(T),
+                       Moved.latestAccessExcluding(T)))
+          << "seed " << Seed;
+    }
+  }
+}

@@ -180,15 +180,39 @@ struct Paths {
   const char *Cli = envOrNull("RACE_CLI");
   const char *Interpose = envOrNull("RACE_INTERPOSE");
   const char *Demo = envOrNull("RACE_DEMO");
-  bool complete() const { return Serverd && Cli && Interpose && Demo; }
+
+  /// The variables that are unset or name a file that is not there (an
+  /// executable must be executable; RACE_INTERPOSE is an LD_PRELOAD list
+  /// whose libraries must be readable), with the paths: empty when the
+  /// tests can run.
+  std::string missing() const {
+    std::string Out;
+    auto check = [&](const char *Var, const char *Path, bool List) {
+      if (!Path) {
+        Out += std::string(Out.empty() ? "" : ", ") + Var + " unset";
+        return;
+      }
+      std::stringstream Parts(Path);
+      std::string File;
+      while (std::getline(Parts, File, List ? ':' : '\0'))
+        if (::access(File.c_str(), List ? R_OK : X_OK) != 0)
+          Out += std::string(Out.empty() ? "" : ", ") + Var + "=" + File +
+                 " missing";
+    };
+    check("RACE_SERVERD", Serverd, false);
+    check("RACE_CLI", Cli, false);
+    check("RACE_INTERPOSE", Interpose, true);
+    check("RACE_DEMO", Demo, false);
+    return Out;
+  }
 };
 
 } // namespace
 
 TEST(ServeE2eTest, InterposedDemoMatchesOfflineReplayBitForBit) {
   Paths P;
-  if (!P.complete())
-    GTEST_SKIP() << "RACE_SERVERD/RACE_CLI/RACE_INTERPOSE/RACE_DEMO not set";
+  if (const std::string Missing = P.missing(); !Missing.empty())
+    GTEST_SKIP() << Missing;
 
   std::string Sock = tempPath("live.sock");
   std::string Rec = tempPath("live_rec.txt");
@@ -281,8 +305,8 @@ TEST(ServeE2eTest, InterposedDemoMatchesOfflineReplayBitForBit) {
 
 TEST(ServeE2eTest, NineConcurrentSessionsWithBudgetsAndBackpressure) {
   Paths P;
-  if (!P.complete())
-    GTEST_SKIP() << "RACE_SERVERD/RACE_CLI/RACE_INTERPOSE/RACE_DEMO not set";
+  if (const std::string Missing = P.missing(); !Missing.empty())
+    GTEST_SKIP() << Missing;
 
   std::string Sock = tempPath("fleet.sock");
   Daemon Server;
@@ -381,8 +405,8 @@ TEST(ServeE2eTest, NineConcurrentSessionsWithBudgetsAndBackpressure) {
 
 TEST(ServeE2eTest, SigtermDrainsBufferedFramesAndReportsPrefix) {
   Paths P;
-  if (!P.complete())
-    GTEST_SKIP() << "RACE_SERVERD/RACE_CLI/RACE_INTERPOSE/RACE_DEMO not set";
+  if (const std::string Missing = P.missing(); !Missing.empty())
+    GTEST_SKIP() << Missing;
 
   std::string Sock = tempPath("drain.sock");
   std::string Out = tempPath("drain_stdout.txt");
