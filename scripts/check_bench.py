@@ -28,8 +28,10 @@
       won at least 9/10 of the pairs and its median is better by more
       than REV's interquartile range, "WORSE" when its median is worse
       than REV's by more than the metric's bound in BENCHMARK.json (end-
-      to-end metrics only), else "no gain". Exits 1 when a run is not
-      correct or fails a request.
+      to-end metrics only), "unresolved" when REV's interquartile range
+      is wider than that bound and not every run of the working tree
+      reads better than every run of REV, else "no gain". Exits 1 when a
+      run is not correct or fails a request.
 """
 
 import argparse
@@ -146,6 +148,7 @@ def pairs(rev, workload, n, seconds, seed, trace):
                   file=sys.stderr)
     print(f"{workload}, {n} pairs, seed {seed}, {seconds} s, --trace {trace}:"
           f" {rev} (base) vs working tree (new)")
+    print(f"every run correct, 0 failed requests ({2 * n} runs)")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         b = [r[name] for r in sides["base"]]
@@ -155,11 +158,15 @@ def pairs(rev, workload, n, seconds, seed, trace):
         won = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
         gain = (cq[1] - bq[1]) * (-1 if lower else 1)
         bound = m.get("bound")
+        all_better = max(c) < min(b) if lower else min(c) > max(b)
         verdict = "no gain"
         if won >= 0.9 * n and gain > bq[2] - bq[0]:
             verdict = "gain"
         elif bound is not None and -gain > bound * bq[1]:
             verdict = "WORSE"
+        elif (bound is not None and bq[2] - bq[0] > bound * bq[1]
+              and not all_better):
+            verdict = "unresolved"
         print(f"{name:26} base {bq[1]:10.4g} [{bq[0]:.4g}, {bq[2]:.4g}]"
               f"  new {cq[1]:10.4g} [{cq[0]:.4g}, {cq[2]:.4g}] {m['unit']:5}"
               f" won {won}/{n}  {verdict}")

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <stdexcept>
 
 using namespace rapid;
 
@@ -67,25 +66,14 @@ bool WcpDetector::joinReleaseTime(VectorClock &Into,
 uint32_t WcpDetector::snapshot(const VectorClock &C, uint64_t Version,
                                uint32_t &Snap, uint64_t &SnapVersion) {
   if (SnapVersion != Version) {
-    Snapshots.release(Snap);
-    Snap = Snapshots.take(C);
+    Snapshots.retake(Snap, C);
     SnapVersion = Version;
   }
   return Snap;
 }
 
-void WcpDetector::rebaseCells(WcpLockState &LS) {
-  // Cells count from CellOrigin in 32 bits. Indices below Base name
-  // collected entries, which every pick skips, so moving the origin to
-  // Base loses nothing as long as the retained entries fit the range.
-  if (LS.logicalEnd() - LS.Base >= WcpReleaseClocks::kNone)
-    throw std::length_error("WCP lock queue retains 2^32 entries");
-  LS.Releases.rebase(static_cast<uint32_t>(LS.Base - LS.CellOrigin));
-  LS.CellOrigin = LS.Base;
-}
-
 void WcpDetector::noteStateBytes() {
-  const uint64_t Bytes = Arena.bytes() + Snapshots.bytes() +
+  const uint64_t Bytes = LockArrayBytes + Snapshots.bytes() +
                          Locks.capacity() * sizeof(WcpLockState);
   Stats.MaxStateBytes = std::max(Stats.MaxStateBytes, Bytes);
 }
@@ -186,7 +174,7 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   if (!LS.touched(T.value())) {
     if (LS.Logging && LS.Touchers != 0)
       buildCells(LS); // The second toucher's picks need the cells.
-    LS.threadOf(Arena, T.value()).Touched = true;
+    LS.threadOf(T.value(), LockArrayBytes).Touched = true;
     ++LS.Touchers;
     bumpLive(static_cast<int64_t>(LS.queuedCopies()));
   }
@@ -195,9 +183,7 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
   // N_t@t (WcpQueueEntry). One shared entry stands for all T-1 abstract
   // copies.
   const uint64_t LogicalIdx = LS.logicalEnd();
-  if (LogicalIdx - LS.CellOrigin >= WcpReleaseClocks::kNone)
-    rebaseCells(LS);
-  LS.Entries.pushBack(Arena, {T.value(), TS.N});
+  LS.Entries.pushBack({T.value(), TS.N}, LockArrayBytes);
   ++QueuedCopies;
   Stats.MaxRetainedQueueEntries =
       std::max(Stats.MaxRetainedQueueEntries, ++RetainedEntries);
@@ -218,7 +204,7 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   // acquire is already ⊑ C_t; their release H-times become WCP
   // predecessors of this release. C_t changes as P_t grows, so the guard
   // is re-evaluated every iteration, exactly like the pseudocode's while.
-  uint64_t &Cur = LS.cursorOf(Arena, T.value());
+  uint64_t &Cur = LS.cursorOf(T.value(), LockArrayBytes);
   for (;;) {
     // Entries by T itself are not part of T's abstract queues (Line 3
     // enqueues only to other threads).
@@ -294,11 +280,12 @@ void WcpDetector::buildCells(WcpLockState &LS) {
     const WcpQueueEntry &E = LS.entry(I);
     if (E.Logged == WcpQueueEntry::kNotLogged)
       continue;
-    WcpVarReleases &C = LS.Releases.cell(Arena, VarId(E.Logged >> 2));
+    WcpVarReleases &C =
+        LS.Releases.cell(VarId(E.Logged >> 2), LockArrayBytes);
     if (E.Logged & WcpQueueEntry::kLoggedRead)
-      C.Read.add(E.Thread, LS.cellIndex(I));
+      C.Read.add(E.Thread, I);
     if (E.Logged & WcpQueueEntry::kLoggedWrite)
-      C.Write.add(E.Thread, LS.cellIndex(I));
+      C.Write.add(E.Thread, I);
   }
   LS.Logging = false;
 }
@@ -321,14 +308,13 @@ void WcpDetector::applyRuleA(WcpThreadState &TS, ThreadId T, VarId X,
         continue; // T is ℓ's one toucher: no other thread's release.
       buildCells(LS);
     }
-    WcpVarReleases &C = LS.Releases.cell(Arena, X);
-    const uint32_t Pick = IsWrite ? C.latestAccessExcluding(T.value())
+    WcpVarReleases &C = LS.Releases.cell(X, LockArrayBytes);
+    const uint64_t Pick = IsWrite ? C.latestAccessExcluding(T.value())
                                   : C.Write.latestExcluding(T.value());
     if (const WcpQueueEntry *E = LS.releaseEntry(Pick))
       if (joinReleaseTime(TS.P, *E))
         ++TS.PEpoch;
-    (IsWrite ? C.Write : C.Read)
-        .add(T.value(), LS.cellIndex(Frame.EntryLogicalIdx));
+    (IsWrite ? C.Write : C.Read).add(T.value(), Frame.EntryLogicalIdx);
   }
   if (!TS.CsStack.empty())
     noteStateBytes();

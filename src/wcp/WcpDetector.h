@@ -108,9 +108,6 @@ private:
   /// version moved. The thread keeps a reference to it.
   uint32_t snapshot(const VectorClock &C, uint64_t Version, uint32_t &Snap,
                     uint64_t &SnapVersion);
-  /// Starts \p LS's cell indices at its Base once the next entry's index
-  /// would not fit them.
-  void rebaseCells(WcpLockState &LS);
   void noteStateBytes();
 
   void bumpAbstract(int64_t Delta);
@@ -130,11 +127,10 @@ private:
 
   uint32_t NumThreads; ///< High-water thread count (telemetry sizing).
   std::vector<WcpThreadState> Threads;
-  /// Before Locks: the locks' arrays live in the arena and their
-  /// snapshot references in the pool.
-  WcpArena Arena;
   WcpSnapshots Snapshots;
   std::vector<WcpLockState> Locks;
+  /// Capacity of all locks' queue, cell and cursor arrays, in bytes.
+  uint64_t LockArrayBytes = 0;
   AccessHistory History;
   std::vector<RaceInstance> Scratch;
   AccessLog *Capture = nullptr; ///< Non-null in capture mode.

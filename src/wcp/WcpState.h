@@ -38,12 +38,12 @@
 /// *abstract* per-(ℓ,t) queues so the numbers are comparable with the
 /// paper.
 ///
-/// Memory: a lock's queue, cells and cursors are arrays in the detector's
-/// WcpArena, whose freed blocks are reused, and snapshots live in one
-/// pool whose freed slots are reused. Per-event processing therefore does
-/// not allocate for traces of at most VectorClock::kInlineThreads threads
-/// once the arrays stop growing; what remains is the arena's chunks, the
-/// pool's and the lock table's growth, and race reports.
+/// Memory: a lock's queue, cells and cursors are vectors that keep their
+/// capacity, and snapshots live in one pool whose freed slots are reused.
+/// Per-event processing therefore does not allocate for traces of at most
+/// VectorClock::kInlineThreads threads once the arrays stop growing; what
+/// remains is their growth, the pool's and the lock table's, and race
+/// reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,60 +57,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <type_traits>
 #include <vector>
 
 namespace rapid {
-
-/// Storage for the per-lock arrays (queue entries, rule-(a) cells,
-/// cursors): blocks of 2^C bytes for a size class C, carved from large
-/// chunks, with one free list per class. A freed block is reused by the
-/// next request of its class and goes back to the system only with the
-/// arena, so a walk whose arrays stop growing stops calling operator
-/// new, and the arrays a lock allocates together sit together. Blocks
-/// hold trivially copyable values only: nothing is destroyed.
-class WcpArena {
-public:
-  /// The smallest class holding \p Bytes (at least the free-list link).
-  static uint8_t classFor(size_t Bytes) {
-    uint8_t C = kMinClass;
-    while ((size_t(1) << C) < Bytes)
-      ++C;
-    return C;
-  }
-  static size_t bytesOf(uint8_t Class) { return size_t(1) << Class; }
-
-  void *allocate(uint8_t Class) {
-    InUse += bytesOf(Class);
-    if (void *Block = Free[Class]) {
-      std::memcpy(&Free[Class], Block, sizeof(void *));
-      return Block;
-    }
-    return carve(Class);
-  }
-  void deallocate(void *Block, uint8_t Class) {
-    InUse -= bytesOf(Class);
-    std::memcpy(Block, &Free[Class], sizeof(void *));
-    Free[Class] = Block;
-  }
-
-  /// Bytes in blocks handed out and not returned.
-  uint64_t bytes() const { return InUse; }
-
-private:
-  static constexpr uint8_t kMinClass = 4;
-  static constexpr size_t kChunk = size_t(64) << 10;
-
-  void *carve(uint8_t Class);
-
-  std::vector<std::unique_ptr<char[]>> Chunks;
-  char *Next = nullptr; ///< Uncarved rest of the newest small-block chunk.
-  char *End = nullptr;
-  void *Free[64] = {};
-  uint64_t InUse = 0;
-};
 
 /// Names no snapshot (an open section's H side, a lock never released).
 constexpr uint32_t kWcpNoSnapshot = UINT32_MAX;
@@ -135,6 +84,16 @@ public:
     Slots[S].Clock = C;
     Slots[S].Refs = 1;
     return S;
+  }
+  /// Points \p Ref, the one reference its holder keeps, at a snapshot of
+  /// \p C: the slot itself is overwritten when no one else references it.
+  void retake(uint32_t &Ref, const VectorClock &C) {
+    if (Ref != kWcpNoSnapshot && Slots[Ref].Refs == 1) {
+      Slots[Ref].Clock = C;
+      return;
+    }
+    release(Ref);
+    Ref = take(C);
   }
   void retain(uint32_t S) { ++Slots[S].Refs; }
   void release(uint32_t S) {
@@ -227,50 +186,51 @@ struct WcpQueueEntry {
 };
 static_assert(sizeof(WcpQueueEntry) == 20, "queue entry grew");
 
-/// A lock's shared queue: the entries [Head, Head + Count) of one arena
-/// array. A push into a full array slides the live entries to the front
-/// when at most half of it is live and doubles it otherwise, so pushes and
-/// pops cost O(1) amortized and the entries of a lock stay contiguous.
+/// A lock's shared queue: the entries [Head, end) of one vector. A push
+/// into a full vector first drops the popped prefix when at most half of
+/// it is live, so pushes and pops cost O(1) amortized, a queue whose
+/// length stays bounded stops allocating, and the entries of a lock stay
+/// contiguous.
 class WcpEntryQueue {
 public:
-  size_t size() const { return Count; }
-  bool empty() const { return Count == 0; }
+  size_t size() const { return Data.size() - Head; }
+  bool empty() const { return Head == Data.size(); }
   WcpQueueEntry &operator[](size_t I) {
-    assert(I < Count && "queue index out of range");
+    assert(I < size() && "queue index out of range");
     return Data[Head + I];
   }
   WcpQueueEntry &front() { return (*this)[0]; }
-  WcpQueueEntry &back() { return (*this)[Count - 1]; }
+  WcpQueueEntry &back() { return Data.back(); }
 
-  void pushBack(WcpArena &A, const WcpQueueEntry &E) {
-    if (Head + Count == capacity())
-      makeRoom(A);
-    Data[Head + Count++] = E;
+  /// Appends \p E, adding the bytes of any growth to \p Bytes.
+  void pushBack(const WcpQueueEntry &E, uint64_t &Bytes) {
+    if (Data.size() == Data.capacity()) {
+      if (Head != 0 && 2 * Head >= Data.size()) {
+        Data.erase(Data.begin(), Data.begin() + static_cast<ptrdiff_t>(Head));
+        Head = 0;
+      } else {
+        const size_t Old = Data.capacity();
+        Data.reserve(std::max<size_t>(8, 2 * Old));
+        Bytes += (Data.capacity() - Old) * sizeof(WcpQueueEntry);
+      }
+    }
+    Data.push_back(E);
   }
   void popFront() {
-    assert(Count != 0 && "pop from an empty queue");
-    ++Head;
-    if (--Count == 0)
-      Head = 0; // Empty: refill from the start.
+    assert(!empty() && "pop from an empty queue");
+    if (++Head == Data.size()) {
+      Data.clear(); // Empty: refill from the start.
+      Head = 0;
+    }
   }
 
 private:
-  uint32_t capacity() const {
-    return Data ? static_cast<uint32_t>(WcpArena::bytesOf(Class) /
-                                        sizeof(WcpQueueEntry))
-                : 0;
-  }
-  void makeRoom(WcpArena &A);
-
-  WcpQueueEntry *Data = nullptr;
-  uint32_t Head = 0;
-  uint32_t Count = 0;
-  uint8_t Class = 0;
+  std::vector<WcpQueueEntry> Data;
+  size_t Head = 0;
 };
 
-/// One L^r_{ℓ,x} / L^w_{ℓ,x} cell, held by reference: the queue indices
-/// (relative to the lock's CellOrigin, see WcpLockState) of the latest
-/// release of ℓ whose section read (or wrote) x, and of the latest such
+/// One L^r_{ℓ,x} / L^w_{ℓ,x} cell, held by reference: the logical queue
+/// indices of the latest release of ℓ whose section read (or wrote) x, and of the latest such
 /// release by a thread other than that one's.
 ///
 /// Rule (a) of WCP fires only when the release's critical section contains
@@ -301,14 +261,14 @@ private:
 /// release stores the entry's H-time.
 struct WcpReleaseClocks {
   static constexpr uint32_t kNoThread = ThreadId::invalid().value();
-  static constexpr uint32_t kNone = UINT32_MAX;
-  uint32_t Latest = kNone; ///< Queue index of the latest release.
-  uint32_t Other = kNone;  ///< ... of the latest by another thread.
+  static constexpr uint64_t kNone = UINT64_MAX;
+  uint64_t Latest = kNone; ///< Queue index of the latest release.
+  uint64_t Other = kNone;  ///< ... of the latest by another thread.
   uint32_t LatestThread = kNoThread; ///< The thread of Latest.
 
   /// Records that the section of queue entry \p Idx, by thread \p T,
   /// accessed x; it is the lock's latest section so far.
-  void add(uint32_t T, uint32_t Idx) {
+  void add(uint32_t T, uint64_t Idx) {
     if (LatestThread != T) {
       Other = Latest;
       LatestThread = T;
@@ -318,17 +278,8 @@ struct WcpReleaseClocks {
 
   /// The queue index of the latest recorded release by a thread other
   /// than \p T, or kNone.
-  uint32_t latestExcluding(uint32_t T) const {
+  uint64_t latestExcluding(uint32_t T) const {
     return LatestThread != T ? Latest : Other;
-  }
-
-  /// Renumbers the indices for a lock whose cell origin moves up by
-  /// \p Shift: an index below the shift named a collected entry, which
-  /// every pick skips, and becomes kNone, which every pick skips too.
-  void rebase(uint32_t Shift) {
-    for (uint32_t *I : {&Latest, &Other})
-      if (*I != kNone)
-        *I = *I < Shift ? kNone : *I - Shift;
   }
 };
 
@@ -342,29 +293,32 @@ struct WcpVarReleases {
   /// The write rule's L^r_{ℓ,x} ⊔ L^w_{ℓ,x}: the queue index of the
   /// latest release by a thread other than \p T whose section read or
   /// wrote x, or kNone. The later entry's H-time covers the earlier's.
-  uint32_t latestAccessExcluding(uint32_t T) const {
-    const uint32_t R = Read.latestExcluding(T);
-    const uint32_t W = Write.latestExcluding(T);
+  uint64_t latestAccessExcluding(uint32_t T) const {
+    const uint64_t R = Read.latestExcluding(T);
+    const uint64_t W = Write.latestExcluding(T);
     if (R == WcpReleaseClocks::kNone || W == WcpReleaseClocks::kNone)
       return std::min(R, W);
     return std::max(R, W);
   }
 };
-// Every access inside a critical section reads and writes a cell, and a
-// lock's table is scanned at its accesses: keep a cell to seven words.
-static_assert(sizeof(WcpVarReleases) == 28, "rule-(a) cell grew");
+// Every access inside a critical section of a lock with cells reads and
+// writes a cell: keep one to a cache line.
+static_assert(sizeof(WcpVarReleases) <= 64, "rule-(a) cell grew");
 
 /// One lock's L^r/L^w cells, keyed by variable: open addressing with
-/// linear probing over a power-of-two slot array in the arena, at most
-/// 7/8 full. A lock's sections touch few variables, so the table stays a
-/// few slots wide (eight hold seven variables) and a lookup reads one or
-/// two cache lines.
+/// linear probing over a power-of-two slot array, at most 3/4 full. A
+/// lock's sections touch few variables, so the table stays a few slots
+/// wide and a lookup is one or two probes.
 class WcpReleaseTable {
 public:
-  /// The cell of \p X, created empty (no release recorded) on first use.
-  WcpVarReleases &cell(WcpArena &A, VarId X) {
-    if (8 * (Used + 1) > 7 * slots())
-      grow(A);
+  /// The cell of \p X, created empty (no release recorded) on first use;
+  /// adds the bytes of any growth to \p Bytes.
+  WcpVarReleases &cell(VarId X, uint64_t &Bytes) {
+    if (4 * (Used + 1) > 3 * Slots.size()) {
+      const size_t Old = Slots.size();
+      rehash(Old == 0 ? 4 : 2 * Old);
+      Bytes += (Slots.size() - Old) * sizeof(WcpVarReleases);
+    }
     size_t I = home(X.value());
     while (Slots[I].Var != X.value()) {
       if (Slots[I].Var == WcpVarReleases::kEmpty) {
@@ -372,29 +326,34 @@ public:
         ++Used;
         break;
       }
-      I = (I + 1) & (slots() - 1);
+      I = (I + 1) & (Slots.size() - 1);
     }
     return Slots[I];
   }
 
-  /// Applies WcpReleaseClocks::rebase to every cell.
-  void rebase(uint32_t Shift) {
-    for (size_t I = 0; I != slots(); ++I) {
-      Slots[I].Read.rebase(Shift);
-      Slots[I].Write.rebase(Shift);
+private:
+  /// Fibonacci hashing: the top bits of X·⌊2^32/φ⌋.
+  size_t home(uint32_t X) const { return (X * 0x9e3779b9u) >> Shift; }
+
+  void rehash(size_t NewSlots) {
+    std::vector<WcpVarReleases> Old(NewSlots);
+    Old.swap(Slots);
+    Shift = 32;
+    for (size_t N = NewSlots; N > 1; N >>= 1)
+      --Shift;
+    for (const WcpVarReleases &S : Old) {
+      if (S.Var == WcpVarReleases::kEmpty)
+        continue;
+      size_t I = home(S.Var);
+      while (Slots[I].Var != WcpVarReleases::kEmpty)
+        I = (I + 1) & (Slots.size() - 1);
+      Slots[I] = S;
     }
   }
 
-private:
-  size_t slots() const { return Slots ? size_t(1) << Log2 : 0; }
-  /// Fibonacci hashing: the top bits of X·⌊2^32/φ⌋.
-  size_t home(uint32_t X) const { return (X * 0x9e3779b9u) >> (32 - Log2); }
-  void grow(WcpArena &A);
-
-  WcpVarReleases *Slots = nullptr;
+  std::vector<WcpVarReleases> Slots;
   uint32_t Used = 0;
-  uint8_t Log2 = 0;
-  uint8_t Class = 0;
+  uint32_t Shift = 32;
 };
 
 /// One thread's view of one lock's shared queue.
@@ -412,7 +371,7 @@ struct WcpLockThread {
 /// H_ℓ = ⊥) and no arrays. A thread beyond the per-thread array's size
 /// reads as the zero state, so a lock holds no per-thread memory until
 /// some thread acquires it. The fields an acquire, an access and a
-/// release read come first; all of them fit in two cache lines.
+/// release read come first; the whole state is two cache lines.
 struct WcpLockState {
   static constexpr uint32_t kNoThread = ThreadId::invalid().value();
 
@@ -435,14 +394,10 @@ struct WcpLockState {
   /// section that does not fit the log, builds the cells from the logs of
   /// the retained entries (WcpDetector::buildCells).
   WcpReleaseTable Releases;
-  /// The logical index the cells' 32-bit indices count from.
-  uint64_t CellOrigin = 0;
 
   /// Per-thread cursors and touched flags, one array so a lock operation
-  /// reads one buffer: PerThread[0, PerThreadSize) in a block of class
-  /// PerThreadClass.
-  WcpLockThread *PerThread = nullptr;
-  uint32_t PerThreadSize = 0;
+  /// reads one buffer.
+  std::vector<WcpLockThread> PerThread;
   /// Threads [0, Cursors) have a cursor of their own; later ones sit
   /// implicitly at 0 for collection (see collectibleEnd).
   uint32_t Cursors = 0;
@@ -451,7 +406,6 @@ struct WcpLockState {
   /// queues hold all retained entries but its own and the ones it popped
   /// (see queuedCopies).
   uint32_t Touchers = 0;
-  uint8_t PerThreadClass = 0;
   /// Accesses are logged in the queue entries; the cells are not built.
   bool Logging = true;
 
@@ -461,17 +415,13 @@ struct WcpLockState {
            "queue entry out of range");
     return Entries[LogicalIdx - Base];
   }
-  /// The cell index of the entry with logical index \p LogicalIdx.
-  uint32_t cellIndex(uint64_t LogicalIdx) const {
-    return static_cast<uint32_t>(LogicalIdx - CellOrigin);
-  }
-  /// The entry of the release a rule-(a) cell names by \p CellIdx, or
+  /// The entry of the release a rule-(a) cell names by \p LogicalIdx, or
   /// nullptr for WcpReleaseClocks::kNone and for a collected entry (one
   /// every thread in a section on ℓ already covers; see WcpReleaseClocks).
-  const WcpQueueEntry *releaseEntry(uint32_t CellIdx) {
-    if (CellIdx == WcpReleaseClocks::kNone || CellOrigin + CellIdx < Base)
+  const WcpQueueEntry *releaseEntry(uint64_t LogicalIdx) {
+    if (LogicalIdx == WcpReleaseClocks::kNone || LogicalIdx < Base)
       return nullptr;
-    const WcpQueueEntry &E = entry(CellOrigin + CellIdx);
+    const WcpQueueEntry &E = entry(LogicalIdx);
     assert(E.hasRelease() && "rule-(a) cell names an open section");
     return &E;
   }
@@ -489,22 +439,26 @@ struct WcpLockState {
   /// Base: entries below it were collected under the invariant that
   /// their release times already flow to every possible future thread
   /// through P_ℓ, so skipping them is a semantic no-op; see
-  /// WcpDetector::collectLockGarbage).
-  WcpLockThread &threadOf(WcpArena &A, uint32_t T) {
-    if (T >= PerThreadSize)
-      growPerThread(A, T + 1);
+  /// WcpDetector::collectLockGarbage). Both add the bytes of any growth
+  /// to \p Bytes.
+  WcpLockThread &threadOf(uint32_t T, uint64_t &Bytes) {
+    if (T >= PerThread.size()) {
+      const size_t Old = PerThread.capacity();
+      PerThread.resize(T + 1);
+      Bytes += (PerThread.capacity() - Old) * sizeof(WcpLockThread);
+    }
     return PerThread[T];
   }
-  uint64_t &cursorOf(WcpArena &A, uint32_t T) {
+  uint64_t &cursorOf(uint32_t T, uint64_t &Bytes) {
     if (T >= Cursors) {
-      threadOf(A, T);
+      threadOf(T, Bytes);
       for (; Cursors <= T; ++Cursors)
         PerThread[Cursors].Cursor = Base;
     }
     return PerThread[T].Cursor;
   }
   bool touched(uint32_t T) const {
-    return T < PerThreadSize && PerThread[T].Touched;
+    return T < PerThread.size() && PerThread[T].Touched;
   }
 
   /// The largest logical index every thread's cursor has passed (the
@@ -522,12 +476,7 @@ struct WcpLockState {
       Min = std::min(Min, PerThread[U].Cursor);
     return Min;
   }
-
-private:
-  void growPerThread(WcpArena &A, uint32_t NewSize);
 };
-static_assert(std::is_trivially_destructible_v<WcpLockState>,
-              "lock state lives in arena blocks it never frees itself");
 
 /// One open critical section of a thread: the lock and the shared queue
 /// entry created by its acquire. The section's accesses name that entry
@@ -597,8 +546,8 @@ struct WcpStats {
   /// this implementation actually retains at once.
   uint64_t MaxRetainedQueueEntries = 0;
   /// Peak, sampled after each lock event and rule-(a) access, of the
-  /// bytes of per-lock state: the lock table, the arena blocks of queue
-  /// entries, cells and cursors, and the snapshot pool.
+  /// bytes of per-lock state: the lock table, the capacity of the locks'
+  /// queue, cell and cursor arrays, and the snapshot pool.
   uint64_t MaxStateBytes = 0;
 };
 

@@ -315,35 +315,3 @@ TEST_P(LockDenseEquivalenceTest, WideTheorem2AndRacesMatchClosure) {
 
 INSTANTIATE_TEST_SUITE_P(LockDenseTraces, LockDenseEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 41));
-
-// A lock whose entries outgrow the cells' 32-bit indices moves the cell
-// origin up to its Base (WcpDetector::rebaseCells). Every pick must then
-// name the same retained entry, or be skipped exactly when it named a
-// collected one (below the shift) before.
-TEST(WcpCellRebaseTest, RebaseKeepsEveryPick) {
-  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
-    Prng Rng(Seed);
-    WcpVarReleases Cell;
-    const uint32_t Adds = 1 + static_cast<uint32_t>(Rng.nextBelow(12));
-    for (uint32_t I = 0; I != Adds; ++I)
-      (Rng.chance(1, 2) ? Cell.Read : Cell.Write)
-          .add(static_cast<uint32_t>(Rng.nextBelow(3)), 5 * I);
-    const uint32_t Shift = static_cast<uint32_t>(Rng.nextBelow(5 * Adds + 1));
-    WcpVarReleases Moved = Cell;
-    Moved.Read.rebase(Shift);
-    Moved.Write.rebase(Shift);
-    auto Same = [&](uint32_t Before, uint32_t After) {
-      if (Before == WcpReleaseClocks::kNone || Before < Shift)
-        return After == WcpReleaseClocks::kNone;
-      return After == Before - Shift;
-    };
-    for (uint32_t T = 0; T <= 3; ++T) {
-      EXPECT_TRUE(Same(Cell.Read.latestExcluding(T),
-                       Moved.Read.latestExcluding(T)))
-          << "seed " << Seed;
-      EXPECT_TRUE(Same(Cell.latestAccessExcluding(T),
-                       Moved.latestAccessExcluding(T)))
-          << "seed " << Seed;
-    }
-  }
-}

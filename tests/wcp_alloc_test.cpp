@@ -13,11 +13,11 @@
 // WCP's per-event path is allocation-free by construction: clocks of up
 // to VectorClock::kInlineThreads threads live inline, queue entries hold
 // epochs and snapshot ids, snapshots are reused from a pool, a lock's
-// queue, rule-(a) cells and cursors are arrays in the detector's arena,
-// whose freed blocks are reused, and critical-section frames are a plain
-// stack. What remains is growth (the arena's 64 KiB chunks, the snapshot
-// pool, thread and lock tables, race reports). The same file pins the
-// bytes of per-lock state the WCP walk holds (wcp.state_bytes).
+// queue, rule-(a) cells and cursors are vectors that keep their
+// capacity, and critical-section frames are a plain stack. What remains
+// is growth (those vectors, the snapshot pool, thread and lock tables,
+// race reports). The same file pins the bytes of per-lock state the WCP
+// walk holds (wcp.state_bytes).
 //
 //===----------------------------------------------------------------------===//
 
