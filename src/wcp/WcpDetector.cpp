@@ -72,12 +72,6 @@ uint32_t WcpDetector::snapshot(const VectorClock &C, uint64_t Version,
   return Snap;
 }
 
-void WcpDetector::noteStateBytes() {
-  const uint64_t Bytes = LockArrayBytes + Snapshots.bytes() +
-                         Locks.capacity() * sizeof(WcpLockState);
-  Stats.MaxStateBytes = std::max(Stats.MaxStateBytes, Bytes);
-}
-
 void WcpDetector::ensureThread(ThreadId T) {
   if (T.value() >= NumThreads) {
     // Every enqueue credited the abstract copies of the threads that
@@ -101,10 +95,8 @@ void WcpDetector::ensureThread(ThreadId T) {
 }
 
 void WcpDetector::ensureLock(LockId L) {
-  if (L.value() >= Locks.size()) {
+  if (L.value() >= Locks.size())
     Locks.resize(L.value() + 1);
-    noteStateBytes();
-  }
 }
 
 void WcpDetector::collectLockGarbage(WcpLockState &LS) {
@@ -193,7 +185,6 @@ void WcpDetector::handleAcquire(ThreadId T, LockId L) {
       Stats.MaxSharedQueueEntries, static_cast<uint64_t>(LS.Entries.size()));
 
   TS.CsStack.push_back({L, LogicalIdx});
-  noteStateBytes();
 }
 
 void WcpDetector::handleRelease(ThreadId T, LockId L) {
@@ -265,7 +256,6 @@ void WcpDetector::handleRelease(ThreadId T, LockId L) {
   bumpLive(static_cast<int64_t>(LS.Touchers) - 1);
 
   collectLockGarbage(LS);
-  noteStateBytes();
 
   // Local clock increment: N_t advances before the next event of T
   // because this event is a release.
@@ -316,8 +306,6 @@ void WcpDetector::applyRuleA(WcpThreadState &TS, ThreadId T, VarId X,
         ++TS.PEpoch;
     (IsWrite ? C.Write : C.Read).add(T.value(), Frame.EntryLogicalIdx);
   }
-  if (!TS.CsStack.empty())
-    noteStateBytes();
 }
 
 void WcpDetector::handleRead(ThreadId T, VarId X, LocId Loc, EventIdx Index) {

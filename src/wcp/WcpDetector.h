@@ -56,6 +56,13 @@ public:
   }
 
   const WcpStats &stats() const { return Stats; }
+  /// Bytes of per-lock state: the lock table, the capacity of the locks'
+  /// queue, cell and cursor arrays, and the snapshot pool. None of them
+  /// ever shrinks, so this is also the walk's peak.
+  uint64_t stateBytes() const {
+    return Locks.capacity() * sizeof(WcpLockState) + LockArrayBytes +
+           Snapshots.bytes();
+  }
   uint64_t numEventsProcessed() const { return EventsProcessed; }
 
   /// The Table 1 queue telemetry as metric samples — how the session and
@@ -70,8 +77,7 @@ public:
                    Stats.MaxSharedQueueEntries});
     Out.push_back({"wcp.queue_retained", MetricKind::HighWater,
                    Stats.MaxRetainedQueueEntries});
-    Out.push_back({"wcp.state_bytes", MetricKind::HighWater,
-                   Stats.MaxStateBytes});
+    Out.push_back({"wcp.state_bytes", MetricKind::HighWater, stateBytes()});
     Out.push_back({"wcp.events_processed", MetricKind::Counter,
                    EventsProcessed});
   }
@@ -108,7 +114,6 @@ private:
   /// version moved. The thread keeps a reference to it.
   uint32_t snapshot(const VectorClock &C, uint64_t Version, uint32_t &Snap,
                     uint64_t &SnapVersion);
-  void noteStateBytes();
 
   void bumpAbstract(int64_t Delta);
   void bumpLive(int64_t Delta);

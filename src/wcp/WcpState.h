@@ -209,8 +209,11 @@ public:
         Data.erase(Data.begin(), Data.begin() + static_cast<ptrdiff_t>(Head));
         Head = 0;
       } else {
+        // A lock's first block holds 16 entries: a thread-private lock
+        // keeps all of its entries (collection waits for every thread's
+        // cursor to pass them), and on xalan most keep about that many.
         const size_t Old = Data.capacity();
-        Data.reserve(std::max<size_t>(8, 2 * Old));
+        Data.reserve(std::max<size_t>(16, 2 * Old));
         Bytes += (Data.capacity() - Old) * sizeof(WcpQueueEntry);
       }
     }
@@ -545,10 +548,6 @@ struct WcpStats {
   /// Peak of the shared buffers' entries summed over *all* locks — what
   /// this implementation actually retains at once.
   uint64_t MaxRetainedQueueEntries = 0;
-  /// Peak, sampled after each lock event and rule-(a) access, of the
-  /// bytes of per-lock state: the lock table, the capacity of the locks'
-  /// queue, cell and cursor arrays, and the snapshot pool.
-  uint64_t MaxStateBytes = 0;
 };
 
 } // namespace rapid

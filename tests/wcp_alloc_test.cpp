@@ -183,7 +183,7 @@ TEST(WcpAllocTest, XalanStateBytesStayCompact) {
   Trace T = makeInput("xalan", 1050000 / 8, 1);
   WcpDetector D(T);
   runDetector(D, T);
-  RecordProperty("wcp_state_bytes", std::to_string(D.stats().MaxStateBytes));
-  EXPECT_GT(D.stats().MaxStateBytes, 0u);
-  EXPECT_LE(3 * D.stats().MaxStateBytes, kInlineClockLayoutBytes);
+  RecordProperty("wcp_state_bytes", std::to_string(D.stateBytes()));
+  EXPECT_GT(D.stateBytes(), 0u);
+  EXPECT_LE(3 * D.stateBytes(), kInlineClockLayoutBytes);
 }
